@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// fuzzTight and fuzzBig are the two Limits the edge-list fuzzers parse
+// every input under. fuzzTight has the shape of the serve layer's upload
+// limits. fuzzBig is large but sane rather than unlimited: a fuzz input
+// like "0 999999999" would otherwise make the parser allocate O(max
+// vertex) memory and kill the fuzz worker. Its edge bound also caps the
+// hub row of an adversarial star (every edge on one vertex): the parser
+// finds duplicates by sorting each row and scanning it, and the reference
+// parser of FuzzReadEdgeListReference sorts rows with sort.Slice.
+var (
+	fuzzTight = Limits{MaxVertices: 64, MaxEdges: 32, MaxLineBytes: 128}
+	fuzzBig   = Limits{MaxVertices: 1 << 16, MaxEdges: 1 << 12}
+)
+
 // FuzzReadEdgeList: the parser must never panic, and anything it accepts
 // must survive a write→read round trip. The fuzz body parses every input
 // twice — under permissive and under tight Limits (the latter is the
@@ -23,14 +36,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1 2\n")
 	f.Add("n 50\nn 50\n")
 	f.Add("0 99999999999999999999\n")
-	lim := Limits{MaxVertices: 64, MaxEdges: 32, MaxLineBytes: 128}
-	// The permissive side runs under a large-but-sane bound rather than
-	// truly unlimited: a fuzz input like "0 999999999" would otherwise make
-	// the builder allocate O(max vertex) memory and kill the fuzz worker,
-	// and the duplicate-edge check is O(degree) per edge, so the edge bound
-	// keeps adversarial stars (every edge on one hub) off the quadratic
-	// worst case.
-	big := Limits{MaxVertices: 1 << 16, MaxEdges: 1 << 12}
+	lim, big := fuzzTight, fuzzBig
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeListLimits(strings.NewReader(input), big)
 		lg, lerr := ReadEdgeListLimits(strings.NewReader(input), lim)

@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -96,33 +97,52 @@ func normEdge(u, v int) [2]int32 {
 // Build produces the immutable graph in CSR form. The builder may keep
 // being used.
 func (b *Builder) Build() *Graph {
-	g := &Graph{
-		n:   b.n,
-		m:   len(b.edges),
-		off: make([]int32, b.n+1),
-		csr: make([]int32, 2*len(b.edges)),
-		adj: make([][]int32, b.n),
-	}
+	ends := make([]int32, 0, 2*len(b.edges))
 	for e := range b.edges {
-		g.off[e[0]+1]++
-		g.off[e[1]+1]++
+		ends = append(ends, e[0], e[1])
 	}
-	for v := 0; v < b.n; v++ {
+	g, _ := fromEdges(b.n, ends)
+	return g
+}
+
+// fromEdges is the package's one CSR constructor. ends lists the edges
+// flat — ends[2i], ends[2i+1] is edge i — with endpoints in [0,n) and no
+// self-loops. It counts degrees, prefix-sums them into offsets, scatters
+// both directions of every edge into its rows and sorts each row. dup
+// reports whether some edge is listed twice: a sorted row then holds two
+// equal adjacent entries (the graph is not simple and must be discarded).
+func fromEdges(n int, ends []int32) (g *Graph, dup bool) {
+	g = &Graph{
+		n:   n,
+		m:   len(ends) / 2,
+		off: make([]int32, n+1),
+		csr: make([]int32, len(ends)),
+		adj: make([][]int32, n),
+	}
+	for _, v := range ends {
+		g.off[v+1]++
+	}
+	for v := 0; v < n; v++ {
 		g.off[v+1] += g.off[v]
 	}
-	cursor := make([]int32, b.n)
-	for e := range b.edges {
-		u, w := e[0], e[1]
-		g.csr[g.off[u]+cursor[u]] = w
-		g.csr[g.off[w]+cursor[w]] = u
-		cursor[u]++
-		cursor[w]++
+	next := make([]int32, n)
+	copy(next, g.off[:n])
+	for i := 0; i < len(ends); i += 2 {
+		u, w := ends[i], ends[i+1]
+		g.csr[next[u]] = w
+		g.csr[next[w]] = u
+		next[u]++
+		next[w]++
 	}
-	for v := 0; v < b.n; v++ {
-		g.adj[v] = g.csr[g.off[v]:g.off[v+1]:g.off[v+1]]
-		sort.Slice(g.adj[v], func(i, j int) bool { return g.adj[v][i] < g.adj[v][j] })
+	for v := 0; v < n; v++ {
+		row := g.csr[g.off[v]:g.off[v+1]:g.off[v+1]]
+		slices.Sort(row)
+		for i := 1; i < len(row) && !dup; i++ {
+			dup = row[i] == row[i-1]
+		}
+		g.adj[v] = row
 	}
-	return g
+	return g, dup
 }
 
 // CSR exposes the compressed-sparse-row neighbor storage: off has n+1

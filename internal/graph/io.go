@@ -2,11 +2,14 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Plain edge-list serialization: one "u v" pair per line, '#' comments and
@@ -82,11 +85,22 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 
 // ReadEdgeListLimits parses an edge list from untrusted input under the
 // given limits. All rejections are typed: *ParseError for malformed input,
-// *LimitError for oversized input, or the reader's own error.
+// *LimitError for oversized input, or the reader's own error. Vertex
+// indices must fit the int32 CSR whatever the limits: a vertex count above
+// math.MaxInt32 is a *LimitError even when MaxVertices is unset.
+//
+// The parse is a single pass over the scanner's line bytes that appends
+// endpoints to one flat buffer; the CSR is then built from it directly
+// (fromEdges). A well-formed input allocates the scanner buffer, the
+// growing endpoint buffer and the graph, and nothing per line.
 func ReadEdgeListLimits(r io.Reader, lim Limits) (*Graph, error) {
 	maxLine := lim.MaxLineBytes
 	if maxLine <= 0 {
 		maxLine = 1 << 20
+	}
+	maxVerts := lim.MaxVertices
+	if maxVerts <= 0 || maxVerts > math.MaxInt32 {
+		maxVerts = math.MaxInt32
 	}
 	sc := bufio.NewScanner(r)
 	// The scanner's cap is max(maxLine, cap(initial buffer)), so the
@@ -97,40 +111,40 @@ func ReadEdgeListLimits(r io.Reader, lim Limits) (*Graph, error) {
 	}
 	sc.Buffer(make([]byte, bufSize), maxLine)
 	n := -1
-	var edges [][2]int
+	var ends []int32 // edge endpoints in input order, two per edge
 	maxV := -1
 	line := 0
+	var fields [3][]byte
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		nf := splitFields(sc.Bytes(), &fields)
+		if nf == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if fields[0] == "n" {
+		if len(fields[0]) == 1 && fields[0][0] == 'n' {
 			if n >= 0 {
-				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("duplicate header %q", text)}
+				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("duplicate header %q", lineText(sc.Bytes()))}
 			}
-			if len(fields) != 2 {
-				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad header %q", text)}
+			if nf != 2 {
+				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad header %q", lineText(sc.Bytes()))}
 			}
-			v, err := strconv.Atoi(fields[1])
-			if err != nil || v < 0 {
-				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad header %q", text)}
+			v, ok := atoi(fields[1])
+			if !ok || v < 0 {
+				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad header %q", lineText(sc.Bytes()))}
 			}
-			if lim.MaxVertices > 0 && v > lim.MaxVertices {
-				return nil, &LimitError{What: "vertices", Got: v, Max: lim.MaxVertices}
+			if v > maxVerts {
+				return nil, &LimitError{What: "vertices", Got: v, Max: maxVerts}
 			}
 			n = v
 			continue
 		}
-		if len(fields) != 2 {
-			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad edge %q", text)}
+		if nf != 2 {
+			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad edge %q", lineText(sc.Bytes()))}
 		}
-		u, err1 := strconv.Atoi(fields[0])
-		v, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil {
-			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad edge %q", text)}
+		u, ok1 := atoi(fields[0])
+		v, ok2 := atoi(fields[1])
+		if !ok1 || !ok2 {
+			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad edge %q", lineText(sc.Bytes()))}
 		}
 		if u < 0 || v < 0 {
 			return nil, &ParseError{Line: line, Msg: "negative vertex"}
@@ -138,17 +152,17 @@ func ReadEdgeListLimits(r io.Reader, lim Limits) (*Graph, error) {
 		if u == v {
 			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("self-loop %d", u)}
 		}
-		if lim.MaxEdges > 0 && len(edges) == lim.MaxEdges {
-			return nil, &LimitError{What: "edges", Got: len(edges) + 1, Max: lim.MaxEdges}
+		if lim.MaxEdges > 0 && len(ends) == 2*lim.MaxEdges {
+			return nil, &LimitError{What: "edges", Got: lim.MaxEdges + 1, Max: lim.MaxEdges}
 		}
-		if lim.MaxVertices > 0 && (u >= lim.MaxVertices || v >= lim.MaxVertices) {
+		if u >= maxVerts || v >= maxVerts {
 			m := u
 			if v > m {
 				m = v
 			}
-			return nil, &LimitError{What: "vertices", Got: m + 1, Max: lim.MaxVertices}
+			return nil, &LimitError{What: "vertices", Got: m + 1, Max: maxVerts}
 		}
-		edges = append(edges, [2]int{u, v})
+		ends = append(ends, int32(u), int32(v))
 		if u > maxV {
 			maxV = u
 		}
@@ -168,12 +182,85 @@ func ReadEdgeListLimits(r io.Reader, lim Limits) (*Graph, error) {
 	if maxV >= n {
 		return nil, &ParseError{Line: 0, Msg: fmt.Sprintf("vertex %d exceeds declared n=%d", maxV, n)}
 	}
-	b := NewBuilder(n)
-	for _, e := range edges {
-		if b.HasEdge(e[0], e[1]) {
-			return nil, &ParseError{Line: 0, Msg: fmt.Sprintf("duplicate edge (%d,%d)", e[0], e[1])}
-		}
-		b.AddEdge(e[0], e[1])
+	g, dup := fromEdges(n, ends)
+	if dup {
+		u, v := firstDuplicate(ends)
+		return nil, &ParseError{Line: 0, Msg: fmt.Sprintf("duplicate edge (%d,%d)", u, v)}
 	}
-	return b.Build(), nil
+	return g, nil
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields splits line into white-space separated fields exactly as
+// strings.Fields does, keeping the first three in f and returning how many
+// it kept: a third field only matters as "more than two". ASCII lines are
+// split in place; a line holding a byte ≥ 0x80 is split by bytes.Fields,
+// which applies the same Unicode white-space rules as strings.Fields.
+func splitFields(line []byte, f *[3][]byte) int {
+	nf := 0
+	for i := 0; i < len(line) && nf < len(f); {
+		c := line[i]
+		if c >= utf8.RuneSelf {
+			return copy(f[:], bytes.Fields(line))
+		}
+		if asciiSpace[c] {
+			i++
+			continue
+		}
+		start := i
+		for i < len(line) && line[i] < utf8.RuneSelf && !asciiSpace[line[i]] {
+			i++
+		}
+		f[nf] = line[start:i]
+		nf++
+	}
+	return nf
+}
+
+// atoi parses a field as strconv.Atoi does. Plain digit strings of up to
+// nine digits (every int32 vertex index but the largest) are parsed in
+// place; anything else — a sign, a longer number, a stray byte — goes
+// through strconv.Atoi itself.
+func atoi(b []byte) (int, bool) {
+	if len(b) > 0 && len(b) <= 9 {
+		v := 0
+		for _, c := range b {
+			d := c - '0'
+			if d > 9 {
+				v = -1
+				break
+			}
+			v = v*10 + int(d)
+		}
+		if v >= 0 {
+			return v, true
+		}
+	}
+	v, err := strconv.Atoi(string(b))
+	return v, err == nil
+}
+
+// lineText is the trimmed line an error message quotes. Only error paths
+// call it, so only they pay for the string.
+func lineText(line []byte) string {
+	return strings.TrimSpace(string(line))
+}
+
+// firstDuplicate returns the first edge of ends, in input order, whose
+// unordered pair appeared earlier. fromEdges only says that one exists;
+// this slower scan runs on that error path alone, so the error can name
+// the first repeat in input order.
+func firstDuplicate(ends []int32) (u, v int32) {
+	seen := make(map[[2]int32]struct{}, len(ends)/2)
+	for i := 0; i < len(ends); i += 2 {
+		u, v = ends[i], ends[i+1]
+		key := normEdge(int(u), int(v))
+		if _, ok := seen[key]; ok {
+			return u, v
+		}
+		seen[key] = struct{}{}
+	}
+	panic("graph: firstDuplicate on an edge list without duplicates")
 }

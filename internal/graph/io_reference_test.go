@@ -1,0 +1,287 @@
+package graph
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// referenceReadEdgeListLimits is the map-backed edge-list parser that
+// ReadEdgeListLimits replaced, kept verbatim as the differential oracle:
+// per-line strings through strings.TrimSpace/strings.Fields/strconv.Atoi,
+// a [][2]int edge buffer replayed through Builder (a HasEdge + AddEdge map
+// operation per edge). Its only change is the final build, which goes
+// through referenceBuild — the old Builder.Build — so the oracle shares
+// no CSR code with the parser it checks.
+func referenceReadEdgeListLimits(r io.Reader, lim Limits) (*Graph, error) {
+	maxLine := lim.MaxLineBytes
+	if maxLine <= 0 {
+		maxLine = 1 << 20
+	}
+	sc := bufio.NewScanner(r)
+	// The scanner's cap is max(maxLine, cap(initial buffer)), so the
+	// initial buffer must not exceed the limit.
+	bufSize := 64 * 1024
+	if bufSize > maxLine {
+		bufSize = maxLine
+	}
+	sc.Buffer(make([]byte, bufSize), maxLine)
+	n := -1
+	var edges [][2]int
+	maxV := -1
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		if fields[0] == "n" {
+			if n >= 0 {
+				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("duplicate header %q", text)}
+			}
+			if len(fields) != 2 {
+				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad header %q", text)}
+			}
+			v, err := strconv.Atoi(fields[1])
+			if err != nil || v < 0 {
+				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad header %q", text)}
+			}
+			if lim.MaxVertices > 0 && v > lim.MaxVertices {
+				return nil, &LimitError{What: "vertices", Got: v, Max: lim.MaxVertices}
+			}
+			n = v
+			continue
+		}
+		if len(fields) != 2 {
+			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad edge %q", text)}
+		}
+		u, err1 := strconv.Atoi(fields[0])
+		v, err2 := strconv.Atoi(fields[1])
+		if err1 != nil || err2 != nil {
+			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad edge %q", text)}
+		}
+		if u < 0 || v < 0 {
+			return nil, &ParseError{Line: line, Msg: "negative vertex"}
+		}
+		if u == v {
+			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("self-loop %d", u)}
+		}
+		if lim.MaxEdges > 0 && len(edges) == lim.MaxEdges {
+			return nil, &LimitError{What: "edges", Got: len(edges) + 1, Max: lim.MaxEdges}
+		}
+		if lim.MaxVertices > 0 && (u >= lim.MaxVertices || v >= lim.MaxVertices) {
+			m := u
+			if v > m {
+				m = v
+			}
+			return nil, &LimitError{What: "vertices", Got: m + 1, Max: lim.MaxVertices}
+		}
+		edges = append(edges, [2]int{u, v})
+		if u > maxV {
+			maxV = u
+		}
+		if v > maxV {
+			maxV = v
+		}
+	}
+	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, &LimitError{What: "line bytes", Got: maxLine + 1, Max: maxLine}
+		}
+		return nil, err
+	}
+	if n < 0 {
+		n = maxV + 1
+	}
+	if maxV >= n {
+		return nil, &ParseError{Line: 0, Msg: fmt.Sprintf("vertex %d exceeds declared n=%d", maxV, n)}
+	}
+	b := NewBuilder(n)
+	for _, e := range edges {
+		if b.HasEdge(e[0], e[1]) {
+			return nil, &ParseError{Line: 0, Msg: fmt.Sprintf("duplicate edge (%d,%d)", e[0], e[1])}
+		}
+		b.AddEdge(e[0], e[1])
+	}
+	return referenceBuild(b), nil
+}
+
+// referenceBuild is the map-walking Builder.Build that fromEdges replaced:
+// two passes over the edge map in its random order, then a reflection-based
+// sort of every row.
+func referenceBuild(b *Builder) *Graph {
+	g := &Graph{
+		n:   b.n,
+		m:   len(b.edges),
+		off: make([]int32, b.n+1),
+		csr: make([]int32, 2*len(b.edges)),
+		adj: make([][]int32, b.n),
+	}
+	for e := range b.edges {
+		g.off[e[0]+1]++
+		g.off[e[1]+1]++
+	}
+	for v := 0; v < b.n; v++ {
+		g.off[v+1] += g.off[v]
+	}
+	cursor := make([]int32, b.n)
+	for e := range b.edges {
+		u, w := e[0], e[1]
+		g.csr[g.off[u]+cursor[u]] = w
+		g.csr[g.off[w]+cursor[w]] = u
+		cursor[u]++
+		cursor[w]++
+	}
+	for v := 0; v < b.n; v++ {
+		g.adj[v] = g.csr[g.off[v]:g.off[v+1]:g.off[v+1]]
+		sort.Slice(g.adj[v], func(i, j int) bool { return g.adj[v][i] < g.adj[v][j] })
+	}
+	return g
+}
+
+// sameParse fails t unless the two parses made the same decision: both
+// accepted with identical n, m and CSR arrays, or both rejected with
+// errors of the same type and text.
+func sameParse(t *testing.T, input string, g *Graph, err error, rg *Graph, rerr error) {
+	t.Helper()
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("%q: parser error %v, reference error %v", input, err, rerr)
+	}
+	if err != nil {
+		if reflect.TypeOf(err) != reflect.TypeOf(rerr) || err.Error() != rerr.Error() {
+			t.Fatalf("%q: parser error %T %q, reference error %T %q", input, err, err, rerr, rerr)
+		}
+		return
+	}
+	off, csr := g.CSR()
+	roff, rcsr := rg.CSR()
+	if g.N() != rg.N() || g.M() != rg.M() || !slices.Equal(off, roff) || !slices.Equal(csr, rcsr) {
+		t.Fatalf("%q: parser built %v, reference built %v (CSR differs)", input, g, rg)
+	}
+}
+
+// starEdgeList is a 4096-edge star written hub-last, so every row but the
+// hub's has one entry and the hub's has them all.
+func starEdgeList() string {
+	var b strings.Builder
+	for v := 1; v <= 4096; v++ {
+		fmt.Fprintf(&b, "%d 0\n", v)
+	}
+	return b.String()
+}
+
+// FuzzReadEdgeListReference: the byte-scanning parser and the map-backed
+// reference it replaced agree on every input under both fuzz Limits — the
+// same accept/reject decision, the same error type and text, and
+// identical CSR arrays.
+func FuzzReadEdgeListReference(f *testing.F) {
+	for _, s := range []string{
+		"n 5\n0 1\n1 2\n",
+		"0 1\n# comment\n\n2 3\n",
+		"3 1\n1 3\n", // duplicate, reported as its second occurrence
+		"0 1\n2 3\n1 0\n3 2\n",
+		"+1 2\n",
+		"007 8\n",
+		"-0 1\n",
+		"0\u00a01\n",               // no-break space between the fields
+		"\u00a0# c\n0 1\n",         // comment behind a Unicode space
+		"0 1\u0085\n",              // NEL is white space too
+		"\u2003 0\u30001 \u2028\n", // non-Latin-1 spaces around an edge
+		"0 1 \xff\n",
+		"n 3\r\n0 1\r\n1 2\r\n",
+		"0\t1\v\n\f2 \r3\n",
+		"0 12345678901234567890\n",
+		"12345678901234567890 0\n",
+		"n 99999999999999999999\n",
+		"0 1000000000\n",
+		"0 999999999\n",
+		"n\n",
+		"n 4 4\n",
+		"n 2\n0 5\n",
+		"1 1\n",
+		"0 x\n",
+		"#\n",
+		starEdgeList(),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		for _, lim := range []Limits{fuzzBig, fuzzTight} {
+			g, err := ReadEdgeListLimits(strings.NewReader(input), lim)
+			rg, rerr := referenceReadEdgeListLimits(strings.NewReader(input), lim)
+			sameParse(t, input, g, err, rg, rerr)
+		}
+	})
+}
+
+// TestBuilderMatchesReferenceBuild: Builder.Build, now on fromEdges,
+// produces the same CSR arrays as the map-walking build it replaced.
+func TestBuilderMatchesReferenceBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i, g := range []*Graph{
+		GNP(200, 0.1, rng), Star(50), Complete(9), Path(1), NewBuilder(0).Build(),
+	} {
+		b := g.Clone()
+		got, want := b.Build(), referenceBuild(b)
+		sameParse(t, fmt.Sprintf("graph %d", i), got, nil, want, nil)
+	}
+}
+
+// countFreshEdgeList is the edge list a count-fresh upload sends: a
+// relabelled GNP(2000, 40/(n-1)) in WriteEdgeList form, ~40k edges.
+func countFreshEdgeList(tb testing.TB) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	const n = 2000
+	g := Relabel(GNP(n, 40.0/(n-1), rng), rng.Perm(n))
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func BenchmarkReadEdgeList(b *testing.B) {
+	text := countFreshEdgeList(b)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadEdgeList(bytes.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestReadEdgeListAllocs pins the ingest's allocation count: a 40k-edge
+// parse allocates for the scanner, the growing endpoint buffer and the
+// graph's arrays, never per line or per edge.
+func TestReadEdgeListAllocs(t *testing.T) {
+	text := countFreshEdgeList(t)
+	g, err := ReadEdgeList(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.M() < 38000 {
+		t.Fatalf("fixture has %d edges, want ~40k", g.M())
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadEdgeList(bytes.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 64 {
+		t.Fatalf("parsing %d edges made %.0f allocations, want < 64", g.M(), allocs)
+	}
+}

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -113,6 +114,32 @@ func TestEdgeListLimits(t *testing.T) {
 	}
 	if g.N() != g2.N() || g.M() != g2.M() || g.Digest() != g2.Digest() {
 		t.Fatalf("limited parse differs from unlimited: %v vs %v", g, g2)
+	}
+}
+
+// TestEdgeListIndexBeyondInt32: the CSR stores vertices as int32, so an
+// index of 2^31-1 or more is rejected as a vertex limit whatever Limits
+// say, before any array is sized from it.
+func TestEdgeListIndexBeyondInt32(t *testing.T) {
+	for _, tc := range []struct {
+		in  string
+		lim Limits
+		got int
+	}{
+		{"0 3000000000\n", Limits{}, 3000000001},
+		{"2147483647 0\n", Limits{}, math.MaxInt32 + 1},
+		{"n 3000000000\n", Limits{}, 3000000000},
+		{"0 3000000000\n", Limits{MaxVertices: math.MaxInt}, 3000000001},
+	} {
+		_, err := ReadEdgeListLimits(strings.NewReader(tc.in), tc.lim)
+		var le *LimitError
+		if !errors.As(err, &le) {
+			t.Errorf("%q: want *LimitError, got %v", tc.in, err)
+			continue
+		}
+		if le.What != "vertices" || le.Got != tc.got || le.Max != math.MaxInt32 {
+			t.Errorf("%q: got %+v, want vertices %d > %d", tc.in, *le, tc.got, math.MaxInt32)
+		}
 	}
 }
 

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"time"
 
 	"subgraph"
-	"subgraph/internal/graph"
 	"subgraph/internal/kernel"
 )
 
@@ -109,9 +109,16 @@ func (s *Server) runKernelBatch(leader *job) {
 	buildSpan := leader.rootSpan.StartChild("bitset_build")
 	bits, ok := s.store.Bits(leader.digest)
 	if !ok {
-		// Evicted between admission and execution of an unpinned batchmate;
-		// the job still holds the graph itself.
-		bits = graph.NewBitAdjacency(leader.g.G)
+		// Every batched job pinned its graph at admission and holds the pin
+		// until it finishes, so a missing graph is an internal disagreement
+		// between the store and the batcher: fail the batch loudly rather
+		// than answer from a graph the store no longer vouches for.
+		buildSpan.Annotate("error", "graph missing")
+		buildSpan.Finish()
+		s.reg.Counter(MetricKernelGraphMissing).Inc()
+		s.failKernelBatch(batch, started, fmt.Sprintf(
+			"internal error: pinned graph %s missing from the store", leader.digest))
+		return
 	}
 	buildSpan.Annotate("mode", string(bits.Mode()))
 	buildSpan.Annotate("n", strconv.Itoa(bits.N()))
@@ -184,4 +191,26 @@ func (s *Server) runKernelBatch(leader *job) {
 	}
 	s.reg.Histogram(HistKernelRunNs, JobWallBuckets).
 		Observe(float64(time.Since(started).Nanoseconds()))
+}
+
+// failKernelBatch finishes every job of a kernel pass that could not run
+// as failed with msg, releasing each job's pin and waking its waiters.
+func (s *Server) failKernelBatch(batch []*job, started time.Time, msg string) {
+	for _, j := range batch {
+		j.mu.Lock()
+		j.durationMs = time.Since(started).Milliseconds()
+		j.state = StateFailed
+		j.errMsg = msg
+		j.rootSpan.Finish()
+		j.latencyNs = j.rootSpan.DurationNs()
+		j.mu.Unlock()
+		s.reg.Counter(MetricJobsFailed).Inc()
+		close(j.finished)
+		s.clearInflight(j)
+		s.releaseJobPin(j)
+		s.publishTimeline(j, StateFailed)
+		s.logger.Error("job failed",
+			"job_id", j.id, "trace_id", j.tl.TraceID(), "digest", j.digest,
+			"pattern", j.pattern, "mode", ModeCount, "err", msg)
+	}
 }

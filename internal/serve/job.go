@@ -125,9 +125,9 @@ type JobView struct {
 // job is the server-side job record.
 type job struct {
 	id       string
-	digest   string // graph digest
-	pattern  string // normalized pattern spec as submitted
-	g        *subgraph.Network
+	digest   string            // graph digest
+	pattern  string            // normalized pattern spec as submitted
+	g        *subgraph.Network // detect mode only; nil for count jobs
 	h        *subgraph.Graph
 	opts     subgraph.Options     // effective options (deadline capped)
 	optSpec  subgraph.OptionsSpec // wire form of opts, for views
@@ -269,7 +269,12 @@ func (s *Server) prepare(spec JobSpec) (*job, *apiError) {
 	if !s.store.Pin(digest) {
 		return nil, &apiError{status: 404, msg: fmt.Sprintf("unknown graph digest %q (upload it first)", digest)}
 	}
-	nw, _ := s.network(digest)
+	// Only the simulation needs the network: count jobs run the kernel on
+	// the store's bitset adjacency, so they neither build nor retain one.
+	var nw *subgraph.Network
+	if !count {
+		nw, _ = s.network(digest)
+	}
 
 	effective := subgraph.OptionsSpecOf(opts)
 	key := cacheKey(digest, h, effective, count)

@@ -53,6 +53,7 @@ const (
 	MetricJobsPressureBatched = "serve_jobs_pressure_batched_total" // count jobs admitted (not shed) under SLO pressure
 	MetricKernelRuns          = "serve_kernel_runs_total"           // kernel batch passes (≠ jobs served)
 	MetricKernelJobs          = "serve_kernel_jobs_total"           // jobs answered by the kernel backend
+	MetricKernelGraphMissing  = "serve_kernel_graph_missing_total"  // kernel passes failed: a pinned graph was gone from the store
 	MetricCacheHits           = "serve_cache_hits_total"
 	MetricCacheMisses         = "serve_cache_misses_total"
 	MetricDetectRuns          = "serve_detect_runs_total" // engine executions (≠ hits)
@@ -284,7 +285,7 @@ func New(cfg Config) *Server {
 		MetricJobsRejected, MetricJobsShed, MetricJobsCoalesced,
 		MetricJobsDraining, MetricJobsBatched, MetricJobsPressureBatched,
 		MetricCacheHits, MetricCacheMisses, MetricDetectRuns,
-		MetricKernelRuns, MetricKernelJobs,
+		MetricKernelRuns, MetricKernelJobs, MetricKernelGraphMissing,
 		MetricGraphUploads, MetricGraphDedups,
 		MetricGraphDeltas, MetricDeltaForwarded, MetricDeltaFallback,
 	} {

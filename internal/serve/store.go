@@ -29,11 +29,13 @@ type GraphInfo struct {
 //
 // Network construction is O(n+m), LAZY, and runs OUTSIDE the store lock:
 // the network is built on the first Network() call for the digest, not
-// at Put. Count-mode jobs, delta successors, and router mirrors never
-// touch the simulation network, so storing a graph costs only the CSR it
-// already has — the build is paid exactly once, by the first detect-mode
-// job on the topology, and is single-flighted per digest (concurrent
-// callers wait for the one build; nobody holds the lock meanwhile).
+// at Put. Only detect-mode jobs call Network (prepare skips it for count
+// jobs, which resolve the bitset adjacency through Bits instead); delta
+// successors and router mirrors never touch it either. Storing a graph
+// therefore costs only the CSR it already has — the build is paid exactly
+// once, by the first detect-mode job on the topology, and is
+// single-flighted per digest (concurrent callers wait for the one build;
+// nobody holds the lock meanwhile).
 //
 // The store is LRU-bounded: inserting beyond the cap evicts the least
 // recently *used* graph (uploads and job submissions both touch) —

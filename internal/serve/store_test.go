@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"math/rand"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,6 +126,116 @@ func TestStoreNetworkSingleFlight(t *testing.T) {
 	close(release)
 	if !<-got {
 		t.Fatal("build lost its graph to eviction")
+	}
+}
+
+// TestCountJobsBuildNoNetwork: count-mode jobs run the kernel on the
+// store's bitset adjacency, so a count-only workload — uploads, count jobs
+// by digest and inline, a watched delta and the count job it forwards to —
+// builds zero simulation networks. The first detect job then builds one.
+func TestCountJobsBuildNoNetwork(t *testing.T) {
+	s := New(Config{Workers: 2})
+	var builds int32
+	s.store.buildNetwork = func(g *graph.Graph) *subgraph.Network {
+		atomic.AddInt32(&builds, 1)
+		return subgraph.NewNetwork(g)
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := s.Drain(ctx); err != nil {
+			t.Errorf("drain on cleanup: %v", err)
+		}
+		ts.Close()
+	})
+	c := &Client{Base: ts.URL}
+
+	text, g := countEdgeList(t, 5)
+	up, err := c.UploadGraph(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, _ := countEdgeList(t, 6)
+	specs := []JobSpec{
+		{Graph: up.Digest, Pattern: "triangle", Mode: ModeCount},
+		{Graph: up.Digest, Pattern: "clique:4", Mode: ModeCount},
+		{GraphInline: inline, Pattern: "clique:3", Mode: ModeCount},
+	}
+	for _, spec := range specs {
+		v, status, err := c.SubmitJob(spec)
+		if err != nil || status >= 300 {
+			t.Fatalf("submit %+v: status %d err %v", spec, status, err)
+		}
+		if v, err = c.WaitJob(v.ID, 10*time.Second); err != nil || v.State != StateDone {
+			t.Fatalf("count job %+v: %+v, %v", spec, v, err)
+		}
+	}
+	e := g.Edges()[0]
+	dv, status, err := c.ApplyDelta(up.Digest, DeltaRequest{
+		Delete: [][2]int{{e[0], e[1]}}, Watch: []string{"triangle"},
+	})
+	if err != nil || status >= 300 {
+		t.Fatalf("delta: status %d err %v", status, err)
+	}
+	v, _, err := c.SubmitJob(JobSpec{Graph: dv.Digest, Pattern: "triangle", Mode: ModeCount})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err = c.WaitJob(v.ID, 10*time.Second); err != nil || v.State != StateDone {
+		t.Fatalf("count job on the delta child: %+v, %v", v, err)
+	}
+	if got := atomic.LoadInt32(&builds); got != 0 {
+		t.Fatalf("count-only workload built %d networks, want 0", got)
+	}
+
+	v, _, err = c.SubmitJob(JobSpec{Graph: up.Digest, Pattern: "triangle"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err = c.WaitJob(v.ID, 20*time.Second); err != nil || v.State != StateDone {
+		t.Fatalf("detect job: %+v, %v", v, err)
+	}
+	if got := atomic.LoadInt32(&builds); got != 1 {
+		t.Fatalf("one detect job built %d networks, want 1", got)
+	}
+}
+
+// TestKernelBatchFailsOnMissingGraph: a count job whose pinned graph is
+// gone from the store when its kernel pass runs — an internal
+// disagreement, unreachable through the API — fails loudly and counts,
+// rather than being answered from a graph the store no longer holds.
+func TestKernelBatchFailsOnMissingGraph(t *testing.T) {
+	s := New(Config{})
+	digest, _ := s.store.Put(storeTestGraph(60))
+	j, aerr := s.prepare(JobSpec{Graph: digest, Pattern: "triangle", Mode: ModeCount})
+	if aerr != nil {
+		t.Fatal(aerr.msg)
+	}
+	if j.g != nil {
+		t.Fatal("count job resolved a simulation network")
+	}
+	// Drop the entry behind its pin's back.
+	s.store.mu.Lock()
+	s.store.removeLocked(s.store.byHash[digest])
+	s.store.mu.Unlock()
+
+	j.batchClaimed = true
+	s.runKernelBatch(j)
+	select {
+	case <-j.finished:
+	default:
+		t.Fatal("job not finished after its kernel pass")
+	}
+	if v := j.view(); v.State != StateFailed || v.Error == "" || v.Result != nil {
+		t.Fatalf("job view %+v, want failed with an error", v)
+	}
+	if got := s.reg.Counter(MetricKernelGraphMissing).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricKernelGraphMissing, got)
+	}
+	if got := s.reg.Counter(MetricJobsFailed).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricJobsFailed, got)
 	}
 }
 

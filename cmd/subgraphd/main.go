@@ -166,22 +166,26 @@ func run() int {
 			logger.Error("router mode needs workers: set -members or SUBGRAPHD_MEMBERS")
 			return 2
 		}
-		return runRouter(logger, cluster.Config{
-			Members:     memberList,
-			Replication: *replication,
-			NodeName:    *nodeName,
-			MaxInflight: *maxInflight,
-			CacheSize:   effCache,
-			MaxGraphs:   *maxGraphs,
-			Registry:    reg,
-			SLO: serve.SLOConfig{
-				LatencyBudget:   *sloP99,
-				QueueWaitBudget: *sloQWait,
-				Window:          *sloWindow,
-			},
+		rt, err := cluster.New(cluster.Config{
+			Members:            memberList,
+			Replication:        *replication,
+			NodeName:           *nodeName,
+			MaxInflight:        *maxInflight,
+			CacheSize:          effCache,
+			MaxGraphs:          *maxGraphs,
+			Registry:           reg,
+			SLO:                cfg.SLO,
 			FlightRecorderSize: *flightSize,
 			Logger:             logger,
-		}, *listen, *portFile, *drainTimeout)
+		})
+		if err != nil {
+			logger.Error("router config", "err", err)
+			return 1
+		}
+		rt.Start()
+		// A router drains by resolving every admitted job against its workers.
+		return serveAndDrain(logger, rt.Handler(), *listen, *portFile, *drainTimeout, rt.Drain,
+			"role", cluster.RoleRouter, "members", len(memberList), "max_inflight", *maxInflight)
 
 	case *selfcheck != "":
 		err := serve.SelfCheck(*selfcheck, serve.SelfCheckOptions{
@@ -253,7 +257,17 @@ func run() int {
 		}, *out, chaosCfg, cn, *traceDemo, *clusterN, *replication)
 
 	default:
-		return runServe(logger, cfg, *listen, *portFile, *drainTimeout, cn)
+		srv := serve.New(cfg)
+		srv.Start()
+		code := serveAndDrain(logger, srv.Handler(), *listen, *portFile, *drainTimeout,
+			func(ctx context.Context) error {
+				_, err := srv.Drain(ctx)
+				return err
+			}, "workers", cfg.Workers, "queue", cfg.QueueDepth, "cache", cfg.CacheSize)
+		if code == 0 && cn != nil && drainCanary(logger, cn, reg) > 0 {
+			return 1
+		}
+		return code
 	}
 }
 
@@ -289,18 +303,11 @@ func splitMembers(s string) []string {
 	return out
 }
 
-// runRouter fronts a static worker fleet until SIGTERM/SIGINT, then
-// resolves every admitted job against the workers and exits. It mirrors
-// runServe: the listener stays up through the drain so clients can poll
-// jobs they already own.
-func runRouter(logger *slog.Logger, cfg cluster.Config, listen, portFile string, drainTimeout time.Duration) int {
-	rt, err := cluster.New(cfg)
-	if err != nil {
-		logger.Error("router config", "err", err)
-		return 1
-	}
-	rt.Start()
-
+// serveAndDrain serves h on listen until SIGTERM/SIGINT, then runs drain
+// under the drain timeout. The listener stays up through the drain, so
+// clients can poll the jobs they already own, and shuts down after it.
+// attrs describe the daemon in the start-up log line.
+func serveAndDrain(logger *slog.Logger, h http.Handler, listen, portFile string, drainTimeout time.Duration, drain func(context.Context) error, attrs ...any) int {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		logger.Error("listen", "addr", listen, "err", err)
@@ -312,18 +319,16 @@ func runRouter(logger *slog.Logger, cfg cluster.Config, listen, portFile string,
 			return 1
 		}
 	}
-	hs := &http.Server{Handler: rt.Handler()}
+	hs := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	logger.Info("routing",
-		"url", "http://"+ln.Addr().String(), "members", len(cfg.Members),
-		"replication", cfg.Replication, "max_inflight", cfg.MaxInflight)
+	logger.Info("serving", append([]any{"url", "http://" + ln.Addr().String()}, attrs...)...)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	select {
 	case sig := <-sigc:
-		logger.Info("draining on signal (admitted jobs resolve against workers, new submissions get 503)",
+		logger.Info("draining on signal (admitted jobs finish, new submissions get 503)",
 			"signal", sig.String())
 	case err := <-errc:
 		logger.Error("http server", "err", err)
@@ -332,7 +337,7 @@ func runRouter(logger *slog.Logger, cfg cluster.Config, listen, portFile string,
 
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	derr := rt.Drain(ctx)
+	derr := drain(ctx)
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
 	_ = hs.Shutdown(sctx)
@@ -341,59 +346,6 @@ func runRouter(logger *slog.Logger, cfg cluster.Config, listen, portFile string,
 		return 1
 	}
 	logger.Info("drained cleanly")
-	return 0
-}
-
-// runServe serves the API until SIGTERM/SIGINT, then drains and exits.
-func runServe(logger *slog.Logger, cfg serve.Config, listen, portFile string, drainTimeout time.Duration, cn *canary.Canary) int {
-	srv := serve.New(cfg)
-	srv.Start()
-
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		logger.Error("listen", "addr", listen, "err", err)
-		return 1
-	}
-	if portFile != "" {
-		if err := os.WriteFile(portFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			logger.Error("writing portfile", "err", err)
-			return 1
-		}
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	logger.Info("serving",
-		"url", "http://"+ln.Addr().String(), "workers", cfg.Workers,
-		"queue", cfg.QueueDepth, "cache", cfg.CacheSize)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	select {
-	case sig := <-sigc:
-		logger.Info("draining on signal (in-flight and queued jobs keep running, new submissions get 503)",
-			"signal", sig.String())
-	case err := <-errc:
-		logger.Error("http server", "err", err)
-		return 1
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	completed, derr := srv.Drain(ctx)
-	// The HTTP listener stays up during the drain so clients can poll the
-	// jobs they already own; shut it down once the queue is empty.
-	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer scancel()
-	_ = hs.Shutdown(sctx)
-	if derr != nil {
-		logger.Error("drain", "err", derr, "jobs_completed", completed)
-		return 1
-	}
-	logger.Info("drained cleanly", "jobs_completed", completed)
-	if cn != nil && drainCanary(logger, cn, cfg.Registry) > 0 {
-		return 1
-	}
 	return 0
 }
 

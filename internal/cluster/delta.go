@@ -38,14 +38,14 @@ import (
 // handleGraphDelta routes POST /v1/graphs/{digest}/delta.
 func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 	if r.Draining() {
-		writeErr(w, http.StatusServiceUnavailable, "cluster is draining; submit elsewhere")
+		serve.WriteErr(w, http.StatusServiceUnavailable, "cluster is draining; submit elsewhere")
 		return
 	}
 	parentDigest := req.PathValue("digest")
 	// Pin the mirrored parent across the round-trip: upload churn must not
 	// evict the graph the mirror-side apply and the heal path both need.
 	if !r.store.Pin(parentDigest) {
-		writeErr(w, http.StatusNotFound,
+		serve.WriteErr(w, http.StatusNotFound,
 			"unknown graph digest %q: the parent is not mirrored here; re-upload the base graph and resubmit the delta",
 			parentDigest)
 		return
@@ -53,20 +53,14 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 	defer r.store.Unpin(parentDigest)
 	parent, _ := r.store.Get(parentDigest)
 
-	payload, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxUploadBytes))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "reading delta: %v", err)
-		return
-	}
-	// Decode locally too — the router needs the edge lists to update its
-	// mirror, and a malformed body should bounce here, not burn a forward.
+	// Decode here with a worker's rules — the router needs the edge lists
+	// to update its mirror, and a malformed body should bounce here, not
+	// burn a forward — then forward the request re-encoded.
 	var dreq serve.DeltaRequest
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&dreq); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding delta: %v", err)
+	if !r.front.Decode(w, req, &dreq, "delta") {
 		return
 	}
+	payload, _ := json.Marshal(dreq) // ints and strings always encode
 
 	status, body, applier := r.forwardDelta(req.Context(), parentDigest, payload)
 	if applier == nil {
@@ -79,13 +73,13 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 			_, _ = w.Write(body)
 			return
 		}
-		writeErr(w, http.StatusServiceUnavailable, "no live worker could apply the delta; retry later")
+		serve.WriteErr(w, http.StatusServiceUnavailable, "no live worker could apply the delta; retry later")
 		return
 	}
 
 	var dv serve.DeltaView
 	if err := json.Unmarshal(body, &dv); err != nil {
-		writeErr(w, http.StatusBadGateway, "decoding worker delta response: %v", err)
+		serve.WriteErr(w, http.StatusBadGateway, "decoding worker delta response: %v", err)
 		return
 	}
 	r.reg.Counter(MetricGraphDeltas).Inc()
@@ -130,7 +124,7 @@ func (r *Router) forwardDelta(ctx context.Context, parentDigest string, payload 
 	start := int(r.rotor.Add(1)) % len(order)
 	for i := 0; i < len(order); i++ {
 		m := order[(start+i)%len(order)]
-		fctx, cancel := context.WithTimeout(ctx, r.cfg.ForwardTimeout)
+		fctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 		status, body, err := r.postDelta(fctx, m, parentDigest, payload)
 		if status == http.StatusNotFound {
 			if perr := r.pushGraph(fctx, m, parentDigest); perr == nil {
@@ -186,7 +180,7 @@ func (r *Router) replicateChild(ctx context.Context, childDigest, applierBase st
 		wg.Add(1)
 		go func(m *member) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, r.cfg.ForwardTimeout)
+			pctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 			defer cancel()
 			if err := r.pushGraph(pctx, m, childDigest); err != nil {
 				r.logger.Warn("child graph push failed",

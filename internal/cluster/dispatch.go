@@ -2,14 +2,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
-	"subgraph/internal/obs"
 	"subgraph/internal/serve"
 )
 
@@ -18,13 +15,10 @@ import (
 // whether it had to be re-dispatched — is an implementation detail the
 // client never renegotiates.
 type cjob struct {
-	id      string
-	key     string // serve.SpecCacheKey — the cluster-shared cache identity
-	spec    serve.JobSpec
-	trace   bool
-	created time.Time
-	tl      *obs.Timeline
-	root    *obs.Span
+	*serve.Submission // spec (graph by digest), timeline, root span
+	id                string
+	key               string // the cluster-shared cache identity
+	created           time.Time
 
 	// resMu single-flights resolution: concurrent polls of one job must
 	// not race a redispatch or double-finalize. Held across worker I/O —
@@ -63,12 +57,12 @@ func (c *cjob) skeletonView() serve.JobView {
 	return serve.JobView{
 		ID:       c.id,
 		State:    state,
-		Graph:    c.spec.Graph,
-		Pattern:  c.spec.Pattern,
-		Options:  c.spec.Options,
-		Mode:     c.spec.Mode,
-		Priority: c.spec.Priority,
-		TraceID:  c.tl.TraceID(),
+		Graph:    c.Spec.Graph,
+		Pattern:  c.Spec.Pattern,
+		Options:  c.Spec.Options,
+		Mode:     c.Spec.Mode,
+		Priority: c.Spec.Priority,
+		TraceID:  c.TL.TraceID(),
 	}
 }
 
@@ -77,54 +71,8 @@ func (c *cjob) skeletonView() serve.JobView {
 func (c *cjob) translate(v serve.JobView, node string) serve.JobView {
 	v.ID = c.id
 	v.Node = node
-	v.TraceID = c.tl.TraceID()
+	v.TraceID = c.TL.TraceID()
 	return v
-}
-
-// register assigns an ID and records the job, evicting the oldest
-// terminal jobs beyond the retention bound.
-func (r *Router) register(cj *cjob) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	cj.id = fmt.Sprintf("c-%06d", r.seq)
-	r.jobs[cj.id] = cj
-	r.order = append(r.order, cj.id)
-	for len(r.jobs) > r.cfg.MaxRetainedJobs {
-		evicted := false
-		for i, id := range r.order {
-			old := r.jobs[id]
-			if old == nil || old.terminalView() != nil {
-				delete(r.jobs, id)
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything live: retention is a soft bound
-		}
-	}
-}
-
-// unadmit rolls back a job the cluster could not place (every owner
-// bounced it): the slot is released and the record dropped, so the 429
-// leaves no residue.
-func (r *Router) unadmit(cj *cjob) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.jobs, cj.id)
-	for i, id := range r.order {
-		if id == cj.id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	if cj.admitted {
-		cj.admitted = false
-		r.inflight--
-		r.reg.Gauge(GaugeInflight).Set(float64(r.inflight))
-	}
 }
 
 // admit claims one cluster in-flight slot.
@@ -140,27 +88,41 @@ func (r *Router) admit(cj *cjob) bool {
 	return true
 }
 
-func (r *Router) jobByID(id string) *cjob {
+// settle releases the job's in-flight slot (idempotent per job). A
+// terminal job (keep) stays pollable; one the cluster could not place is
+// dropped, so its refusal leaves no residue.
+func (r *Router) settle(cj *cjob, keep bool) {
+	if keep {
+		r.jobs.Finish(cj.id)
+	} else {
+		r.jobs.Remove(cj.id)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.jobs[id]
+	if cj.admitted {
+		cj.admitted = false
+		r.inflight--
+		r.reg.Gauge(GaugeInflight).Set(float64(r.inflight))
+	}
+}
+
+// load is the Retry-After estimate's input: admitted, unresolved jobs
+// plus the submission at hand, over the live fleet.
+func (r *Router) load() (backlog, fleet int) {
+	r.mu.Lock()
+	backlog = r.inflight + 1
+	r.mu.Unlock()
+	return backlog, len(r.upMembers(""))
 }
 
 // Draining reports whether BeginDrain has been called.
-func (r *Router) Draining() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.draining
-}
+func (r *Router) Draining() bool { return r.front.Draining() }
 
 // BeginDrain flips the router into draining mode: new submissions are
 // answered 503 while already-admitted jobs keep resolving. Idempotent.
 func (r *Router) BeginDrain() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.draining {
-		r.draining = true
-		r.logger.Info("router drain begun", "inflight", r.inflight)
+	if r.front.BeginDrain() {
+		r.logger.Info("router drain begun", "inflight", len(r.jobs.Pending()))
 	}
 }
 
@@ -172,7 +134,7 @@ func (r *Router) Drain(ctx context.Context) error {
 	r.BeginDrain()
 	r.Stop()
 	for {
-		pending := r.pendingJobs()
+		pending := r.jobs.Pending()
 		if len(pending) == 0 {
 			// Deltas have been refused since BeginDrain; the recount pool
 			// can park permanently.
@@ -195,172 +157,77 @@ func (r *Router) Drain(ctx context.Context) error {
 	}
 }
 
-func (r *Router) pendingJobs() []*cjob {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*cjob, 0, r.inflight)
-	for _, cj := range r.jobs {
-		if cj.terminalView() == nil {
-			out = append(out, cj)
-		}
-	}
-	return out
-}
-
-func (r *Router) publishTimeline(cj *cjob, outcome string) {
-	if r.flight == nil || cj.tl == nil {
-		return
-	}
-	v := cj.tl.View()
-	v.JobID = cj.id
-	v.Outcome = outcome
-	r.flight.Record(v)
-}
-
 // ---- submit ------------------------------------------------------------
 
 func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
-	traceID := req.Header.Get(serve.TraceIDHeader)
-	if !obs.ValidTraceID(traceID) {
-		traceID = obs.NewTraceID()
-	}
-	w.Header().Set(serve.TraceIDHeader, traceID)
-
-	if r.Draining() {
-		r.reg.Counter(MetricJobsDraining).Inc()
-		writeErr(w, http.StatusServiceUnavailable, "cluster is draining; submit elsewhere")
+	sub, ok := r.front.Intake(w, req)
+	if !ok {
 		return
 	}
-	var spec serve.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, r.cfg.MaxUploadBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding job spec: %v", err)
+	// An inline graph lands in the router mirror, then travels to workers
+	// by digest — the push machinery dedupes, so a thousand jobs inlining
+	// the same topology ship it to each owner once.
+	key, count, ok := r.front.Accept(w, sub)
+	if !ok {
 		return
 	}
-	r.reg.Counter(MetricJobsSubmitted).Inc()
-
-	tl := obs.NewTimeline(traceID)
-	root := tl.StartSpan("cluster_job")
-	admission := root.StartChild("admission")
-
-	// Inline graphs land in the router mirror first, then travel to
-	// workers by digest — the push machinery dedupes, so a thousand jobs
-	// inlining the same topology ship it to each owner once.
-	if spec.GraphInline != "" {
-		g, aerr := r.parseUpload(spec.GraphInline)
-		if aerr != nil {
-			writeErr(w, aerr.status, "%s", aerr.msg)
-			return
-		}
-		digest, _ := r.store.Put(g)
-		r.reg.Counter(MetricGraphUploads).Inc()
-		spec.Graph, spec.GraphInline = digest, ""
-	}
-	key, err := serve.SpecCacheKey(spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	switch spec.Priority {
-	case "", serve.PriorityLow, serve.PriorityNormal, serve.PriorityHigh:
-	default:
-		writeErr(w, http.StatusBadRequest, "unknown priority %q (want low, normal, or high)", spec.Priority)
-		return
-	}
-	admission.Finish()
-
-	cj := &cjob{key: key, spec: spec, trace: spec.Trace, created: time.Now(), tl: tl, root: root}
+	cj := &cjob{Submission: sub, key: key, created: time.Now()}
 
 	// Cluster-shared cache: a result any worker computed — for any
 	// client, through any previous router process — answers here without
-	// touching the fleet. Traced jobs bypass it, same as a single node.
-	if !cj.trace {
-		lookup := root.StartChild("cache_lookup")
-		if res, ok := r.cache.Get(key); ok {
-			lookup.Annotate("result", "hit")
-			lookup.Finish()
-			r.reg.Counter(MetricCacheHits).Inc()
-			r.register(cj)
-			v := cj.skeletonView()
-			v.State = serve.StateDone
-			v.Cached = true
-			v.Result = res
-			v.Node = r.cfg.NodeName
-			root.Finish()
-			v.LatencyNs = root.DurationNs()
-			cj.mu.Lock()
-			cj.terminalV = &v
-			cj.mu.Unlock()
-			r.publishTimeline(cj, serve.StateDone)
-			writeJSON(w, http.StatusOK, v)
-			return
-		}
-		lookup.Annotate("result", "miss")
-		lookup.Finish()
-		r.reg.Counter(MetricCacheMisses).Inc()
+	// touching the fleet.
+	if res, ok := r.front.Lookup(sub, key); ok {
+		r.jobs.Register(cj, "", true)
+		v := cj.skeletonView()
+		v.State, v.Cached, v.Result, v.Node = serve.StateDone, true, res, r.cfg.NodeName
+		v, _ = r.conclude(cj, v)
+		serve.WriteJSON(w, http.StatusOK, v)
+		return
 	}
 
-	// Cluster-wide admission. Two gates: the router's own p99 guard over
-	// end-to-end latency, and the fleet's scraped SLO levels — if every
-	// live owner of this digest would shed the priority, bounce it here
-	// instead of burning a forward round-trip to be told the same.
-	if r.slo.ShouldShed(spec.Priority) || serve.SLOLevelSheds(r.minOwnerLevel(spec.Graph), spec.Priority) {
-		r.reg.Counter(MetricJobsShed).Inc()
-		root.Annotate("outcome", "shed")
-		root.Finish()
-		r.publishTimeline(cj, "shed")
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", r.retryAfterSeconds()))
-		writeErr(w, http.StatusTooManyRequests,
-			"cluster shedding %s-priority load; retry later", displayPriority(spec.Priority))
+	// Cluster-wide admission. The shedding rule runs at the worse of the
+	// router's own level and the best level among the digest's live
+	// owners: if every owner would shed the job, it bounces here instead
+	// of burning a forward round-trip to be told the same. Then the
+	// in-flight bound.
+	backlog, fleet := r.load()
+	if ok, _ := r.front.Admit(w, sub, count, r.minOwnerLevel(sub.Spec.Graph), backlog, fleet); !ok {
 		return
 	}
 	if !r.admit(cj) {
 		r.reg.Counter(MetricJobsRejected).Inc()
-		root.Annotate("outcome", "rejected")
-		root.Finish()
-		r.publishTimeline(cj, "rejected")
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", r.retryAfterSeconds()))
-		writeErr(w, http.StatusTooManyRequests,
+		r.front.Refuse(w, sub, "", "rejected", http.StatusTooManyRequests, r.front.RetryAfter(r.load()),
 			"cluster in-flight bound reached (%d jobs); retry later", r.cfg.MaxInflight)
 		return
 	}
-	r.register(cj)
+	r.jobs.Register(cj, "", false)
 
 	res := r.forward(cj, "")
 	switch {
 	case res.terminal:
-		writeJSON(w, http.StatusOK, *cj.terminalView())
+		serve.WriteJSON(w, http.StatusOK, res.view)
+		return
 	case res.assigned:
 		w.Header().Set("Location", "/v1/jobs/"+cj.id)
-		writeJSON(w, http.StatusAccepted, res.view)
-	case res.status == http.StatusTooManyRequests:
-		r.unadmit(cj)
+		serve.WriteJSON(w, http.StatusAccepted, res.view)
+		return
+	}
+	r.settle(cj, false)
+	switch res.status {
+	case http.StatusTooManyRequests:
 		r.reg.Counter(MetricJobsBounced).Inc()
-		root.Annotate("outcome", "bounced")
-		root.Finish()
-		r.publishTimeline(cj, "bounced")
 		ra := res.retryAfter
-		if ra == "" {
-			ra = fmt.Sprintf("%d", r.retryAfterSeconds())
+		if ra == 0 {
+			ra = r.front.RetryAfter(r.load())
 		}
-		w.Header().Set("Retry-After", ra)
-		writeErr(w, http.StatusTooManyRequests, "every replica is shedding load; retry later")
-	case res.status == http.StatusServiceUnavailable:
-		r.unadmit(cj)
+		r.front.Refuse(w, sub, cj.id, "bounced", res.status, ra, "every replica is shedding load; retry later")
+	case http.StatusServiceUnavailable:
 		r.reg.Counter(MetricJobsUnroutable).Inc()
-		root.Annotate("outcome", "unroutable")
-		root.Finish()
-		r.publishTimeline(cj, "unroutable")
-		writeErr(w, http.StatusServiceUnavailable, "no live worker can take the job; retry later")
+		r.front.Refuse(w, sub, cj.id, "unroutable", res.status, 0, "no live worker can take the job; retry later")
 	default:
 		// A worker judged the spec itself bad (e.g. unknown digest nowhere
 		// repairable). Relay its verdict and leave no job behind.
-		r.unadmit(cj)
-		root.Annotate("outcome", "refused")
-		root.Finish()
-		r.publishTimeline(cj, "refused")
-		writeErr(w, res.status, "%s", res.errMsg)
+		r.front.Refuse(w, sub, cj.id, "refused", res.status, 0, "%s", res.errMsg)
 	}
 }
 
@@ -370,7 +237,7 @@ type fwdResult struct {
 	assigned   bool // accepted by a worker; cj.node/workerID set
 	view       serve.JobView
 	status     int // when neither: the HTTP status to surface
-	retryAfter string
+	retryAfter int // seconds, on 429: the most any worker asked for
 	errMsg     string
 }
 
@@ -381,7 +248,7 @@ type fwdResult struct {
 // digest re-pushes the graph from the router mirror and retries the same
 // worker once — the repair path for workers that restarted empty.
 func (r *Router) forward(cj *cjob, exclude string) fwdResult {
-	order := r.routeOrder(cj.spec.Graph, exclude)
+	order := r.routeOrder(cj.Spec.Graph, exclude)
 	if len(order) == 0 {
 		return fwdResult{status: http.StatusServiceUnavailable, errMsg: "no live members"}
 	}
@@ -391,15 +258,15 @@ func (r *Router) forward(cj *cjob, exclude string) fwdResult {
 	lastErr := "no live members"
 	for i := 0; i < len(order); i++ {
 		m := order[(start+i)%len(order)]
-		span := cj.root.StartChild("forward")
+		span := cj.Root.StartChild("forward")
 		span.Annotate("node", m.displayName())
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ForwardTimeout)
-		view, status, ra, err := r.submitTo(ctx, m, cj.spec, cj.tl.TraceID())
+		ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
+		view, status, ra, err := r.submitTo(ctx, m, cj.Spec, cj.TL.TraceID())
 		if status == http.StatusNotFound {
 			// Worker lost (or never had) the graph; heal it from the mirror.
-			if perr := r.pushGraph(ctx, m, cj.spec.Graph); perr == nil {
+			if perr := r.pushGraph(ctx, m, cj.Spec.Graph); perr == nil {
 				span.Annotate("graph_pushed", "true")
-				view, status, ra, err = r.submitTo(ctx, m, cj.spec, cj.tl.TraceID())
+				view, status, ra, err = r.submitTo(ctx, m, cj.Spec, cj.TL.TraceID())
 			}
 		}
 		cancel()
@@ -408,15 +275,17 @@ func (r *Router) forward(cj *cjob, exclude string) fwdResult {
 		switch {
 		case status == http.StatusOK || status == http.StatusAccepted:
 			r.reg.Counter(MetricJobsForwarded).Inc()
+			res := fwdResult{assigned: true, view: cj.translate(view, m.displayName())}
+			if view.State == serve.StateDone || view.State == serve.StateFailed {
+				// Finalized before the assignment is published: the resolver
+				// polls only assigned jobs, so it cannot finalize this one too.
+				res = fwdResult{terminal: true, view: r.finalize(cj, m, view)}
+			}
 			cj.mu.Lock()
 			cj.node, cj.workerID = m.base, view.ID
 			cj.lastState = view.State
 			cj.mu.Unlock()
-			if view.State == serve.StateDone || view.State == serve.StateFailed {
-				fv := r.finalize(cj, m, view)
-				return fwdResult{terminal: true, view: fv}
-			}
-			return fwdResult{assigned: true, view: cj.translate(view, m.displayName())}
+			return res
 		case status == http.StatusTooManyRequests:
 			saw429 = true
 			// Workers may answer in either RFC 9110 form; normalize to
@@ -441,17 +310,10 @@ func (r *Router) forward(cj *cjob, exclude string) fwdResult {
 		}
 	}
 	if saw429 {
-		// Clamp to the router's own honesty bound (mirrors the worker-side
-		// retryAfterSeconds cap) so one confused worker cannot park every
-		// client behind a giant date-form header.
-		if maxRetryAfter > 30 {
-			maxRetryAfter = 30
-		}
-		ra := ""
-		if maxRetryAfter > 0 {
-			ra = strconv.Itoa(maxRetryAfter)
-		}
-		return fwdResult{status: http.StatusTooManyRequests, retryAfter: ra, errMsg: lastErr}
+		// Clamp to the front end's own honesty bound (the RetryAfter cap)
+		// so one confused worker cannot park every client behind a giant
+		// date-form header.
+		return fwdResult{status: http.StatusTooManyRequests, retryAfter: min(maxRetryAfter, 30), errMsg: lastErr}
 	}
 	return fwdResult{status: http.StatusServiceUnavailable, errMsg: lastErr}
 }
@@ -459,12 +321,12 @@ func (r *Router) forward(cj *cjob, exclude string) fwdResult {
 // ---- poll / redispatch -------------------------------------------------
 
 func (r *Router) handleJobGet(w http.ResponseWriter, req *http.Request) {
-	cj := r.jobByID(req.PathValue("id"))
-	if cj == nil {
-		writeErr(w, http.StatusNotFound, "unknown job %q", req.PathValue("id"))
+	cj, ok := r.jobs.Get(req.PathValue("id"))
+	if !ok {
+		serve.WriteErr(w, http.StatusNotFound, "unknown job %q", req.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, r.resolve(cj))
+	serve.WriteJSON(w, http.StatusOK, r.resolve(cj))
 }
 
 // resolve returns the job's current view, consulting the owning worker.
@@ -483,7 +345,7 @@ func (r *Router) resolve(cj *cjob) serve.JobView {
 	if m == nil || workerID == "" {
 		return cj.skeletonView()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 	var view serve.JobView
 	status, _, err := r.getJSON(ctx, m.base, "/v1/jobs/"+workerID, &view)
 	cancel()
@@ -523,7 +385,7 @@ func (r *Router) redispatch(cj *cjob, failedNode string) serve.JobView {
 		return r.finalizeFailed(cj, "job lost twice: worker crashed after redispatch")
 	}
 	r.reg.Counter(MetricJobsRedispatched).Inc()
-	cj.root.Annotate("redispatched_from", failedNode)
+	cj.Root.Annotate("redispatched_from", failedNode)
 	res := r.forward(cj, failedNode)
 	switch {
 	case res.terminal:
@@ -538,29 +400,17 @@ func (r *Router) redispatch(cj *cjob, failedNode string) serve.JobView {
 // finalize installs a worker's terminal view as the job's answer,
 // feeding the shared cache, the router SLO guard, and the counters.
 func (r *Router) finalize(cj *cjob, m *member, view serve.JobView) serve.JobView {
-	v := cj.translate(view, m.displayName())
-	cj.mu.Lock()
-	if cj.terminalV != nil {
-		defer cj.mu.Unlock()
-		return *cj.terminalV
+	cj.Root.Annotate("node", m.displayName())
+	v, first := r.conclude(cj, cj.translate(view, m.displayName()))
+	if !first {
+		return v
 	}
-	cj.mu.Unlock()
-
 	latency := time.Since(cj.created)
-	cj.root.Annotate("node", m.displayName())
-	cj.root.Finish()
-	v.LatencyNs = cj.root.DurationNs()
-
-	cj.mu.Lock()
-	cj.terminalV = &v
-	cj.mu.Unlock()
-
-	r.settle(cj)
 	if v.State == serve.StateDone {
 		r.reg.Counter(MetricJobsCompleted).Inc()
 		// Complete results are reusable cluster-wide; partial
 		// (deadline-shaped) ones and traced runs are not.
-		if v.Result != nil && !v.Result.Partial && !cj.trace {
+		if v.Result != nil && !v.Result.Partial && !cj.Spec.Trace {
 			r.cache.Put(cj.key, v.Result)
 		}
 	} else {
@@ -568,10 +418,9 @@ func (r *Router) finalize(cj *cjob, m *member, view serve.JobView) serve.JobView
 	}
 	r.reg.Histogram(HistJobWallNs, serve.JobWallBuckets).
 		Observe(float64(latency.Nanoseconds()))
-	r.slo.ObserveLatency(latency)
-	r.publishTimeline(cj, v.State)
+	r.front.ObserveLatency(latency)
 	r.logger.Info("cluster job terminal",
-		"job_id", cj.id, "trace_id", cj.tl.TraceID(), "state", v.State,
+		"job_id", cj.id, "trace_id", cj.TL.TraceID(), "state", v.State,
 		"node", m.displayName(), "latency_ms", latency.Milliseconds())
 	return v
 }
@@ -581,54 +430,32 @@ func (r *Router) finalizeFailed(cj *cjob, msg string) serve.JobView {
 	v := cj.skeletonView()
 	v.State = serve.StateFailed
 	v.Error = msg
-	cj.root.Annotate("outcome", "lost")
-	cj.root.Finish()
-	v.LatencyNs = cj.root.DurationNs()
-	cj.mu.Lock()
-	if cj.terminalV != nil {
-		defer cj.mu.Unlock()
-		return *cj.terminalV
+	cj.Root.Annotate("outcome", "lost")
+	v, first := r.conclude(cj, v)
+	if first {
+		r.reg.Counter(MetricJobsFailed).Inc()
+		r.logger.Warn("cluster job failed", "job_id", cj.id, "err", msg)
 	}
-	cj.terminalV = &v
-	cj.mu.Unlock()
-	r.settle(cj)
-	r.reg.Counter(MetricJobsFailed).Inc()
-	r.publishTimeline(cj, serve.StateFailed)
-	r.logger.Warn("cluster job failed", "job_id", cj.id, "err", msg)
 	return v
 }
 
-// settle releases the job's in-flight slot (idempotent per job).
-func (r *Router) settle(cj *cjob) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cj.admitted {
-		cj.admitted = false
-		r.inflight--
-		r.reg.Gauge(GaugeInflight).Set(float64(r.inflight))
+// conclude makes v the job's terminal view unless another caller already
+// did (first = false; that view is returned). The root span closes and
+// the timeline is recorded before the view becomes visible to pollers,
+// so a client that sees the job terminal can fetch /debug/jobs/{id} at
+// once; then the in-flight slot is freed.
+func (r *Router) conclude(cj *cjob, v serve.JobView) (_ serve.JobView, first bool) {
+	if tv := cj.terminalView(); tv != nil {
+		return *tv, false
 	}
-}
-
-// retryAfterSeconds estimates when a bounced client should come back:
-// cluster backlog × mean end-to-end latency over the live fleet,
-// clamped to [1s, 30s].
-func (r *Router) retryAfterSeconds() int {
-	r.mu.Lock()
-	backlog := r.inflight + 1
-	r.mu.Unlock()
-	fleet := len(r.upMembers(""))
-	if fleet < 1 {
-		fleet = 1
-	}
-	est := time.Duration(backlog) * r.slo.MeanLatency() / time.Duration(fleet)
-	secs := int((est + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	cj.Root.Finish()
+	v.LatencyNs = cj.Root.DurationNs()
+	r.front.Publish(cj.TL, cj.id, v.State)
+	cj.mu.Lock()
+	cj.terminalV = &v
+	cj.mu.Unlock()
+	r.settle(cj, true)
+	return v, true
 }
 
 func errString(err error) string {
@@ -636,11 +463,4 @@ func errString(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-func displayPriority(p string) string {
-	if p == "" {
-		return serve.PriorityNormal
-	}
-	return p
 }

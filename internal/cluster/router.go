@@ -52,6 +52,27 @@ const (
 // serve's "worker").
 const RoleRouter = "router"
 
+// Router settings no deployment has needed to vary. The upload bounds
+// are the worker's defaults (serve.Config).
+const (
+	// maxRetainedJobs bounds the job history kept for polling.
+	maxRetainedJobs = 8192
+	// probeInterval is the health-probe cadence.
+	probeInterval = 250 * time.Millisecond
+	// probeFailures consecutive probe failures mark a member down;
+	// forward and poll connection errors mark it down at once.
+	probeFailures = 2
+	// forwardTimeout bounds one forwarded submit, poll, push or delta.
+	forwardTimeout = 15 * time.Second
+	// resolveInterval is the cadence of the background completion
+	// resolver, which polls workers for admitted jobs so a terminal state
+	// is already known when a client polls the router. Without it the
+	// router learns of a completion only inside a client poll, stacking
+	// the router→worker hop on top of the client's poll backoff and
+	// pushing tail latency past an extra backoff tick.
+	resolveInterval = 10 * time.Millisecond
+)
+
 // Config tunes a Router. Zero fields take the documented defaults.
 type Config struct {
 	// Members are the worker base URLs (e.g. "http://10.0.0.7:8080").
@@ -74,30 +95,9 @@ type Config struct {
 	// a result computed by any worker hits for every client of the
 	// cluster.
 	CacheSize int
-	// MaxRetainedJobs bounds the finished-job history kept for polling
-	// (default 8192).
-	MaxRetainedJobs int
 	// MaxGraphs bounds the router's graph mirror (default 128). The
 	// mirror is what re-pushes graphs to workers that restart empty.
 	MaxGraphs int
-	// MaxUploadBytes bounds an uploaded edge list (default 32 MiB).
-	MaxUploadBytes int64
-	// GraphLimits bounds what the upload parser accepts (serve defaults).
-	GraphLimits graph.Limits
-	// ProbeInterval is the health-probe cadence (default 250ms).
-	ProbeInterval time.Duration
-	// ProbeFailures is how many consecutive probe failures mark a member
-	// down (default 2; forward/poll connection errors mark down at once).
-	ProbeFailures int
-	// ForwardTimeout bounds one forwarded submit or poll (default 15s).
-	ForwardTimeout time.Duration
-	// ResolveInterval is the cadence of the background completion
-	// resolver, which polls workers for admitted jobs so a terminal state
-	// is already known when a client polls the router (default 10ms).
-	// Without it the router learns of a completion only inside a client
-	// poll, stacking the router→worker hop on top of the client's poll
-	// backoff and pushing tail latency past an extra backoff tick.
-	ResolveInterval time.Duration
 	// SLO configures the router's own p99 guard over end-to-end job
 	// latency; zero disables router-level shedding. Worker-level SLO
 	// degradation is honored regardless: scraped serve_slo_degraded
@@ -131,32 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize < 0 {
 		c.CacheSize = -1
 	}
-	if c.MaxRetainedJobs <= 0 {
-		c.MaxRetainedJobs = 8192
-	}
 	if c.MaxGraphs <= 0 {
 		c.MaxGraphs = 128
-	}
-	if c.MaxUploadBytes <= 0 {
-		c.MaxUploadBytes = 32 << 20
-	}
-	if c.GraphLimits.MaxVertices <= 0 {
-		c.GraphLimits.MaxVertices = 2_000_000
-	}
-	if c.GraphLimits.MaxEdges <= 0 {
-		c.GraphLimits.MaxEdges = 8_000_000
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.ProbeFailures <= 0 {
-		c.ProbeFailures = 2
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 15 * time.Second
-	}
-	if c.ResolveInterval <= 0 {
-		c.ResolveInterval = 10 * time.Millisecond
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -196,12 +172,12 @@ func (m *member) displayName() string {
 // the health prober.
 type Router struct {
 	cfg     Config
+	front   *serve.FrontEnd
 	reg     *obs.Registry
 	store   *serve.Store // graph mirror: the replica of last resort
 	cache   *serve.Cache // cluster-shared result cache
-	slo     *serve.SLOGuard
-	flight  *obs.FlightRecorder // nil when disabled
-	krn     *kernel.Kernel      // incremental recounts for lineage cache seeding
+	jobs    *serve.JobTable[*cjob]
+	krn     *kernel.Kernel // incremental recounts for lineage cache seeding
 	logger  *slog.Logger
 	start   time.Time
 	members []*member
@@ -210,11 +186,7 @@ type Router struct {
 	rotor atomic.Uint64 // spreads a hot digest's jobs across its replicas
 
 	mu       sync.Mutex
-	jobs     map[string]*cjob
-	order    []string
-	seq      int
 	inflight int
-	draining bool
 
 	stopProbe   chan struct{}
 	probeDone   chan struct{}
@@ -239,10 +211,10 @@ func New(cfg Config) (*Router, error) {
 		reg:    cfg.Registry,
 		store:  serve.NewStore(cfg.MaxGraphs),
 		cache:  serve.NewCache(cfg.CacheSize),
+		jobs:   serve.NewJobTable("c", maxRetainedJobs, func(cj *cjob, id string) { cj.id = id }),
 		krn:    kernel.New(0),
 		logger: cfg.Logger,
 		start:  time.Now(),
-		jobs:   make(map[string]*cjob),
 		hc:     &http.Client{},
 	}
 	for _, b := range cfg.Members {
@@ -267,11 +239,16 @@ func New(cfg Config) (*Router, error) {
 	r.reg.Gauge(GaugeInflight)
 	r.reg.Gauge(GaugeReplication).Set(float64(cfg.Replication))
 	r.reg.Histogram(HistJobWallNs, serve.JobWallBuckets)
-	if cfg.FlightRecorderSize > 0 {
-		r.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize)
-	}
-	r.slo = serve.NewSLOGuard(cfg.SLO, r.reg)
-	r.slo.SetLogger(cfg.Logger)
+	r.front = serve.NewFrontEnd(RoleRouter, "cluster_job", serve.Config{
+		NodeName:           cfg.NodeName,
+		Registry:           cfg.Registry,
+		SLO:                cfg.SLO,
+		FlightRecorderSize: cfg.FlightRecorderSize,
+		Logger:             cfg.Logger,
+	}, r.store, r.cache, serve.FrontMetrics{
+		Submitted: MetricJobsSubmitted, Draining: MetricJobsDraining, Shed: MetricJobsShed,
+		CacheHits: MetricCacheHits, CacheMisses: MetricCacheMisses, Uploads: MetricGraphUploads,
+	})
 	return r, nil
 }
 
@@ -286,7 +263,7 @@ func (r *Router) Start() {
 	r.resolveDone = make(chan struct{})
 	go func() {
 		defer close(r.probeDone)
-		t := time.NewTicker(r.cfg.ProbeInterval)
+		t := time.NewTicker(probeInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -299,7 +276,7 @@ func (r *Router) Start() {
 	}()
 	go func() {
 		defer close(r.resolveDone)
-		t := time.NewTicker(r.cfg.ResolveInterval)
+		t := time.NewTicker(resolveInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -334,7 +311,7 @@ func (r *Router) Stop() {
 // a crashed worker is likewise discovered within one resolver tick even
 // if no client is polling.
 func (r *Router) resolvePending() {
-	pending := r.pendingJobs()
+	pending := r.jobs.Pending()
 	if len(pending) == 0 {
 		return
 	}
@@ -380,7 +357,7 @@ func (r *Router) probeMember(ctx context.Context, m *member) {
 	status, _, err := r.getJSON(ctx, m.base, "/healthz", &hv)
 	switch {
 	case err != nil && status == 0:
-		if m.fails.Add(1) >= int32(r.cfg.ProbeFailures) && m.up.Load() {
+		if m.fails.Add(1) >= probeFailures && m.up.Load() {
 			m.up.Store(false)
 			r.logger.Warn("member down", "member", m.displayName(), "err", err)
 		}
@@ -399,7 +376,7 @@ func (r *Router) probeMember(ctx context.Context, m *member) {
 		m.up.Store(true)
 		m.draining.Store(true)
 	default:
-		if m.fails.Add(1) >= int32(r.cfg.ProbeFailures) {
+		if m.fails.Add(1) >= probeFailures {
 			m.up.Store(false)
 		}
 		return
@@ -639,14 +616,13 @@ func (r *Router) clusterMetrics(ctx context.Context) serve.MetricsView {
 	snap.Counters[serve.MetricJobsRejected] += snap.Counters[MetricJobsRejected] + snap.Counters[MetricJobsBounced]
 	r.mu.Lock()
 	inflight := r.inflight
-	draining := r.draining
 	r.mu.Unlock()
 	return serve.MetricsView{
 		UptimeMs:     time.Since(r.start).Milliseconds(),
 		Workers:      up,
 		QueueDepth:   inflight,
 		QueueCap:     r.cfg.MaxInflight,
-		Draining:     draining,
+		Draining:     r.Draining(),
 		Graphs:       r.store.Len(),
 		CacheEntries: r.cache.Len(),
 		Metrics:      snap,

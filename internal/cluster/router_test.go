@@ -296,10 +296,10 @@ func TestClusterShedsOnWorkerSLOLevels(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.URL.Path == "/healthz":
-			writeJSON(w, http.StatusOK, serve.HealthView{Status: "ok", Role: "worker", Node: "stub"})
+			serve.WriteJSON(w, http.StatusOK, serve.HealthView{Status: "ok", Role: "worker", Node: "stub"})
 		case r.URL.Path == "/v1/jobs" && r.Method == http.MethodPost:
 			submits.Add(1)
-			writeJSON(w, http.StatusAccepted, serve.JobView{ID: "j-000001", State: serve.StateRunning})
+			serve.WriteJSON(w, http.StatusAccepted, serve.JobView{ID: "j-000001", State: serve.StateRunning})
 		default:
 			http.NotFound(w, r)
 		}
@@ -346,6 +346,23 @@ func TestClusterShedsOnWorkerSLOLevels(t *testing.T) {
 	}
 	if got := rt.reg.Counter(MetricJobsShed).Value(); got != 2 {
 		t.Errorf("cluster_jobs_shed_total = %d, want 2", got)
+	}
+
+	// Count jobs are the shedding rule's exception on both front doors:
+	// workers batch-coalesce them, so even a low-priority one is forwarded.
+	body, _ := json.Marshal(serve.JobSpec{
+		Graph: "deadbeef", Pattern: "triangle", Mode: serve.ModeCount, Priority: serve.PriorityLow,
+	})
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("low-priority count job under critical fleet = %d, want 202 (forwarded)", resp.StatusCode)
+	}
+	if n := submits.Load(); n != 2 {
+		t.Fatalf("count job did not reach the worker (hits %d)", n)
 	}
 }
 

@@ -163,11 +163,6 @@ func (s *Server) runKernelBatch(leader *job) {
 			Count: &c,
 		}
 		respSpan := j.rootSpan.StartChild("response")
-		j.mu.Lock()
-		j.durationMs = time.Since(started).Milliseconds()
-		j.state = StateDone
-		j.result = res
-		j.mu.Unlock()
 		s.reg.Counter(MetricJobsCompleted).Inc()
 		wall := time.Since(started)
 		s.reg.Histogram(HistJobWallNs, JobWallBuckets).
@@ -176,13 +171,7 @@ func (s *Server) runKernelBatch(leader *job) {
 		s.cache.Put(j.key, res)
 		respSpan.Finish()
 		j.rootSpan.Finish()
-		j.mu.Lock()
-		j.latencyNs = j.rootSpan.DurationNs()
-		j.mu.Unlock()
-		close(j.finished)
-		s.clearInflight(j)
-		s.releaseJobPin(j)
-		s.publishTimeline(j, StateDone)
+		s.finish(j, StateDone, res, "", wall.Milliseconds())
 		s.logger.Info("job done",
 			"job_id", j.id, "trace_id", j.tl.TraceID(), "digest", j.digest,
 			"pattern", j.pattern, "mode", ModeCount, "engine", algo,
@@ -197,18 +186,9 @@ func (s *Server) runKernelBatch(leader *job) {
 // as failed with msg, releasing each job's pin and waking its waiters.
 func (s *Server) failKernelBatch(batch []*job, started time.Time, msg string) {
 	for _, j := range batch {
-		j.mu.Lock()
-		j.durationMs = time.Since(started).Milliseconds()
-		j.state = StateFailed
-		j.errMsg = msg
 		j.rootSpan.Finish()
-		j.latencyNs = j.rootSpan.DurationNs()
-		j.mu.Unlock()
 		s.reg.Counter(MetricJobsFailed).Inc()
-		close(j.finished)
-		s.clearInflight(j)
-		s.releaseJobPin(j)
-		s.publishTimeline(j, StateFailed)
+		s.finish(j, StateFailed, nil, msg, time.Since(started).Milliseconds())
 		s.logger.Error("job failed",
 			"job_id", j.id, "trace_id", j.tl.TraceID(), "digest", j.digest,
 			"pattern", j.pattern, "mode", ModeCount, "err", msg)

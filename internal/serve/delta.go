@@ -100,7 +100,7 @@ func deltaStatus(reason string) int {
 
 func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+		writeErr(w, http.StatusServiceUnavailable, drainingMsg)
 		return
 	}
 	parentDigest := r.PathValue("digest")
@@ -116,10 +116,7 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	parent, _ := s.store.Get(parentDigest)
 
 	var req DeltaRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding delta: %v", err)
+	if !s.front.Decode(w, r, &req, "delta") {
 		return
 	}
 	d := graph.EdgeDelta{Insert: req.Insert, Delete: req.Delete}

@@ -1,48 +1,11 @@
 package serve
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
-	"subgraph/internal/graph"
 	"subgraph/internal/obs"
 )
-
-// apiError is a client-visible error with its HTTP status.
-type apiError struct {
-	status int
-	msg    string
-}
-
-func badRequest(msg string) *apiError { return &apiError{status: http.StatusBadRequest, msg: msg} }
-
-// UploadView is the wire response of a graph upload.
-type UploadView struct {
-	GraphInfo
-	// Deduped marks an upload whose content was already stored.
-	Deduped bool `json:"deduped,omitempty"`
-}
-
-// HealthView is the wire response of /healthz. Role/Node/Shards are the
-// cluster-facing fields: a router's health prober keys routing decisions
-// off them, and a draining node keeps reporting them under its 503 so
-// the prober can tell "draining" from "dead".
-type HealthView struct {
-	Status string `json:"status"` // "ok" | "draining"
-	// Role is "worker" (a serve.Server) or "router" (a cluster router).
-	Role string `json:"role,omitempty"`
-	// Node is the configured node name; empty on unnamed single nodes.
-	Node string `json:"node,omitempty"`
-	// Shards counts owned graph digests: stored graphs on a worker,
-	// routable digests on a router.
-	Shards   int  `json:"shards"`
-	Draining bool `json:"draining,omitempty"`
-}
 
 // MetricsView is the wire response of /metrics: server-level gauges plus
 // the full obs registry snapshot.
@@ -60,56 +23,14 @@ type MetricsView struct {
 // Handler returns the daemon's HTTP surface.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
+	s.front.Route(mux)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /v1/graphs", s.handleGraphUpload)
-	mux.HandleFunc("GET /v1/graphs", s.handleGraphList)
-	mux.HandleFunc("GET /v1/graphs/{digest}", s.handleGraphInfo)
-	mux.HandleFunc("GET /v1/graphs/{digest}/edgelist", s.handleGraphDownload)
 	mux.HandleFunc("POST /v1/graphs/{digest}/delta", s.handleGraphDelta)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("GET /debug/jobs", s.handleDebugJobs)
-	mux.HandleFunc("GET /debug/jobs/{id}", s.handleDebugJob)
-	mux.HandleFunc("GET /debug/slo", s.handleDebugSLO)
 	return mux
-}
-
-// TraceIDHeader carries a job's trace ID end to end: clients may set it
-// on POST /v1/jobs (invalid values are replaced, never stored), and the
-// server echoes the effective ID on every submit response.
-const TraceIDHeader = "X-Trace-Id"
-
-// ForwardedByHeader names the cluster router that forwarded a job to
-// this worker. The worker annotates its root job span with the value, so
-// a forwarded job's /debug/jobs timeline says which hop dispatched it —
-// the router's own spans chain onto the same X-Trace-Id.
-const ForwardedByHeader = "X-Forwarded-By"
-
-// writeJSON emits compact JSON: an indenting encoder would reformat the
-// json.RawMessage Stats inside job results and break the documented
-// byte-identity with library-side json.Marshal(Stats).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	v := HealthView{Status: "ok", Role: "worker", Node: s.cfg.NodeName, Shards: s.store.Len()}
-	if s.Draining() {
-		// 503 tells orchestrators (and the cluster router's prober) to stop
-		// routing while queued jobs finish.
-		v.Status, v.Draining = "draining", true
-		writeJSON(w, http.StatusServiceUnavailable, v)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // refreshServerGauges pushes the envelope state (workers, queue, stores,
@@ -153,172 +74,61 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseUpload parses untrusted edge-list text under the server's limits,
-// mapping parse errors to 400 and limit errors to 413.
-func (s *Server) parseUpload(text string) (*graph.Graph, *apiError) {
-	g, err := graph.ReadEdgeListLimits(strings.NewReader(text), s.cfg.GraphLimits)
-	if err != nil {
-		var le *graph.LimitError
-		if errors.As(err, &le) {
-			return nil, &apiError{status: http.StatusRequestEntityTooLarge, msg: le.Error()}
-		}
-		return nil, badRequest(err.Error())
+func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
+	digest, deduped, ok := s.front.Upload(w, r)
+	if !ok {
+		return
 	}
-	return g, nil
-}
-
-func (s *Server) countUpload(deduped bool) {
-	s.reg.Counter(MetricGraphUploads).Inc()
 	if deduped {
 		s.reg.Counter(MetricGraphDedups).Inc()
 	}
-}
-
-func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "reading upload: %v", err)
-		return
-	}
-	g, aerr := s.parseUpload(string(body))
-	if aerr != nil {
-		writeErr(w, aerr.status, "%s", aerr.msg)
-		return
-	}
-	digest, deduped := s.store.Put(g)
-	s.countUpload(deduped)
-	info, _ := s.store.Info(digest)
-	status := http.StatusCreated
-	if deduped {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, UploadView{GraphInfo: info, Deduped: deduped})
-}
-
-func (s *Server) handleGraphList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": s.store.List()})
-}
-
-func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) {
-	info, ok := s.store.Info(r.PathValue("digest"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown graph digest %q", r.PathValue("digest"))
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleGraphDownload(w http.ResponseWriter, r *http.Request) {
-	g, ok := s.store.Get(r.PathValue("digest"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown graph digest %q", r.PathValue("digest"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = graph.WriteEdgeList(w, g)
+	s.front.ReplyUpload(w, digest, deduped)
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	// Trace identity first: propagate the client's X-Trace-Id (replacing
-	// anything that fails validation) and echo the effective ID on every
-	// response, accepted or bounced, so a client can always correlate.
-	traceID := r.Header.Get(TraceIDHeader)
-	if !obs.ValidTraceID(traceID) {
-		traceID = obs.NewTraceID()
-	}
-	tl := obs.NewTimeline(traceID)
-	w.Header().Set(TraceIDHeader, tl.TraceID())
-	root := tl.StartSpan("job")
-	if fwd := r.Header.Get(ForwardedByHeader); fwd != "" {
-		root.Annotate("forwarded_by", fwd)
-	}
-
-	if s.Draining() {
-		s.reg.Counter(MetricJobsDraining).Inc()
-		writeErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+	sub, ok := s.front.Intake(w, r)
+	if !ok {
 		return
 	}
-	// Admission covers decode + validation + store lookups — everything
-	// between arrival and the cache decision.
-	admission := root.StartChild("admission")
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding job spec: %v", err)
-		return
-	}
-	s.reg.Counter(MetricJobsSubmitted).Inc()
-	j, aerr := s.prepare(spec)
+	j, aerr := s.prepare(sub.Spec)
 	if aerr != nil {
 		writeErr(w, aerr.status, "%s", aerr.msg)
 		return
 	}
-	j.tl, j.rootSpan = tl, root
-	admission.Finish()
-
-	// Cache lookup — traced jobs bypass it (their trace documents a real
-	// execution).
-	if !j.trace {
-		lookup := root.StartChild("cache_lookup")
-		if res, ok := s.cache.Get(j.key); ok {
-			lookup.Annotate("result", "hit")
-			lookup.Finish()
-			s.reg.Counter(MetricCacheHits).Inc()
-			j.mu.Lock()
-			j.state = StateDone
-			j.cached = true
-			j.result = res
-			j.mu.Unlock()
-			close(j.finished)
-			s.register(j)
-			root.Finish()
-			j.mu.Lock()
-			j.latencyNs = root.DurationNs()
-			j.mu.Unlock()
-			s.reg.Histogram(HistCacheHitNs, JobWallBuckets).
-				Observe(float64(j.latencyNs))
-			s.publishTimeline(j, StateDone)
-			s.releaseJobPin(j)
-			writeJSON(w, http.StatusOK, j.view())
-			return
-		}
-		lookup.Annotate("result", "miss")
-		lookup.Finish()
-		s.reg.Counter(MetricCacheMisses).Inc()
+	j.tl, j.rootSpan = sub.TL, sub.Root
+	if res, ok := s.front.Lookup(sub, j.key); ok {
+		j.cached = true
+		s.jobs.Register(j, "", true)
+		sub.Root.Finish()
+		s.reg.Histogram(HistCacheHitNs, JobWallBuckets).Observe(float64(sub.Root.DurationNs()))
+		s.finish(j, StateDone, res, "", 0)
+		writeJSON(w, http.StatusOK, j.view())
+		return
 	}
-
-	// SLO load shedding: under degradation, below-threshold priorities are
-	// bounced before they can occupy queue or workers. Count jobs are the
-	// exception — the PR 6 follow-up: instead of shedding them, the guard
-	// lets them through to batch-coalesce into shared kernel passes, whose
-	// marginal cost under pressure is near zero (one pass per digest).
-	if s.slo.shouldShed(spec.Priority) {
-		if j.count {
-			s.reg.Counter(MetricJobsPressureBatched).Inc()
-			root.Annotate("slo", "batch_coalesced")
-		} else {
-			s.reg.Counter(MetricJobsShed).Inc()
-			root.Annotate("outcome", "shed")
-			root.Finish()
-			s.publishTimeline(j, "shed")
-			s.releaseJobPin(j)
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-			writeErr(w, http.StatusTooManyRequests,
-				"shedding %s-priority load: p99 over budget; retry later", displayPriority(spec.Priority))
-			return
-		}
+	admitted, pressured := s.front.Admit(w, sub, j.count, 0, len(s.queue)+1, s.cfg.Workers)
+	if !admitted {
+		s.releaseJobPin(j)
+		return
+	}
+	if pressured {
+		s.reg.Counter(MetricJobsPressureBatched).Inc()
 	}
 
 	// Register before enqueue: a worker may pick the job up (and even
 	// finish it) the instant it lands in the queue, and it must already be
-	// pollable by ID at that point. Rejected jobs are unregistered.
-	if existing := s.register(j); existing != nil {
-		// An identical spec is already queued or running — answer with
-		// that job instead of executing twice (idempotent retry path).
-		root.Annotate("coalesced_onto", existing.id)
-		root.Finish()
-		s.publishTimeline(j, "coalesced")
+	// pollable by ID at that point. Rejected jobs are removed. An identical
+	// non-traced spec already queued or running coalesces: the submission
+	// is answered with that job instead of executing twice, which is what
+	// makes client retries idempotent-safe.
+	key := j.key
+	if j.trace {
+		key = ""
+	}
+	if existing, coalesced := s.jobs.Register(j, key, false); coalesced {
+		s.reg.Counter(MetricJobsCoalesced).Inc()
+		sub.Root.Annotate("coalesced_onto", existing.id)
+		sub.Root.Finish()
+		s.front.Publish(sub.TL, "", "coalesced")
 		s.releaseJobPin(j)
 		w.Header().Set("Location", "/v1/jobs/"+existing.id)
 		writeJSON(w, http.StatusAccepted, existing.view())
@@ -327,7 +137,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// The queue-wait span opens here and is finished by the worker that
 	// dequeues the job (serve.go); the job is not yet visible to workers,
 	// so the field write is unsynchronized-safe.
-	j.queueSpan = root.StartChild("queue_wait")
+	j.queueSpan = sub.Root.StartChild("queue_wait")
 	queued, draining := s.enqueue(j)
 	if queued && j.count {
 		// Index the admitted count job for digest-level batching. Safe
@@ -336,20 +146,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case draining:
-		s.unregister(j)
+		s.jobs.Remove(j.id)
 		s.releaseJobPin(j)
-		s.reg.Counter(MetricJobsDraining).Inc()
-		writeErr(w, http.StatusServiceUnavailable, "server is draining; submit elsewhere")
+		s.front.refuseDraining(w)
 		return
 	case !queued:
-		s.unregister(j)
+		s.jobs.Remove(j.id)
 		s.releaseJobPin(j)
 		s.reg.Counter(MetricJobsRejected).Inc()
-		root.Annotate("outcome", "rejected")
-		root.Finish()
-		s.publishTimeline(j, "rejected")
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-		writeErr(w, http.StatusTooManyRequests,
+		s.front.Refuse(w, sub, j.id, "rejected", http.StatusTooManyRequests,
+			s.front.RetryAfter(len(s.queue)+1, s.cfg.Workers),
 			"queue saturated (%d jobs); retry later", s.cfg.QueueDepth)
 		return
 	}
@@ -358,8 +164,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	j := s.jobByID(r.PathValue("id"))
-	if j == nil {
+	j, ok := s.jobs.Get(r.PathValue("id"))
+	if !ok {
 		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
@@ -367,8 +173,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.jobByID(r.PathValue("id"))
-	if j == nil {
+	j, ok := s.jobs.Get(r.PathValue("id"))
+	if !ok {
 		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
@@ -387,52 +193,4 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Trace-Truncated", "true")
 	}
 	_, _ = w.Write(trace)
-}
-
-// DebugJobsView is the wire response of GET /debug/jobs: the flight
-// recorder's held timelines, newest first.
-type DebugJobsView struct {
-	Count     int                 `json:"count"`
-	Timelines []*obs.TimelineView `json:"timelines"`
-}
-
-// DebugSLOView is the wire response of GET /debug/slo.
-type DebugSLOView struct {
-	Level       string          `json:"level"`
-	Transitions []SLOTransition `json:"transitions"`
-}
-
-func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
-	views := s.flight.Snapshot() // nil-safe: empty when recording disabled
-	if views == nil {
-		views = []*obs.TimelineView{}
-	}
-	writeJSON(w, http.StatusOK, DebugJobsView{Count: len(views), Timelines: views})
-}
-
-func (s *Server) handleDebugJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.flight == nil {
-		writeErr(w, http.StatusNotFound, "flight recorder disabled")
-		return
-	}
-	v := s.flight.Find(id)
-	if v == nil {
-		writeErr(w, http.StatusNotFound,
-			"no recorded timeline for %q (job or trace ID; the recorder holds the last %d)",
-			id, s.cfg.FlightRecorderSize)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	trs := s.slo.Transitions()
-	if trs == nil {
-		trs = []SLOTransition{}
-	}
-	writeJSON(w, http.StatusOK, DebugSLOView{
-		Level:       levelName(s.slo.level.Load()),
-		Transitions: trs,
-	})
 }

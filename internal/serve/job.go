@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"subgraph"
-	"subgraph/internal/kernel"
 	"subgraph/internal/obs"
 )
 
@@ -171,12 +170,6 @@ type job struct {
 	finished chan struct{} // closed on terminal state
 }
 
-func (j *job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == StateDone || j.state == StateFailed
-}
-
 func (j *job) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -203,94 +196,49 @@ func (j *job) view() JobView {
 	}
 }
 
-// prepare validates a spec against the server's stores and limits and
-// builds the executable job. It returns an *apiError for client mistakes.
+// prepare checks a spec against the front end's shared rules (which
+// store an inline graph) and resolves it on this worker: the deadline
+// cap, a pin on the graph, and the simulation network for detect jobs.
+// It returns an *apiError for client mistakes.
 func (s *Server) prepare(spec JobSpec) (*job, *apiError) {
-	if (spec.Graph == "") == (spec.GraphInline == "") {
-		return nil, badRequest("exactly one of \"graph\" (digest) and \"graph_inline\" (edge list) must be set")
+	a, aerr := s.front.accept(&spec)
+	if aerr != nil {
+		return nil, aerr
 	}
-	h, err := subgraph.ParsePattern(spec.Pattern)
-	if err != nil {
-		return nil, badRequest(err.Error())
-	}
-	opts, err := spec.Options.Options()
-	if err != nil {
-		return nil, badRequest(err.Error())
-	}
-	if !validPriority(spec.Priority) {
-		return nil, badRequest(fmt.Sprintf("unknown priority %q (want low, normal, or high)", spec.Priority))
-	}
-	count := false
-	cliqueS := 0
-	switch spec.Mode {
-	case "", ModeDetect:
-	case ModeCount:
-		var ok bool
-		cliqueS, ok = kernel.CliqueSize(h)
-		if !ok {
-			return nil, badRequest(fmt.Sprintf(
-				"pattern %q is not kernel-countable: count mode serves clique-family patterns only (triangle, cycle:3, clique:2..%d)",
-				spec.Pattern, kernel.MaxCliqueSize))
-		}
-		if spec.Trace {
-			return nil, badRequest("count jobs run the local kernel and produce no engine trace; submit in detect mode to trace")
-		}
-		if spec.Options.Faults != nil || spec.Options.Resilient {
-			return nil, badRequest("count jobs run the local kernel; fault injection and resilience apply to simulations only")
-		}
-		count = true
-	default:
-		return nil, badRequest(fmt.Sprintf("unknown mode %q (want \"detect\" or \"count\")", spec.Mode))
+	if a.deduped {
+		s.reg.Counter(MetricGraphDedups).Inc()
 	}
 	// Server-side deadline cap: every job runs under the engine's
 	// wall-clock deadline machinery.
+	opts := a.opts
 	if opts.Deadline <= 0 || opts.Deadline > s.cfg.MaxJobDeadline {
 		opts.Deadline = s.cfg.MaxJobDeadline
-	}
-
-	digest := spec.Graph
-	if spec.GraphInline != "" {
-		if int64(len(spec.GraphInline)) > s.cfg.MaxUploadBytes {
-			return nil, &apiError{status: 413, msg: fmt.Sprintf(
-				"inline graph of %d bytes exceeds the %d byte upload bound",
-				len(spec.GraphInline), s.cfg.MaxUploadBytes)}
-		}
-		g, aerr := s.parseUpload(spec.GraphInline)
-		if aerr != nil {
-			return nil, aerr
-		}
-		var deduped bool
-		digest, deduped = s.store.Put(g)
-		s.countUpload(deduped)
 	}
 	// Pin before resolving: the pin guarantees the entry outlives the job
 	// (LRU eviction skips pinned graphs), so an admitted job can never
 	// 404 at dequeue time. Released via releaseJobPin on every outcome.
-	if !s.store.Pin(digest) {
-		return nil, &apiError{status: 404, msg: fmt.Sprintf("unknown graph digest %q (upload it first)", digest)}
+	if !s.store.Pin(spec.Graph) {
+		return nil, &apiError{status: 404, msg: fmt.Sprintf("unknown graph digest %q (upload it first)", spec.Graph)}
 	}
 	// Only the simulation needs the network: count jobs run the kernel on
 	// the store's bitset adjacency, so they neither build nor retain one.
 	var nw *subgraph.Network
-	if !count {
-		nw, _ = s.network(digest)
+	if !a.count {
+		nw, _ = s.store.Network(spec.Graph)
 	}
-
-	effective := subgraph.OptionsSpecOf(opts)
-	key := cacheKey(digest, h, effective, count)
 	return &job{
 		pinned:   true,
-		digest:   digest,
+		digest:   spec.Graph,
 		pattern:  spec.Pattern,
 		g:        nw,
-		h:        h,
+		h:        a.h,
 		opts:     opts,
-		optSpec:  effective,
-		key:      key,
+		optSpec:  subgraph.OptionsSpecOf(opts),
+		key:      a.key,
 		trace:    spec.Trace,
 		priority: spec.Priority,
-		count:    count,
-		cliqueS:  cliqueS,
+		count:    a.count,
+		cliqueS:  a.cliqueS,
 		state:    StateQueued,
 		finished: make(chan struct{}),
 	}, nil
@@ -307,7 +255,6 @@ func (s *Server) releaseJobPin(j *job) {
 
 // runJob executes one admitted job on a worker.
 func (s *Server) runJob(j *job) {
-	defer s.releaseJobPin(j)
 	j.mu.Lock()
 	j.state = StateRunning
 	j.mu.Unlock()
@@ -336,31 +283,23 @@ func (s *Server) runJob(j *job) {
 		Observe(float64(engineWall.Nanoseconds()))
 	if jsonl != nil {
 		_ = jsonl.Close()
+		j.mu.Lock()
+		j.traceBytes, j.traceTrunc = traceBuf.buf, traceBuf.truncated
+		j.mu.Unlock()
 	}
 
 	// The response span covers turning the engine's answer into the
-	// published job record: stats encoding, cache insertion, state flip.
+	// published job record: stats encoding and cache insertion.
 	respSpan := j.rootSpan.StartChild("response")
-	j.mu.Lock()
-	j.durationMs = time.Since(started).Milliseconds()
-	if traceBuf != nil {
-		j.traceBytes = traceBuf.buf
-		j.traceTrunc = traceBuf.truncated
-	}
-	switch {
-	case rep == nil:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.reg.Counter(MetricJobsFailed).Inc()
-	default:
-		statsJSON, merr := json.Marshal(rep.Stats)
-		if merr != nil {
-			j.state = StateFailed
-			j.errMsg = "encoding stats: " + merr.Error()
-			s.reg.Counter(MetricJobsFailed).Inc()
-			break
-		}
-		res := &JobResult{
+	durationMs := time.Since(started).Milliseconds()
+	var res *JobResult
+	state, errMsg := StateFailed, ""
+	if rep == nil {
+		errMsg = err.Error()
+	} else if statsJSON, merr := json.Marshal(rep.Stats); merr != nil {
+		errMsg = "encoding stats: " + merr.Error()
+	} else {
+		res = &JobResult{
 			Detected:      rep.Detected,
 			Algorithm:     rep.Algorithm,
 			Rounds:        rep.Rounds,
@@ -372,9 +311,7 @@ func (s *Server) runJob(j *job) {
 			res.Partial = true
 			res.AbortReason = err.Error()
 		}
-		j.state = StateDone
-		j.result = res
-		s.reg.Counter(MetricJobsCompleted).Inc()
+		state = StateDone
 		wall := time.Since(started)
 		s.reg.Histogram(HistJobWallNs, JobWallBuckets).
 			Observe(float64(wall.Nanoseconds()))
@@ -385,17 +322,14 @@ func (s *Server) runJob(j *job) {
 			s.cache.Put(j.key, res)
 		}
 	}
-	result, state, errMsg := j.result, j.state, j.errMsg
+	if state == StateDone {
+		s.reg.Counter(MetricJobsCompleted).Inc()
+	} else {
+		s.reg.Counter(MetricJobsFailed).Inc()
+	}
 	respSpan.Finish()
-	// Root closes before the job is observable as finished, so a poller
-	// racing close(finished) already sees the final latency.
 	j.rootSpan.Finish()
-	j.latencyNs = j.rootSpan.DurationNs()
-	latency := j.latencyNs
-	j.mu.Unlock()
-	close(j.finished)
-	s.clearInflight(j)
-	if s.cfg.OnJobDone != nil && state == StateDone && !result.Partial {
+	if s.cfg.OnJobDone != nil && res != nil && !res.Partial {
 		// The tap span lands after the root span's end — deliberately: the
 		// canary must never show up in the client-visible latency, but its
 		// cost should still be attributable in the timeline.
@@ -407,16 +341,16 @@ func (s *Server) runJob(j *job) {
 			Pattern: j.pattern,
 			Network: j.g,
 			Options: j.optSpec,
-			Result:  result,
+			Result:  res,
 		})
 		tap.Finish()
 	}
-	s.publishTimeline(j, state)
+	s.finish(j, state, res, errMsg, durationMs)
 	if state == StateDone {
 		s.logger.Info("job done",
 			"job_id", j.id, "trace_id", j.tl.TraceID(), "digest", j.digest,
-			"pattern", j.pattern, "partial", result.Partial,
-			"engine_ms", engineWall.Milliseconds(), "latency_ms", latency/1e6)
+			"pattern", j.pattern, "partial", res.Partial,
+			"engine_ms", engineWall.Milliseconds(), "latency_ms", j.latencyNs/1e6)
 	} else {
 		s.logger.Warn("job failed",
 			"job_id", j.id, "trace_id", j.tl.TraceID(), "digest", j.digest,
@@ -424,17 +358,20 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// publishTimeline snapshots the job's span timeline into the flight
-// recorder under its ID and terminal outcome. Nil-safe on both the
-// recorder (disabled) and the timeline (jobs admitted without tracing).
-func (s *Server) publishTimeline(j *job, outcome string) {
-	if s.flight == nil || j.tl == nil {
-		return
-	}
-	v := j.tl.View()
-	v.JobID = j.id
-	v.Outcome = outcome
-	s.flight.Record(v)
+// finish makes a job terminal once its root span has closed. The
+// timeline is recorded before the state flips, so a client that sees the
+// job terminal can fetch /debug/jobs/{id} at once; then waiters wake, the
+// table stops treating the job as live, and the graph pin is released.
+func (s *Server) finish(j *job, state string, res *JobResult, errMsg string, durationMs int64) {
+	s.front.Publish(j.tl, j.id, state)
+	j.mu.Lock()
+	j.state, j.result, j.errMsg = state, res, errMsg
+	j.durationMs = durationMs
+	j.latencyNs = j.rootSpan.DurationNs()
+	j.mu.Unlock()
+	close(j.finished)
+	s.jobs.Finish(j.id)
+	s.releaseJobPin(j)
 }
 
 // cappedWriter buffers writes up to max bytes and silently discards the

@@ -21,8 +21,9 @@
 //     machinery, with a server-side cap so a hostile job cannot occupy a
 //     worker forever.
 //
-// The HTTP surface is in handlers.go, the job lifecycle in job.go, and
-// the load harness in loadgen.go.
+// The HTTP surface is in handlers.go, the front end it shares with the
+// cluster router in front.go, the job lifecycle in job.go, and the load
+// harness in loadgen.go.
 package serve
 
 import (
@@ -136,7 +137,9 @@ type Config struct {
 	// canary-replay tap. Count-mode jobs are not tapped: the canary
 	// replays CONGEST executions, and kernel answers are pinned by the
 	// diffcheck kernel oracles instead. Called from a worker goroutine
-	// after the job is observable as done; implementations must not block.
+	// after the job's root span closes and before its timeline is recorded
+	// and the job turns terminal, so the tap's span lands in the recorded
+	// timeline; implementations must not block.
 	OnJobDone func(JobDone)
 	// FlightRecorderSize bounds the debug flight recorder: the last N
 	// completed job timelines retrievable from GET /debug/jobs (default
@@ -232,24 +235,19 @@ func (c Config) withDefaults() Config {
 // listener, and call Start to launch the worker budget.
 type Server struct {
 	cfg    Config
+	front  *FrontEnd
 	reg    *obs.Registry
 	store  *Store
 	cache  *Cache
+	slo    *sloGuard // the front end's guard, fed by the workers
 	start  time.Time
-	flight *obs.FlightRecorder // nil when disabled
 	logger *slog.Logger
 	kernel *kernel.Kernel // word-parallel backend for count-mode jobs
+	jobs   *JobTable[*job]
 
-	slo   *sloGuard
+	mu    sync.Mutex
 	batch *batcher // count-job batching index (guarded by mu)
-
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string          // submission order, for retention eviction
-	inflight map[string]string // cache key → id of a queued/running job
-	seq      int
-	draining bool
-	queue    chan *job
+	queue chan *job
 
 	wg sync.WaitGroup
 
@@ -263,21 +261,22 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		reg:      cfg.Registry,
-		store:    NewStore(cfg.MaxGraphs),
-		cache:    NewCache(cfg.CacheSize),
-		start:    time.Now(),
-		logger:   cfg.Logger,
-		jobs:     make(map[string]*job),
-		inflight: make(map[string]string),
-		queue:    make(chan *job, cfg.QueueDepth),
-		kernel:   kernel.New(cfg.KernelWorkers),
-		batch:    newBatcher(),
+		cfg:    cfg,
+		reg:    cfg.Registry,
+		store:  NewStore(cfg.MaxGraphs),
+		cache:  NewCache(cfg.CacheSize),
+		start:  time.Now(),
+		logger: cfg.Logger,
+		jobs:   NewJobTable("j", cfg.MaxRetainedJobs, func(j *job, id string) { j.id = id }),
+		queue:  make(chan *job, cfg.QueueDepth),
+		kernel: kernel.New(cfg.KernelWorkers),
+		batch:  newBatcher(),
 	}
-	if cfg.FlightRecorderSize > 0 {
-		s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize)
-	}
+	s.front = NewFrontEnd("worker", "job", cfg, s.store, s.cache, FrontMetrics{
+		Submitted: MetricJobsSubmitted, Draining: MetricJobsDraining, Shed: MetricJobsShed,
+		CacheHits: MetricCacheHits, CacheMisses: MetricCacheMisses, Uploads: MetricGraphUploads,
+	})
+	s.slo = s.front.slo
 	// Pre-create the counters and histograms so /metrics carries the full
 	// schema before the first job.
 	for _, name := range []string{
@@ -303,8 +302,6 @@ func New(cfg Config) *Server {
 	s.reg.Histogram(HistEngineRunNs, JobWallBuckets)
 	s.reg.Histogram(HistCacheHitNs, JobWallBuckets)
 	s.reg.Histogram(HistKernelRunNs, JobWallBuckets)
-	s.slo = newSLOGuard(cfg.SLO, s.reg, 10)
-	s.slo.logger = s.logger
 	return s
 }
 
@@ -349,21 +346,16 @@ func (s *Server) Start() {
 func (s *Server) BeginDrain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if !s.front.BeginDrain() {
 		return
 	}
-	s.draining = true
 	// Safe: every sender holds s.mu around its non-blocking send.
 	close(s.queue)
 	s.logger.Info("drain begun", "queued", len(s.queue))
 }
 
 // Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Server) Draining() bool { return s.front.Draining() }
 
 // Drain begins draining and blocks until every admitted job has finished
 // or ctx is done. Counts of jobs completed since startup are returned for
@@ -395,7 +387,7 @@ func (s *Server) Drain(ctx context.Context) (completed int64, err error) {
 func (s *Server) enqueue(j *job) (queued, draining bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if s.front.Draining() {
 		return false, true
 	}
 	j.enqueuedAt = time.Now()
@@ -406,108 +398,4 @@ func (s *Server) enqueue(j *job) (queued, draining bool) {
 	default:
 		return false, false
 	}
-}
-
-// register assigns an ID, records the job for polling, and evicts the
-// oldest terminal jobs beyond the retention bound. When an identical
-// non-traced job (same cache key) is already queued or running, the new
-// job is not registered and the in-flight one is returned instead —
-// retried submissions of a content-addressed spec coalesce onto one
-// execution, which is what makes client retries idempotent-safe.
-func (s *Server) register(j *job) (coalesced *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	coalescible := !j.trace && !j.terminal() // cache-hit jobs register already terminal
-	if coalescible {
-		if id, ok := s.inflight[j.key]; ok {
-			if e := s.jobs[id]; e != nil && !e.terminal() {
-				s.reg.Counter(MetricJobsCoalesced).Inc()
-				return e
-			}
-			delete(s.inflight, j.key)
-		}
-	}
-	s.seq++
-	j.id = fmt.Sprintf("j-%06d", s.seq)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	for len(s.jobs) > s.cfg.MaxRetainedJobs {
-		evicted := false
-		for i, id := range s.order {
-			old := s.jobs[id]
-			if old == nil {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-			if old.terminal() {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything live: retention is a soft bound
-		}
-	}
-	if coalescible {
-		s.inflight[j.key] = j.id
-	}
-	return nil
-}
-
-// unregister drops a job that was never admitted (queue rejection).
-func (s *Server) unregister(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, j.id)
-	if s.inflight[j.key] == j.id {
-		delete(s.inflight, j.key)
-	}
-	for i, x := range s.order {
-		if x == j.id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// clearInflight removes a finished job from the coalescing index (its
-// result is in the cache from here on).
-func (s *Server) clearInflight(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inflight[j.key] == j.id {
-		delete(s.inflight, j.key)
-	}
-}
-
-// retryAfterSeconds estimates when a shed or bounced client should come
-// back: current backlog × mean service time over the worker budget,
-// clamped to [1s, 30s] so the header is never a lie in either direction.
-func (s *Server) retryAfterSeconds() int {
-	backlog := len(s.queue) + 1
-	mean := s.slo.meanLatency()
-	est := time.Duration(backlog) * mean / time.Duration(s.cfg.Workers)
-	secs := int((est + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
-}
-
-// jobByID returns the tracked job, or nil.
-func (s *Server) jobByID(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
-// Network returns the shared simulation network for a stored graph.
-func (s *Server) network(digest string) (*subgraph.Network, bool) {
-	return s.store.Network(digest)
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -338,56 +337,6 @@ func TestDrain(t *testing.T) {
 		if err != nil || jv.State != StateDone {
 			t.Fatalf("job %s after drain: %s (%v)", id, jv.State, err)
 		}
-	}
-}
-
-func TestBadRequests(t *testing.T) {
-	_, c := newTestServer(t, Config{GraphLimits: graph.Limits{MaxVertices: 50, MaxEdges: 200}})
-	text, _ := testEdgeList(t, 8)
-	up, err := c.UploadGraph(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"unknown digest", `{"graph":"deadbeef","pattern":"triangle"}`, http.StatusNotFound},
-		{"bad pattern", `{"graph":"` + up.Digest + `","pattern":"pentagram"}`, http.StatusBadRequest},
-		{"no graph", `{"pattern":"triangle"}`, http.StatusBadRequest},
-		{"both graphs", `{"graph":"x","graph_inline":"0 1","pattern":"triangle"}`, http.StatusBadRequest},
-		{"unknown field", `{"graph":"` + up.Digest + `","pattern":"triangle","bogus":1}`, http.StatusBadRequest},
-		{"bad options", `{"graph":"` + up.Digest + `","pattern":"triangle","options":{"reps":-4}}`, http.StatusBadRequest},
-		{"bad inline graph", `{"graph_inline":"0 1 2 3 4","pattern":"triangle"}`, http.StatusBadRequest},
-		{"inline graph beyond limits", `{"graph_inline":"n 100\n0 1","pattern":"triangle"}`, http.StatusRequestEntityTooLarge},
-	}
-	for _, tc := range cases {
-		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
-		}
-	}
-
-	// Oversized raw upload → 413.
-	resp, err := http.Post(c.Base+"/v1/graphs", "text/plain", strings.NewReader("n 100\n0 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("over-limit upload: HTTP %d, want 413", resp.StatusCode)
-	}
-	if resp, err := http.Get(c.Base + "/v1/jobs/j-999999"); err == nil {
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("unknown job: HTTP %d, want 404", resp.StatusCode)
-		}
-		resp.Body.Close()
 	}
 }
 

@@ -262,16 +262,15 @@ func (g *sloGuard) evaluate() {
 // shouldShed decides whether a submission at the given priority is shed
 // at the current degradation level.
 func (g *sloGuard) shouldShed(priority string) bool {
-	return SLOLevelSheds(int(g.level.Load()), priority)
+	return levelSheds(g.level.Load(), priority)
 }
 
-// SLOLevelSheds reports whether a submission at the given priority is
-// shed at the given degradation level — the serve_slo_degraded gauge
-// value: 0 healthy, 1 degraded (low-priority shed), 2 critical (only
-// high-priority admitted). Exported so the cluster router can apply a
-// worker's scraped SLO level with exactly the worker's own policy.
-func SLOLevelSheds(level int, priority string) bool {
-	switch int32(level) {
+// levelSheds reports whether a submission at the given priority is shed
+// at a degradation level — the serve_slo_degraded gauge value: 0 healthy,
+// 1 degraded (low priority shed), 2 critical (only high priority
+// admitted).
+func levelSheds(level int32, priority string) bool {
+	switch level {
 	case sloDegraded:
 		return priority == PriorityLow
 	case sloCritical:
@@ -284,43 +283,6 @@ func SLOLevelSheds(level int, priority string) bool {
 // SLOLevelName names a degradation level as /debug surfaces spell it.
 func SLOLevelName(level int) string { return levelName(int32(level)) }
 
-// SLOGuard is the exported face of the p99 guard for embedders outside
-// the Server — the cluster router runs one over its end-to-end job
-// latency so cluster admission degrades with the same hysteresis,
-// levels, and priority policy as a single node. It exports the same
-// three gauges (serve_slo_degraded, serve_slo_p99_latency_ns,
-// serve_slo_p99_queue_wait_ns) into the supplied registry.
-type SLOGuard struct{ g *sloGuard }
-
-// NewSLOGuard builds a guard over the given registry. The zero
-// SLOConfig disables shedding (Level stays healthy).
-func NewSLOGuard(cfg SLOConfig, reg *obs.Registry) *SLOGuard {
-	return &SLOGuard{g: newSLOGuard(cfg, reg, 10)}
-}
-
-// SetLogger points transition logging at l (nil discards).
-func (s *SLOGuard) SetLogger(l *slog.Logger) {
-	if l != nil {
-		s.g.logger = l
-	}
-}
-
-// ObserveLatency records one end-to-end latency and re-evaluates.
-func (s *SLOGuard) ObserveLatency(d time.Duration) { s.g.observeLatency(d) }
-
-// ShouldShed reports whether a submission at the given priority should
-// be shed at the guard's current level.
-func (s *SLOGuard) ShouldShed(priority string) bool { return s.g.shouldShed(priority) }
-
-// Level returns the current degradation level (0/1/2).
-func (s *SLOGuard) Level() int { return int(s.g.level.Load()) }
-
-// MeanLatency estimates per-job service time from the rolling window.
-func (s *SLOGuard) MeanLatency() time.Duration { return s.g.meanLatency() }
-
-// Transitions returns a copy of the state-transition log, oldest first.
-func (s *SLOGuard) Transitions() []SLOTransition { return s.g.Transitions() }
-
 // meanLatency estimates per-job service time from the rolling window,
 // falling back to a nominal 100ms before any job has finished.
 func (g *sloGuard) meanLatency() time.Duration {
@@ -328,14 +290,6 @@ func (g *sloGuard) meanLatency() time.Duration {
 		return time.Duration(m)
 	}
 	return 100 * time.Millisecond
-}
-
-// displayPriority names a priority for error messages ("" → "normal").
-func displayPriority(p string) string {
-	if p == "" {
-		return PriorityNormal
-	}
-	return p
 }
 
 // validPriority reports whether a JobSpec priority value is known.

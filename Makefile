@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-report bench-compare bench-kernels diffcheck experiments experiments-quick examples serve smoke cluster-smoke delta-smoke loadgen-report loadgen-cluster-report chaos-report chaos-trace-report canary-smoke churn-report trace-demo clean
+.PHONY: all build test race bench diffcheck experiments experiments-quick examples serve smoke cluster-smoke delta-smoke canary-smoke clean
 
 all: build test
 
@@ -18,22 +18,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Re-measure the tracked engine benchmarks and rewrite the committed
-# baseline (run on a quiet machine; see README "Performance").
-bench-report:
-	$(GO) run ./cmd/benchreport -out BENCH_PR3.json
-
-# Measure now and print a delta table against the committed baseline.
-bench-compare:
-	$(GO) run ./cmd/benchreport -compare BENCH_PR3.json
-
-# Re-measure the committed kernel-vs-simulation baseline: the bitset
-# counting kernels against the per-node CONGEST simulation on the same
-# seeded instances (run on a quiet machine; see README "Performance").
-bench-kernels:
-	$(GO) run ./cmd/benchreport -pkg ./internal/kernel/ \
-		-bench 'BenchmarkKernel|BenchmarkSim' -out BENCH_PR8.json
 
 # Differential/metamorphic battery: 500 seeded random cases checked
 # against every oracle, failures shrunk to replayable repro artifacts
@@ -58,7 +42,7 @@ smoke:
 	./scripts/smoke_subgraphd.sh
 
 # End-to-end cluster smoke: router + 2 workers, selfcheck through the
-# router, loadgen burst with one worker SIGKILLed mid-run, clean drains.
+# router, a curl job burst with one worker SIGKILLed mid-run, clean drains.
 cluster-smoke:
 	$(GO) test -race -count=1 ./internal/cluster
 	./scripts/smoke_cluster.sh
@@ -70,54 +54,11 @@ delta-smoke:
 	$(GO) test -race -count=1 ./internal/graph ./internal/kernel ./internal/serve
 	./scripts/delta_smoke.sh
 
-# Re-measure the committed evolving-graph baseline: per-step wall time of
-# one watched delta vs re-uploading and recounting the same successor
-# from scratch (run on a quiet machine; see EXPERIMENTS.md E13).
-churn-report:
-	$(GO) run ./cmd/subgraphd -churn -out BENCH_PR10.json
-
-# Re-measure the committed serving baseline (in-process server; run on a
-# quiet machine). All loadgen baselines share -jobs 400 -seed 1 and a
-# 100-job warm-up so their cache/shed sections stay comparable; the mix
-# descriptor is recorded in the report's "workload" field and
-# cmd/benchreport warns when diffing reports whose mixes differ.
-loadgen-report:
-	$(GO) run ./cmd/subgraphd -loadgen -jobs 400 -seed 1 -warmup 100 \
-		-out BENCH_PR4.json
-
-# Re-measure the committed cluster serving baseline: the same seeded mix
-# as loadgen-report, driven through an in-process router fronting three
-# workers with replication 2 (compare against BENCH_PR4.json; the
-# workload descriptor records nodes= and repl= so benchreport warns on
-# cross-topology diffs).
-loadgen-cluster-report:
-	$(GO) run ./cmd/subgraphd -loadgen -cluster 3 -replication 2 \
-		-jobs 400 -seed 1 -warmup 100 -out BENCH_PR9.json
-
-# Re-measure the committed robustness baseline: seeded chaos injection,
-# SLO load shedding, full-fraction canary (see README "Robustness").
-chaos-report:
-	$(GO) run ./cmd/subgraphd -loadgen -chaos -canary 1.0 -jobs 400 -seed 1 \
-		-warmup 100 -workers 2 -slo-p99 150ms -low-frac 0.3 -out BENCH_PR6.json
-
-# Re-measure the committed traced-chaos baseline (E10): the same regime
-# as chaos-report, warmed, with the span-derived latency breakdown.
-chaos-trace-report:
-	$(GO) run ./cmd/subgraphd -loadgen -chaos -canary 1.0 -jobs 400 -seed 1 \
-		-warmup 100 -workers 2 -slo-p99 150ms -low-frac 0.3 -out BENCH_PR7.json
-
-# Short chaos run that ends by dumping one completed job's span timeline
-# (fetched back through /debug/jobs/{id}) and the Prometheus text page
-# (see README "Observability").
-trace-demo:
-	$(GO) run ./cmd/subgraphd -loadgen -chaos -jobs 40 -seed 1 -workers 2 \
-		-trace-demo -out /dev/null
-
-# Quick local version of CI's canary-smoke gate.
+# Quick local version of CI's canary-smoke gate: the robustness packages
+# under -race, including TestChaosCanaryAcceptance (chaos injection, SLO
+# shedding and a full-fraction canary over a 200-job burst).
 canary-smoke:
 	$(GO) test -race -count=1 ./internal/obs ./internal/canary ./internal/serve
-	$(GO) run ./cmd/subgraphd -loadgen -chaos -canary 1.0 -jobs 200 -seed 1 \
-		-workers 2 -slo-p99 150ms -low-frac 0.3 -out /dev/null
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -34,6 +35,13 @@ import (
 // Seeding respects the worker's own churn verdict (DeltaView.Incremental):
 // an over-threshold delta seeds nothing and the child's first count job
 // recomputes on a worker.
+//
+// The mirror and the worker applied the same delta to the same
+// content-addressed parent, so they must agree on the child. When they do
+// not — the mirror rejects a delta the worker accepted, or derives a
+// different child digest — one of them holds a corrupt graph. The router
+// then answers 502, counts the divergence, and neither mirrors nor
+// replicates the child nor seeds the cache from it.
 
 // handleGraphDelta routes POST /v1/graphs/{digest}/delta.
 func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
@@ -82,32 +90,41 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 		serve.WriteErr(w, http.StatusBadGateway, "decoding worker delta response: %v", err)
 		return
 	}
-	r.reg.Counter(MetricGraphDeltas).Inc()
 
 	if dv.Digest != parentDigest {
 		// Real successor: mirror it, replicate it to its owners, seed the
-		// shared cache. The mirror apply cannot disagree with the worker's —
-		// both applied the same delta to the same content-addressed parent.
+		// shared cache.
 		res, aerr := graph.ApplyDelta(parent, graph.EdgeDelta{Insert: dreq.Insert, Delete: dreq.Delete})
 		if aerr != nil {
-			r.logger.Warn("mirror delta apply diverged from worker verdict",
-				"parent", parentDigest, "err", aerr)
-		} else {
-			childDigest, _ := r.store.PutChild(res.Graph, parentDigest)
-			if childDigest != dv.Digest {
-				r.logger.Warn("mirror child digest disagrees with worker",
-					"mirror", childDigest, "worker", dv.Digest)
-			}
-			r.replicateChild(req.Context(), childDigest, applier.base)
-			if dv.Incremental {
-				r.seedLineageCache(parent, res.Graph, parentDigest, childDigest, res.Touched)
-			}
+			r.diverged(w, parentDigest, "worker %s applied the delta but the router mirror rejects it: %v",
+				applier.displayName(), aerr)
+			return
+		}
+		if childDigest := res.Graph.Digest(); childDigest != dv.Digest {
+			r.diverged(w, parentDigest, "worker %s derived child %s but the router mirror derives %s",
+				applier.displayName(), dv.Digest, childDigest)
+			return
+		}
+		childDigest, _ := r.store.PutChild(res.Graph, parentDigest)
+		r.replicateChild(req.Context(), childDigest, applier.base)
+		if dv.Incremental {
+			r.seedLineageCache(parent, res.Graph, parentDigest, childDigest, res.Touched)
 		}
 	}
+	r.reg.Counter(MetricGraphDeltas).Inc()
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
+}
+
+// diverged answers 502 for a delta on which the worker and the router
+// mirror disagree, and counts it.
+func (r *Router) diverged(w http.ResponseWriter, parentDigest, format string, args ...any) {
+	detail := fmt.Sprintf(format, args...)
+	r.reg.Counter(MetricDeltaDivergence).Inc()
+	r.logger.Error("delta divergence between worker and router mirror", "parent", parentDigest, "detail", detail)
+	serve.WriteErr(w, http.StatusBadGateway, "delta divergence: %s", detail)
 }
 
 // forwardDelta walks the parent digest's live owners (rotated) until one

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,5 +165,79 @@ func TestClusterDeltaErrors(t *testing.T) {
 	missing := findMissingEdge(t, g)
 	if _, status, err := c.Client.ApplyDelta(up.Digest, serve.DeltaRequest{Delete: [][2]int{missing}}); status != http.StatusConflict {
 		t.Fatalf("delete of missing edge: status %d (err %v), want relayed 409", status, err)
+	}
+}
+
+// TestClusterDeltaDivergence pins the router's answer when a worker and
+// the router mirror disagree on a delta: 502, one count on
+// cluster_delta_divergence_total, and nothing mirrored, replicated or
+// seeded from the disputed child. A stub worker plays the disagreeing
+// side, once reporting a wrong child digest and once accepting a delta
+// the mirror rejects.
+func TestClusterDeltaDivergence(t *testing.T) {
+	text, g := testEdgeList(t, 51)
+	missing := findMissingEdge(t, g)
+	cases := []struct {
+		name string
+		req  serve.DeltaRequest
+	}{
+		{"wrong child digest", serve.DeltaRequest{Insert: [][2]int{missing}}},
+		{"delta the mirror rejects", serve.DeltaRequest{Delete: [][2]int{missing}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.Method == http.MethodPost && r.URL.Path == "/v1/graphs":
+					serve.WriteJSON(w, http.StatusCreated, serve.UploadView{})
+				case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/delta"):
+					serve.WriteJSON(w, http.StatusCreated, serve.DeltaView{
+						GraphInfo:   serve.GraphInfo{Digest: strings.Repeat("0", 64)},
+						Incremental: true,
+					})
+				default:
+					http.NotFound(w, r)
+				}
+			}))
+			defer stub.Close()
+			rt, err := New(Config{Members: []string{stub.URL}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(rt.Handler())
+			defer srv.Close()
+			c := &serve.Client{Base: srv.URL, Retry: serve.NoRetry()}
+
+			up, err := c.UploadGraph(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A cached parent count the router would seed along lineage.
+			pkey, err := serve.SpecCacheKey(serve.JobSpec{Graph: up.Digest, Pattern: "clique:3", Mode: serve.ModeCount})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.cache.Put(pkey, serve.CountResult(1, graph.NewBitAdjacency(g).Mode()))
+			pushes := rt.reg.Counter(MetricGraphPushes).Value()
+
+			if _, status, _ := c.ApplyDelta(up.Digest, tc.req); status != http.StatusBadGateway {
+				t.Fatalf("status = %d, want 502", status)
+			}
+			if got := rt.reg.Counter(MetricDeltaDivergence).Value(); got != 1 {
+				t.Errorf("%s = %d, want 1", MetricDeltaDivergence, got)
+			}
+			if got := rt.reg.Counter(MetricGraphDeltas).Value(); got != 0 {
+				t.Errorf("%s = %d, want 0", MetricGraphDeltas, got)
+			}
+			if got := rt.reg.Counter(MetricGraphPushes).Value(); got != pushes {
+				t.Errorf("disputed child replicated: %d pushes after the delta", got-pushes)
+			}
+			if got := rt.reg.Counter(MetricDeltaSeeded).Value(); got != 0 {
+				t.Errorf("%s = %d, want 0", MetricDeltaSeeded, got)
+			}
+			if n := rt.store.Len(); n != 1 {
+				t.Errorf("mirror holds %d graphs, want only the parent", n)
+			}
+		})
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // Handler returns the router's HTTP surface. It mirrors a worker's
 // surface path for path, so serve.Client — and every tool built on it
-// (loadgen, the CLI, diffcheck) — points at a router unchanged and gets
-// cluster semantics.
+// (the self-check, diffcheck, the bench/ load driver) — points at a
+// router unchanged and gets cluster semantics.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	r.front.Route(mux)

@@ -13,7 +13,7 @@ import (
 // InProcess is a live cluster on loopback ports: N worker daemons plus a
 // router fronting them, with a typed client pointed at the router. It is
 // the harness behind the cluster tests, the node-crash diffcheck oracle,
-// and `subgraphd -loadgen -cluster N` — the same topology a production
+// and the bench/ cluster workload — the same topology a production
 // deployment runs, minus the machines.
 type InProcess struct {
 	// Router is the fronting router (prober started).

@@ -37,9 +37,10 @@ const (
 	MetricCacheHits        = "cluster_cache_hits_total"
 	MetricCacheMisses      = "cluster_cache_misses_total"
 	MetricGraphUploads     = "cluster_graphs_uploaded_total"
-	MetricGraphPushes      = "cluster_graph_pushes_total" // router→worker replications
-	MetricGraphDeltas      = "cluster_graph_deltas_total" // deltas applied through the router
-	MetricDeltaSeeded      = "cluster_delta_seeded_total" // shared-cache entries seeded along lineage
+	MetricGraphPushes      = "cluster_graph_pushes_total"     // router→worker replications
+	MetricGraphDeltas      = "cluster_graph_deltas_total"     // deltas applied through the router
+	MetricDeltaSeeded      = "cluster_delta_seeded_total"     // shared-cache entries seeded along lineage
+	MetricDeltaDivergence  = "cluster_delta_divergence_total" // 502: worker and mirror disagree on a delta's child
 	MetricProbes           = "cluster_probes_total"
 	GaugeMembers           = "cluster_members"
 	GaugeMembersUp         = "cluster_members_up"
@@ -230,7 +231,7 @@ func New(cfg Config) (*Router, error) {
 		MetricJobsRejected, MetricJobsBounced, MetricJobsUnroutable,
 		MetricJobsDraining, MetricCacheHits, MetricCacheMisses,
 		MetricGraphUploads, MetricGraphPushes, MetricGraphDeltas,
-		MetricDeltaSeeded, MetricProbes,
+		MetricDeltaSeeded, MetricDeltaDivergence, MetricProbes,
 	} {
 		r.reg.Counter(name)
 	}
@@ -575,7 +576,7 @@ func (r *Router) pushGraph(ctx context.Context, m *member, digest string) error 
 // clusterMetrics aggregates the fleet into one serve.MetricsView: the
 // router's own registry plus the sum of every live worker's serve_*
 // counters, with the router's shared-cache traffic folded into the
-// serve_cache_* totals. A loadgen (or dashboard) pointed at the router
+// serve_cache_* totals. A load driver (or dashboard) pointed at the router
 // therefore reads cluster-wide hit rates and shed counts with the same
 // keys it uses against a single node.
 func (r *Router) clusterMetrics(ctx context.Context) serve.MetricsView {

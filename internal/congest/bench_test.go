@@ -28,7 +28,7 @@ func BenchmarkDelivery(b *testing.B) {
 // denseComposite is the skewed-degree workload from the clique experiments:
 // a sparse G(n,p) base with a planted K_s, so a few vertices carry far more
 // traffic than the rest. This is the graph family the weighted worker
-// chunking and pooled delivery are judged on (see BENCH_PR3.json).
+// chunking and pooled delivery are judged on.
 func denseComposite(n, s int) *graph.Graph {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.GNP(n, 0.06, rng)

@@ -8,7 +8,7 @@ import (
 	"subgraph/internal/graph"
 )
 
-// Kernel-vs-simulation benchmarks: the BENCH_PR8.json measurement set.
+// Kernel-vs-simulation benchmarks.
 //
 // Both sides answer the same question on the same seeded instances —
 // "does G contain K_s (and how many copies)?" — the simulation through

@@ -108,7 +108,7 @@ func (v *TimelineView) SpanByName(name string) *SpanView {
 
 // SpansByName returns every span with the given name, in start order —
 // batch passes hang one kernel_run span per job under distinct roots,
-// and the loadgen breakdown aggregates them all.
+// and the bench/ per-layer breakdown aggregates them all.
 func (v *TimelineView) SpansByName(name string) []*SpanView {
 	if v == nil {
 		return nil

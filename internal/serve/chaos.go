@@ -9,17 +9,16 @@ import (
 	"subgraph/internal/obs"
 )
 
-// Chaos metric names (counted in the server's registry so a loadgen run
-// can read back exactly how much fault injection it survived).
+// Chaos metric names (counted in the server's registry so a test can
+// read back exactly how much fault injection it survived).
 const (
 	MetricChaos429   = "chaos_injected_429_total"
 	MetricChaos503   = "chaos_injected_503_total"
 	MetricChaosDelay = "chaos_injected_delay_total"
 )
 
-// ChaosConfig tunes the fault-injection middleware wrapped around the
-// daemon's API surface by loadgen's -chaos mode. Rates are per-request
-// probabilities in [0,1].
+// ChaosConfig tunes the fault-injection middleware that tests wrap around
+// the daemon's API surface. Rates are per-request probabilities in [0,1].
 type ChaosConfig struct {
 	// Seed makes the injection sequence deterministic.
 	Seed int64
@@ -36,10 +35,10 @@ type ChaosConfig struct {
 	LatencyMax time.Duration
 }
 
-// Chaos injects faults in front of an http.Handler: the adversary the
-// retry policy and loadgen chaos runs are graded against. Injection only
-// hits /v1/ paths — health and metrics stay clean so probes and the
-// harness's own bookkeeping are not confounded.
+// Chaos injects faults in front of an http.Handler: the shared test
+// adversary the client's retry policy and the canary acceptance run are
+// graded against. Injection only hits /v1/ paths — health and metrics
+// stay clean so probes and the test's own bookkeeping are not confounded.
 type Chaos struct {
 	cfg ChaosConfig
 	reg *obs.Registry

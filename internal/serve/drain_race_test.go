@@ -33,11 +33,13 @@ func TestDrainRaceNoAcceptedJobLost(t *testing.T) {
 	const submitters = 8
 	const perSubmitter = 12
 	var (
-		mu       sync.Mutex
-		accepted []string
-		wg       sync.WaitGroup
+		mu        sync.Mutex
+		accepted  []string
+		wg        sync.WaitGroup
+		firstOnce sync.Once
 	)
 	start := make(chan struct{})
+	firstAccepted := make(chan struct{})
 	for w := 0; w < submitters; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -54,6 +56,7 @@ func TestDrainRaceNoAcceptedJobLost(t *testing.T) {
 					mu.Lock()
 					accepted = append(accepted, jv.ID)
 					mu.Unlock()
+					firstOnce.Do(func() { close(firstAccepted) })
 				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 					// Saturation and draining are valid answers mid-burst.
 				default:
@@ -63,14 +66,21 @@ func TestDrainRaceNoAcceptedJobLost(t *testing.T) {
 		}(w)
 	}
 	close(start)
-	// Drain lands somewhere inside the burst.
+	// Drain lands inside the burst, right after its first acceptance, so
+	// admitted jobs are always in flight when the flag flips. A burst that
+	// accepts nothing drains after it and fails the check below.
+	burstDone := make(chan struct{})
 	drainDone := make(chan struct{})
 	go func() {
 		defer close(drainDone)
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-firstAccepted:
+		case <-burstDone:
+		}
 		s.BeginDrain()
 	}()
 	wg.Wait()
+	close(burstDone)
 	<-drainDone
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -1,10 +1,28 @@
 package serve
 
 import (
+	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"subgraph"
 )
+
+// keySpecs are the spec shapes the cache-key tests cover, over one graph
+// digest.
+func keySpecs(digest string) []JobSpec {
+	return []JobSpec{
+		{Graph: digest, Pattern: "triangle"},
+		{Graph: digest, Pattern: "cycle:3"}, // alias of triangle: same pattern digest
+		{Graph: digest, Pattern: "clique:4", Options: subgraph.OptionsSpec{Seed: 42, Parallel: true}},
+		{Graph: digest, Pattern: "path:3", Options: subgraph.OptionsSpec{DeadlineMs: 1500}},
+		{Graph: digest, Pattern: "star:4", Priority: PriorityHigh},
+		{Graph: digest, Pattern: "triangle", Mode: ModeCount},
+		{Graph: digest, Pattern: "clique:5", Mode: ModeCount, Options: subgraph.OptionsSpec{Seed: 9}},
+	}
+}
 
 // TestSpecCacheKeyMatchesPrepare pins the shared-cache contract: the
 // router-side SpecCacheKey (computed without the stored graph) must
@@ -17,16 +35,7 @@ func TestSpecCacheKeyMatchesPrepare(t *testing.T) {
 	_ = text
 	digest, _ := s.store.Put(g)
 
-	specs := []JobSpec{
-		{Graph: digest, Pattern: "triangle"},
-		{Graph: digest, Pattern: "cycle:3"}, // alias of triangle: same pattern digest
-		{Graph: digest, Pattern: "clique:4", Options: subgraph.OptionsSpec{Seed: 42, Parallel: true}},
-		{Graph: digest, Pattern: "path:3", Options: subgraph.OptionsSpec{DeadlineMs: 1500}},
-		{Graph: digest, Pattern: "star:4", Priority: PriorityHigh},
-		{Graph: digest, Pattern: "triangle", Mode: ModeCount},
-		{Graph: digest, Pattern: "clique:5", Mode: ModeCount, Options: subgraph.OptionsSpec{Seed: 9}},
-	}
-	for _, spec := range specs {
+	for _, spec := range keySpecs(digest) {
 		j, aerr := s.prepare(spec)
 		if aerr != nil {
 			t.Fatalf("prepare(%+v): %v", spec, aerr.msg)
@@ -70,4 +79,114 @@ func TestSpecCacheKeyMatchesPrepare(t *testing.T) {
 	if _, err := SpecCacheKey(JobSpec{Graph: digest, Pattern: "path:5", Mode: ModeCount}); err == nil {
 		t.Error("non-countable pattern accepted in count mode")
 	}
+}
+
+// FuzzSpecCacheKey checks the shared cache key on pairs of decoded specs:
+// a key survives a JSON re-encode of its spec and the Options →
+// OptionsSpecOf round trip, and equal keys imply the same graph digest,
+// pattern digest and mode and, in detect mode, the same options up to the
+// deadline. That injectivity is what a cluster-wide cache hit relies on.
+func FuzzSpecCacheKey(f *testing.F) {
+	const digest = "0f3a9c5be81d2746"
+	seeds := keySpecs(digest)
+	for _, o := range []subgraph.OptionsSpec{
+		// TestOptionsSpecCanonical's options.
+		{},
+		{Seed: 5, Reps: 10},
+		{Seed: 5, Reps: 10, Faults: &subgraph.FaultSpec{Seed: 77}},
+		{Seed: 6, Reps: 10},
+		// TestSpecCacheKeyMatchesPrepare's deadline pair.
+		{DeadlineMs: 100},
+		{DeadlineMs: 90000},
+		// The largest deadline a time.Duration holds, and one past it,
+		// which Options must reject rather than wrap negative.
+		{DeadlineMs: math.MaxInt64 / int64(time.Millisecond)},
+		{DeadlineMs: math.MaxInt64/int64(time.Millisecond) + 1},
+	} {
+		seeds = append(seeds, JobSpec{Graph: digest, Pattern: "triangle", Options: o})
+	}
+	seeds = append(seeds, JobSpec{Graph: digest, Pattern: "cycle:3", Mode: ModeCount,
+		Options: subgraph.OptionsSpec{Seed: 77, Reps: 3}})
+	for i, a := range seeds {
+		ja, _ := json.Marshal(a)
+		jb, _ := json.Marshal(seeds[(i+1)%len(seeds)])
+		f.Add(ja, jb)
+	}
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var sa, sb JobSpec
+		if json.Unmarshal(a, &sa) != nil || json.Unmarshal(b, &sb) != nil {
+			return
+		}
+		ka, errA := SpecCacheKey(sa)
+		kb, errB := SpecCacheKey(sb)
+		if errA != nil || errB != nil {
+			return
+		}
+		checkKeyStable(t, sa, ka)
+		checkKeyStable(t, sb, kb)
+		if ka != kb {
+			return
+		}
+		if sa.Graph != sb.Graph {
+			t.Fatalf("graphs %q and %q share key %s", sa.Graph, sb.Graph, ka)
+		}
+		if pa, pb := patternDigest(t, sa), patternDigest(t, sb); pa != pb {
+			t.Fatalf("patterns %q and %q share key %s", sa.Pattern, sb.Pattern, ka)
+		}
+		if ma, mb := keyMode(sa), keyMode(sb); ma != mb {
+			t.Fatalf("modes %q and %q share key %s", ma, mb, ka)
+		} else if ma == ModeCount {
+			return
+		}
+		oa, _ := sa.Options.Options()
+		ob, _ := sb.Options.Options()
+		oa.Deadline, ob.Deadline = 0, 0
+		if !reflect.DeepEqual(oa, ob) {
+			t.Fatalf("options %+v and %+v share key %s", sa.Options, sb.Options, ka)
+		}
+	})
+}
+
+// checkKeyStable asserts spec's key survives a JSON re-encode of the spec
+// and replacing its Options with their OptionsSpecOf round trip.
+func checkKeyStable(t *testing.T, spec JobSpec, key string) {
+	t.Helper()
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back JobSpec
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := SpecCacheKey(back); k != key {
+		t.Fatalf("key changed across a JSON re-encode (err %v):\n  %s\n  %s", err, key, k)
+	}
+	opts, err := spec.Options.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Options = subgraph.OptionsSpecOf(opts)
+	if k, err := SpecCacheKey(spec); k != key {
+		t.Fatalf("key changed across OptionsSpecOf(Options()) (err %v):\n  %s\n  %s", err, key, k)
+	}
+}
+
+func patternDigest(t *testing.T, spec JobSpec) string {
+	t.Helper()
+	h, err := subgraph.ParsePattern(spec.Pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Digest()
+}
+
+// keyMode is the spec's execution mode with the detect default spelled
+// out.
+func keyMode(spec JobSpec) string {
+	if spec.Mode == "" {
+		return ModeDetect
+	}
+	return spec.Mode
 }

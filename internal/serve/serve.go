@@ -22,8 +22,7 @@
 //     worker forever.
 //
 // The HTTP surface is in handlers.go, the front end it shares with the
-// cluster router in front.go, the job lifecycle in job.go, and the load
-// harness in loadgen.go.
+// cluster router in front.go, and the job lifecycle in job.go.
 package serve
 
 import (

@@ -3,6 +3,7 @@ package subgraph
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -162,6 +163,9 @@ func (s OptionsSpec) Options() (Options, error) {
 	}
 	if s.DeadlineMs < 0 {
 		return Options{}, fmt.Errorf("subgraph: negative deadline_ms %d", s.DeadlineMs)
+	}
+	if s.DeadlineMs > math.MaxInt64/int64(time.Millisecond) {
+		return Options{}, fmt.Errorf("subgraph: deadline_ms %d overflows a time.Duration", s.DeadlineMs)
 	}
 	if f := s.Faults; f != nil {
 		if f.DropRate < 0 || f.DropRate > 1 {

@@ -85,6 +85,7 @@ func TestOptionsSpecValidation(t *testing.T) {
 	bad := []OptionsSpec{
 		{Reps: -1},
 		{DeadlineMs: -5},
+		{DeadlineMs: 1 << 62}, // overflows a time.Duration
 		{Faults: &FaultSpec{DropRate: 1.5}},
 		{Faults: &FaultSpec{CorruptRate: -0.1}},
 	}

@@ -2,17 +2,19 @@
 # End-to-end smoke test for the subgraphd cluster, run by CI and
 # `make cluster-smoke`:
 #
-#   1. build subgraphd;
+#   1. build subgraphd, and check it refuses -canary on a router (a
+#      router runs no jobs, so the canary would check nothing);
 #   2. start two worker daemons on ephemeral ports, then a router
 #      fronting them (digest routing, shared result cache, replication 2);
 #   3. run the self-check THROUGH the router: health, upload dedup +
 #      digest cross-check, and a triangle job byte-identical to the
 #      library call — proving the proxied surface is indistinguishable
 #      from a single daemon;
-#   4. fire a loadgen burst at the router and SIGKILL one worker
-#      mid-run: every admitted job must still complete (the router
-#      re-dispatches the dead worker's jobs to the surviving replica;
-#      loadgen exits non-zero if any job errors);
+#   4. upload four seeded graphs, fire a 200-job burst at the router
+#      from 8 closed-loop curl clients (submit, then poll to a terminal
+#      state; curl retries transient statuses), and SIGKILL one worker
+#      mid-run: every job must still end done (the router re-dispatches
+#      the dead worker's jobs to the surviving replica);
 #   5. SIGTERM the router and the surviving worker and require clean
 #      drains (exit 0) from both.
 set -euo pipefail
@@ -36,6 +38,16 @@ wait_port() { # portfile -> prints bound address
 
 echo "== build"
 go build -o "$workdir/subgraphd" ./cmd/subgraphd
+
+echo "== -canary on a router exits 2"
+status=0
+"$workdir/subgraphd" -router -members http://127.0.0.1:1 -canary 1 \
+  -listen 127.0.0.1:0 2>"$workdir/router-canary.log" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q 'run no jobs' "$workdir/router-canary.log"; then
+  echo "-router -canary 1 exited $status, want 2 with a 'run no jobs' message" >&2
+  cat "$workdir/router-canary.log" >&2
+  exit 1
+fi
 
 echo "== start 2 workers (ephemeral ports)"
 for i in 0 1; do
@@ -82,26 +94,79 @@ if ! "$workdir/subgraphd" -selfcheck "http://$addr"; then
   exit 1
 fi
 
-echo "== loadgen burst with a worker crash mid-run"
-"$workdir/subgraphd" -loadgen -target "http://$addr" \
-  -jobs 200 -concurrency 8 -seed 1 -out "$workdir/cluster_loadgen.json" \
-  2>"$workdir/loadgen.log" &
-lgpid=$!
+echo "== upload 4 seeded graphs (n=150, planted triangle / C4 / K4)"
+python3 - "$workdir" <<'PY'
+import random, sys
+rng = random.Random(1)
+n = 150
+for i in range(4):
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1.2 / n}
+    vs = rng.sample(range(n), 3 if i == 0 else 4)
+    if i == 1:  # 4-cycle
+        pairs = [(vs[j], vs[(j + 1) % 4]) for j in range(4)]
+    else:       # clique
+        pairs = [(a, b) for j, a in enumerate(vs) for b in vs[j + 1:]]
+    edges |= {(min(a, b), max(a, b)) for a, b in pairs}
+    with open(f"{sys.argv[1]}/g{i}.txt", "w") as f:
+        f.write(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges)))
+PY
+base="http://$addr"
+# field NAME JSON — a top-level string field of a compact JSON document.
+field() { sed -n "s/.*\"$1\":\"\([^\"]*\)\".*/\1/p" <<<"$2"; }
+digests=()
+for i in 0 1 2 3; do
+  up=$(curl -fsS --data-binary @"$workdir/g$i.txt" "$base/v1/graphs")
+  digests+=("$(field digest "$up")")
+done
+
+# Job i runs pattern i%5 on graph (i/5)%4 with seed (i/20)%5, so jobs i
+# and i+100 are the same spec: half the burst can hit the shared cache.
+jobs=200
+clients=8
+patterns=(triangle cycle:4 clique:4 path:4 star:3)
+# Transient statuses (429/502/503/504, refused connections) are retried.
+retry=(--retry 8 --retry-connrefused --retry-max-time 60)
+run_job() { # index -> prints the job's terminal state (or why it has none)
+  local spec body id state polls=0
+  spec="{\"graph\":\"${digests[$1 / 5 % 4]}\",\"pattern\":\"${patterns[$1 % 5]}\",\"options\":{\"seed\":$(($1 / 20 % 5))}}"
+  body=$(curl -fsS "${retry[@]}" -H 'Content-Type: application/json' -d "$spec" "$base/v1/jobs") ||
+    { echo submit-failed; return; }
+  id=$(field id "$body")
+  state=$(field state "$body")
+  while [ "$state" != done ] && [ "$state" != failed ]; do
+    polls=$((polls + 1))
+    [ "$polls" -le 1200 ] || { echo "stuck-$state"; return; }
+    sleep 0.05
+    body=$(curl -fsS "${retry[@]}" "$base/v1/jobs/$id") || { echo poll-failed; return; }
+    state=$(field state "$body")
+  done
+  echo "$state"
+}
+client() { # k -> runs jobs k, k+clients, ... in a closed loop
+  for ((i = $1; i < jobs; i += clients)); do
+    echo "$i $(run_job "$i")"
+  done >"$workdir/client$1.out"
+}
+
+echo "== $jobs-job burst from $clients curl clients with a worker crash mid-run"
+client_pids=()
+for ((k = 0; k < clients; k++)); do
+  client "$k" &
+  client_pids+=($!)
+done
 sleep 0.7
 echo "   SIGKILL worker w1 (pid $worker1)"
 kill -KILL "$worker1" 2>/dev/null || true
-status=0
-wait "$lgpid" || status=$?
-if [ "$status" -ne 0 ]; then
-  echo "loadgen failed ($status) after the worker crash; logs:" >&2
-  tail -n 40 "$workdir/loadgen.log" >&2
+wait "${client_pids[@]}"
+done_jobs=$(cat "$workdir"/client*.out | grep -c ' done$' || true)
+if [ "$done_jobs" -ne "$jobs" ]; then
+  echo "$done_jobs of $jobs jobs ended done after the worker crash; the rest:" >&2
+  cat "$workdir"/client*.out | grep -v ' done$' >&2 || true
   tail -n 40 "$workdir/router.log" >&2
   exit 1
 fi
-grep -q '"workload"' "$workdir/cluster_loadgen.json" || {
-  echo "loadgen wrote no report" >&2
-  exit 1
-}
+redispatched=$(curl -fsS "$base/metrics" | sed -n 's/.*"cluster_jobs_redispatched_total":\([0-9]*\).*/\1/p')
+echo "   all $jobs jobs done (${redispatched:-0} re-dispatched by the router)"
 
 echo "== SIGTERM drain (router, then surviving worker)"
 kill -TERM "$router"

@@ -249,7 +249,7 @@ func Oracles() []Oracle {
 		},
 		{
 			Name:    "kernel-vs-truth",
-			Doc:     "bitset kernel counts equal Chiba–Nishizeki enumeration; dense ≡ hybrid; detection equals VF2; batch ≡ single",
+			Doc:     "bitset kernel counts equal Chiba–Nishizeki enumeration; dense ≡ hybrid; detection equals VF2",
 			Applies: cliqueFamily,
 			Check:   checkKernelVsTruth,
 		},
@@ -478,7 +478,7 @@ func checkFaultAccounting(_ *Harness, c *Case) error {
 
 // checkKernelVsTruth pins the word-parallel kernel to the enumeration
 // ground truth (graph.CountCliques) and the VF2 containment oracle, and
-// the two adjacency forms and the batched entry point to each other.
+// the two adjacency forms to each other.
 func checkKernelVsTruth(h *Harness, c *Case) error {
 	g, err := c.Graph()
 	if err != nil {
@@ -491,9 +491,7 @@ func checkKernelVsTruth(h *Harness, c *Case) error {
 	s, _ := kernel.CliqueSize(p)
 	k := h.kernel()
 	want := g.CountCliques(s)
-	dense := graph.NewBitAdjacencyDense(g)
-	hybrid := graph.NewBitAdjacencyHybrid(g)
-	for _, b := range []*graph.BitAdjacency{dense, hybrid} {
+	for _, b := range []*graph.BitAdjacency{graph.NewBitAdjacencyDense(g), graph.NewBitAdjacencyHybrid(g)} {
 		if got := k.Count(b, s); got != want {
 			return fmt.Errorf("%s kernel counts %d copies of K_%d but enumeration counts %d", b.Mode(), got, s, want)
 		}
@@ -503,10 +501,6 @@ func checkKernelVsTruth(h *Harness, c *Case) error {
 	}
 	if truth := subgraph.ContainsSubgraph(p, g); truth != (want > 0) {
 		return fmt.Errorf("VF2 containment %v disagrees with enumeration count %d for K_%d", truth, want, s)
-	}
-	batch := k.CountBatch(dense, []int{s, s})
-	if batch[0] != want || batch[1] != want {
-		return fmt.Errorf("CountBatch(K_%d, K_%d) = %v, single-pass count %d", s, s, batch, want)
 	}
 	return nil
 }

@@ -7,9 +7,13 @@ import "fmt"
 // Vertices are relabeled by degeneracy rank (DegeneracyRank), and the
 // adjacency is stored in one of two forms chosen by size:
 //
-//   - dense: one n-bit row of []uint64 words per vertex, rows and bit
+//   - dense: one row of []uint64 bit words per vertex, rows and bit
 //     positions both indexed by rank. A neighborhood intersection is a
-//     word-wise AND + popcount over 64 vertices at a time.
+//     word-wise AND + popcount over 64 vertices at a time. Rows are
+//     upper-triangular: every kernel read intersects above a rank, so
+//     row r keeps only words [r/64, words) and only bits above r, which
+//     halves the dense form's memory. The neighbors below r are bit r
+//     of the rows before it.
 //   - hybrid: above the dense memory budget, only the degeneracy-ordered
 //     forward adjacency (higher-rank neighbors) is kept in CSR form. The
 //     kernels pair it with per-worker n-bit scratch rows, marking one
@@ -27,10 +31,13 @@ const (
 	BitHybrid BitAdjacencyMode = "hybrid"
 )
 
-// denseWordBudget bounds the dense form's row storage (n × words-per-row
-// uint64 words, 16 MiB at the default): under it the full n×n bit matrix
-// fits comfortably in cache-adjacent memory; above it the hybrid form's
+// denseWordBudget bounds the dense form's size (n × words-per-row uint64
+// words, 16 MiB at the default): under it the n×n bit matrix fits
+// comfortably in cache-adjacent memory; above it the hybrid form's
 // O(m + n/64-per-worker) footprint wins. ~11.5k vertices at the boundary.
+// The budget is stated for full rows, although the upper-triangular rows
+// store only about half of them, so that the dense/hybrid choice (and
+// with it every kernel's algorithm label) does not depend on the layout.
 const denseWordBudget = 1 << 21
 
 // BitAdjacency is an immutable rank-relabeled adjacency in bitset form.
@@ -39,15 +46,16 @@ const denseWordBudget = 1 << 21
 type BitAdjacency struct {
 	n     int
 	m     int
-	words int // uint64 words per dense row: ceil(n/64)
+	words int // uint64 words per full row: ceil(n/64)
 	mode  BitAdjacencyMode
 
 	order []int32 // order[r] = original vertex at rank r
 	rank  []int32 // rank[v] = r
 	degen int
 
-	// Dense form: rows[r*words : (r+1)*words] is the full neighborhood of
-	// the rank-r vertex; bit q is set iff {order[r], order[q]} is an edge.
+	// Dense form: rows[upperOffset(r, words):] starts the upper row of
+	// rank r, words [r/64, words) of its neighborhood; bit q of the row
+	// (q > r) is set iff {order[r], order[q]} is an edge.
 	rows []uint64
 
 	// Hybrid form: forward (higher-rank) neighbor ranks in CSR form,
@@ -71,14 +79,22 @@ func NewBitAdjacency(g *Graph) *BitAdjacency {
 // and oracles use the explicit constructors to pin dense ≡ hybrid.
 func NewBitAdjacencyDense(g *Graph) *BitAdjacency {
 	b := newBitAdjacency(g, BitDense)
-	b.rows = make([]uint64, b.n*b.words)
-	for r := 0; r < b.n; r++ {
-		for _, q := range b.Forward(int32(r)) {
-			b.rows[r*b.words+int(q)>>6] |= 1 << (uint(q) & 63)
-			b.rows[int(q)*b.words+r>>6] |= 1 << (uint(r) & 63)
+	b.rows = make([]uint64, upperOffset(b.n, b.words))
+	for r := int32(0); int(r) < b.n; r++ {
+		row := b.UpperRow(r)
+		base := int(r) >> 6
+		for _, q := range b.Forward(r) {
+			row[int(q)>>6-base] |= 1 << (uint(q) & 63)
 		}
 	}
 	return b
+}
+
+// upperOffset returns where rank r's upper row starts in the dense
+// form's rows: each row i < r holds words - i/64 words.
+func upperOffset(r, words int) int {
+	a, b := r>>6, r&63
+	return r*words - 32*a*(a-1) - a*b
 }
 
 // NewBitAdjacencyHybrid builds the hybrid form regardless of size.
@@ -87,53 +103,20 @@ func NewBitAdjacencyHybrid(g *Graph) *BitAdjacency {
 }
 
 // newBitAdjacency computes the shared rank relabeling and the forward
-// CSR both forms carry.
+// CSR both forms carry, both from one degeneracy peel.
 func newBitAdjacency(g *Graph, mode BitAdjacencyMode) *BitAdjacency {
-	order, rank, degen := g.DegeneracyRank()
-	b := &BitAdjacency{
-		n:     g.n,
-		m:     g.m,
-		words: (g.n + 63) / 64,
-		mode:  mode,
-		order: order,
-		rank:  rank,
-		degen: degen,
+	order, rank, degen, fwdOff, fwd := g.peel(true)
+	return &BitAdjacency{
+		n:      g.n,
+		m:      g.m,
+		words:  (g.n + 63) / 64,
+		mode:   mode,
+		order:  order,
+		rank:   rank,
+		degen:  degen,
+		fwdOff: fwdOff,
+		fwd:    fwd,
 	}
-	// Forward CSR by rank: counting sort on the source rank, then an
-	// insertion-sort pass per list (lists are ≤ degeneracy long and the
-	// counting fill emits them nearly sorted on natural inputs).
-	b.fwdOff = make([]int32, b.n+1)
-	for v := 0; v < g.n; v++ {
-		rv := rank[v]
-		for _, w := range g.adj[v] {
-			if rank[w] > rv {
-				b.fwdOff[rv+1]++
-			}
-		}
-	}
-	for r := 0; r < b.n; r++ {
-		b.fwdOff[r+1] += b.fwdOff[r]
-	}
-	b.fwd = make([]int32, g.m)
-	cursor := make([]int32, b.n)
-	for v := 0; v < g.n; v++ {
-		rv := rank[v]
-		for _, w := range g.adj[v] {
-			if rw := rank[w]; rw > rv {
-				b.fwd[b.fwdOff[rv]+cursor[rv]] = rw
-				cursor[rv]++
-			}
-		}
-	}
-	for r := 0; r < b.n; r++ {
-		list := b.fwd[b.fwdOff[r]:b.fwdOff[r+1]]
-		for i := 1; i < len(list); i++ {
-			for j := i; j > 0 && list[j-1] > list[j]; j-- {
-				list[j-1], list[j] = list[j], list[j-1]
-			}
-		}
-	}
-	return b
 }
 
 // N returns the vertex count.
@@ -142,7 +125,8 @@ func (b *BitAdjacency) N() int { return b.n }
 // M returns the edge count.
 func (b *BitAdjacency) M() int { return b.m }
 
-// Words returns the uint64 words per dense row: ceil(N/64).
+// Words returns the uint64 words of a full n-bit row, ceil(N/64): the
+// width of the kernels' scratch rows.
 func (b *BitAdjacency) Words() int { return b.words }
 
 // Mode reports which storage form was built.
@@ -157,13 +141,17 @@ func (b *BitAdjacency) Order() []int32 { return b.order }
 // Rank returns the vertex→rank map. Callers must not modify it.
 func (b *BitAdjacency) Rank() []int32 { return b.rank }
 
-// Row returns the dense n-bit neighborhood row of the rank-r vertex.
-// It panics in hybrid mode — kernels branch on Mode() first.
-func (b *BitAdjacency) Row(r int32) []uint64 {
+// UpperRow returns the upper half of the rank-r vertex's dense row:
+// words [r/64, Words()) of the n-bit neighborhood, so element i holds
+// ranks 64·(r/64 + i) onward, with only the bits above r ever set. The
+// neighbors below r are bit r of the rows before it. Callers must not
+// modify it. It panics in hybrid mode — kernels branch on Mode() first.
+func (b *BitAdjacency) UpperRow(r int32) []uint64 {
 	if b.mode != BitDense {
-		panic(fmt.Sprintf("graph: Row(%d) on %s BitAdjacency", r, b.mode))
+		panic(fmt.Sprintf("graph: UpperRow(%d) on %s BitAdjacency", r, b.mode))
 	}
-	return b.rows[int(r)*b.words : (int(r)+1)*b.words]
+	off := upperOffset(int(r), b.words)
+	return b.rows[off : off+b.words-int(r)>>6]
 }
 
 // Forward returns the ascending ranks of the rank-r vertex's higher-rank

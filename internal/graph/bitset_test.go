@@ -39,12 +39,21 @@ func reconstruct(b *BitAdjacency, v int) []int32 {
 	var out []int32
 	rv := rank[v]
 	if b.Mode() == BitDense {
-		row := b.Row(rv)
-		for wi, w := range row {
+		// Upper rows keep a neighborhood in two halves: every stored bit
+		// of v's own row (the neighbors above rv), plus bit rv of each
+		// lower row (the neighbors below). Reading every stored bit, not
+		// just those above rv, lets a stray bit fail the comparison.
+		base := int(rv) >> 6
+		for wi, w := range b.UpperRow(rv) {
 			for w != 0 {
-				q := wi<<6 + bits.TrailingZeros64(w)
+				q := (base+wi)<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
 				out = append(out, order[q])
+			}
+		}
+		for r := int32(0); r < rv; r++ {
+			if b.UpperRow(r)[int(rv)>>6-int(r)>>6]>>(uint(rv)&63)&1 == 1 {
+				out = append(out, order[r])
 			}
 		}
 	} else {
@@ -73,6 +82,11 @@ func TestBitAdjacencyReconstructsNeighbors(t *testing.T) {
 		for _, b := range []*BitAdjacency{NewBitAdjacencyDense(g), NewBitAdjacencyHybrid(g)} {
 			if b.N() != g.N() || b.M() != g.M() {
 				t.Fatalf("graph %d (%v) %s: size mismatch n=%d m=%d", gi, g, b.Mode(), b.N(), b.M())
+			}
+			for r := int32(0); b.Mode() == BitDense && int(r) < b.N(); r++ {
+				if got, want := len(b.UpperRow(r)), b.Words()-int(r)>>6; got != want {
+					t.Fatalf("graph %d (%v): upper row %d holds %d words, want %d", gi, g, r, got, want)
+				}
 			}
 			for v := 0; v < g.N(); v++ {
 				got := reconstruct(b, v)

@@ -1,6 +1,67 @@
 package graph
 
-import "testing"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+)
+
+// orderHash is FNV-1a over the order's ranks as little-endian uint32s.
+func orderHash(order []int32) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, v := range order {
+		binary.LittleEndian.PutUint32(buf[:], uint32(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestDegeneracyRankGolden pins the exact order, not just its
+// properties: ForEachClique's visit order and every rank the kernels see
+// depend on how the peel breaks ties. One entry per bitsetCorpus graph,
+// in corpus order; a rewrite of the peel must reproduce every hash.
+func TestDegeneracyRankGolden(t *testing.T) {
+	golden := []struct {
+		n, degeneracy int
+		hash          uint64
+	}{
+		{0, 0, 0xcbf29ce484222325},
+		{1, 0, 0x4d25767f9dce13f5},
+		{9, 1, 0x82e1846d303ec47d},
+		{12, 2, 0xd153fd43b7fa7e65},
+		{18, 1, 0x3f6bc999ccd93834},
+		{13, 12, 0x227a832092eae779},
+		{13, 5, 0x51942f0b6dc387c9},
+		{12, 6, 0xc743c8b32abaace5},
+		{40, 1, 0x31203d5b9ba96c15},
+		{10, 2, 0x8020fc7ea60a72f4},
+		{10, 3, 0x3f2fda61cc5ef5a4},
+		{33, 3, 0xf0c1465a4f5e31b5},
+		{33, 13, 0xefccef651d807bb5},
+		{64, 6, 0x814797735f31e245},
+		{64, 24, 0x89794120c96e74e5},
+		{65, 7, 0xc437bc2dfcc12645},
+		{65, 26, 0x07ccadc406c04b45},
+		{100, 11, 0xb2dbb53e05310e15},
+		{100, 40, 0x239c98920f60cfd5},
+		{130, 13, 0x9968950a9a440854},
+		{130, 51, 0xe5a65c520cec1174},
+		{50, 4, 0xffe9a1dbe7c41014},
+	}
+	corpus := bitsetCorpus(t)
+	if len(corpus) != len(golden) {
+		t.Fatalf("corpus has %d graphs, golden table %d", len(corpus), len(golden))
+	}
+	for gi, g := range corpus {
+		order, _, d := g.DegeneracyRank()
+		want := golden[gi]
+		if got := orderHash(order); g.N() != want.n || d != want.degeneracy || got != want.hash {
+			t.Errorf("graph %d (%v): (n %d, degeneracy %d, order hash %#016x), want (%d, %d, %#016x)",
+				gi, g, g.N(), d, got, want.n, want.degeneracy, want.hash)
+		}
+	}
+}
 
 // TestDegeneracyRankProperties pins the shared ordering helper to its
 // definition: every vertex has at most `degeneracy` neighbors later in

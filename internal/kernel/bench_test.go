@@ -67,25 +67,6 @@ func BenchmarkSimClique4N300(b *testing.B)    { benchSim(b, benchInstance(300, 0
 func BenchmarkKernelClique5N200(b *testing.B) { benchKernel(b, benchInstance(200, 0.1), 5) }
 func BenchmarkSimClique5N200(b *testing.B)    { benchSim(b, benchInstance(200, 0.1), "clique:5") }
 
-// BenchmarkKernelBatch16TriangleN300 measures the batched shape serve
-// uses under pressure: one adjacency build amortized over 16 counting
-// requests (4 distinct sizes × 4 repeats) in a single pass set.
-func BenchmarkKernelBatch16TriangleN300(b *testing.B) {
-	g := benchInstance(300, 0.05)
-	k := New(0)
-	defer k.Close()
-	sizes := make([]int, 16)
-	for i := range sizes {
-		sizes[i] = 3 + i%4
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bits := graph.NewBitAdjacency(g)
-		k.CountBatch(bits, sizes)
-	}
-}
-
 // BenchmarkKernelHybridTriangleN600 pins the hybrid form's cost on the
 // same instance the dense benchmark runs (mode is forced; the auto
 // picker would choose dense at this size).

@@ -14,64 +14,43 @@ package kernel
 
 import "math/bits"
 
-// IntersectCount returns the number of set bits common to a and b — the
-// size of the intersection of the two vertex sets the rows encode. Only
-// the overlapping word prefix participates, matching set semantics when
-// the shorter row's tail is all-absent. This is the primitive the fuzz
-// target pins against a naive set intersection.
-func IntersectCount(a, b []uint64) int64 {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var c int
-	for i, w := range a {
-		c += bits.OnesCount64(w & b[i])
-	}
-	return int64(c)
-}
-
-// intersectCountAbove returns |{q > above : a[q] and b[q] set}| — the
-// masked intersection the ordered triangle kernel uses so each triangle
-// is counted exactly once (rank(u) < rank(v) < rank(w)).
-func intersectCountAbove(a, b []uint64, above int32) int64 {
-	wi := int(above) >> 6
-	if wi >= len(a) {
+// intersectCountAbove returns the popcount of a AND b, leaving out bits
+// 0..off of the first word — the masked intersection the ordered kernels
+// use so each clique is counted exactly once (rank(u) < rank(v) <
+// rank(w)). a and b are equal-length row suffixes aligned on the word
+// of the rank the intersection is above, and off is that rank's bit
+// within the word; every later word counts in full.
+func intersectCountAbove(a, b []uint64, off uint) int64 {
+	if len(a) == 0 {
 		return 0
 	}
-	var c int
-	// Partial first word: keep only bits strictly above `above`.
-	w := a[wi] & b[wi] &^ lowMask(uint(above)&63+1)
-	c += bits.OnesCount64(w)
-	for i := wi + 1; i < len(a); i++ {
+	b = b[:len(a)]
+	c := bits.OnesCount64(a[0] & b[0] & aboveMask(off))
+	for i := 1; i < len(a); i++ {
 		c += bits.OnesCount64(a[i] & b[i])
 	}
 	return int64(c)
 }
 
-// intersectAboveInto writes (a AND b restricted to bits > above) into
-// dst[wi:] where wi = above/64, zeroing nothing below — callers iterate
-// dst from wi. It returns wi and the popcount of what was written.
-func intersectAboveInto(dst, a, b []uint64, above int32) (wi int, count int64) {
-	wi = int(above) >> 6
-	if wi >= len(a) {
-		return wi, 0
+// intersectAboveInto writes a AND b, masked as in intersectCountAbove,
+// into dst[:len(a)] and returns the popcount of what it wrote.
+func intersectAboveInto(dst, a, b []uint64, off uint) int64 {
+	if len(a) == 0 {
+		return 0
 	}
-	var c int
-	w := a[wi] & b[wi] &^ lowMask(uint(above)&63+1)
-	dst[wi] = w
-	c += bits.OnesCount64(w)
-	for i := wi + 1; i < len(a); i++ {
+	b, dst = b[:len(a)], dst[:len(a)]
+	w := a[0] & b[0] & aboveMask(off)
+	dst[0] = w
+	c := bits.OnesCount64(w)
+	for i := 1; i < len(a); i++ {
 		w = a[i] & b[i]
 		dst[i] = w
 		c += bits.OnesCount64(w)
 	}
-	return wi, int64(c)
+	return int64(c)
 }
 
-// lowMask returns a word with the k lowest bits set; k may be 64.
-func lowMask(k uint) uint64 {
-	if k >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << k) - 1
+// aboveMask returns a word with the bits strictly above off (0..63) set.
+func aboveMask(off uint) uint64 {
+	return ^uint64(1) << (off & 63)
 }

@@ -3,11 +3,14 @@ package kernel
 import (
 	"encoding/binary"
 	"math/bits"
+	"math/rand"
 	"testing"
+
+	"subgraph/internal/graph"
 )
 
 // wordsOf packs fuzz bytes into uint64 rows (little-endian, zero-padded
-// tail) so arbitrary inputs exercise partial words and length mismatch.
+// tail) so arbitrary inputs exercise partial words.
 func wordsOf(data []byte) []uint64 {
 	out := make([]uint64, (len(data)+7)/8)
 	for i, b := range data {
@@ -16,9 +19,10 @@ func wordsOf(data []byte) []uint64 {
 	return out
 }
 
-// naiveIntersectSize materializes both bitsets as explicit vertex sets
-// and intersects them — the reference the word primitive must match.
-func naiveIntersectSize(a, b []uint64) int64 {
+// naiveAbove materializes both rows as explicit vertex sets and returns
+// their intersection strictly above bit off, ascending — the reference
+// the masked word primitives must match.
+func naiveAbove(a, b []uint64, off uint) []int {
 	in := make(map[int]bool)
 	for wi, w := range a {
 		for w != 0 {
@@ -26,39 +30,163 @@ func naiveIntersectSize(a, b []uint64) int64 {
 			w &= w - 1
 		}
 	}
-	var c int64
+	var out []int
 	for wi, w := range b {
 		for w != 0 {
-			if in[wi<<6+bits.TrailingZeros64(w)] {
-				c++
-			}
+			q := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
+			if q > int(off) && in[q] {
+				out = append(out, q)
+			}
 		}
 	}
-	return c
+	return out
 }
 
-// FuzzIntersectCount pins the popcount-word intersection primitive to a
-// naive set intersection on arbitrary row contents and lengths — the
-// CI fuzz smoke job runs this alongside the bitio and edge-list targets.
+// checkAbove runs both masked intersections on the aligned suffixes a
+// and b (equal lengths) and compares them, and the row the writing form
+// leaves in its destination, to naiveAbove.
+func checkAbove(t *testing.T, a, b []uint64, off uint) {
+	t.Helper()
+	want := naiveAbove(a, b, off)
+	if got := intersectCountAbove(a, b, off); got != int64(len(want)) {
+		t.Fatalf("intersectCountAbove(off %d) = %d, naive intersection = %d (%d words)", off, got, len(want), len(a))
+	}
+	if got := intersectCountAbove(b, a, off); got != int64(len(want)) {
+		t.Fatalf("intersectCountAbove(off %d) not symmetric: %d vs naive %d", off, got, len(want))
+	}
+	// One sentinel word past the end catches a write beyond len(a).
+	const sentinel = 0x5a5a5a5a5a5a5a5a
+	dst := make([]uint64, len(a)+1)
+	dst[len(a)] = sentinel
+	if got := intersectAboveInto(dst, a, b, off); got != int64(len(want)) {
+		t.Fatalf("intersectAboveInto(off %d) = %d, naive intersection = %d", off, got, len(want))
+	}
+	wantRow := make([]uint64, len(a)+1)
+	wantRow[len(a)] = sentinel
+	for _, q := range want {
+		wantRow[q>>6] |= 1 << (uint(q) & 63)
+	}
+	for i := range dst {
+		if dst[i] != wantRow[i] {
+			t.Fatalf("intersectAboveInto(off %d) wrote word %d = %#x, want %#x", off, i, dst[i], wantRow[i])
+		}
+	}
+}
+
+// FuzzIntersectCount pins the dense kernel's masked intersections to a
+// naive set intersection on arbitrary row contents, lengths and bit
+// offsets 0–63 — the CI fuzz smoke job runs it.
 func FuzzIntersectCount(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{0xff}, []byte{0x0f})
-	f.Add(binary.LittleEndian.AppendUint64(nil, ^uint64(0)), []byte{1, 2, 3})
+	f.Add([]byte{}, []byte{}, uint8(0))
+	f.Add([]byte{0xff}, []byte{0x0f}, uint8(2))
+	f.Add(binary.LittleEndian.AppendUint64(nil, ^uint64(0)), []byte{1, 2, 3, 4, 5, 6, 7, 0x80}, uint8(63))
 	seed := make([]byte, 40)
 	for i := range seed {
 		seed[i] = byte(i * 37)
 	}
-	f.Add(seed, seed[8:])
-	f.Fuzz(func(t *testing.T, araw, braw []byte) {
+	f.Add(seed, seed[8:], uint8(17))
+	f.Fuzz(func(t *testing.T, araw, braw []byte, off uint8) {
 		a, b := wordsOf(araw), wordsOf(braw)
-		want := naiveIntersectSize(a, b)
-		if got := IntersectCount(a, b); got != want {
-			t.Fatalf("IntersectCount = %d, naive intersection = %d (|a|=%d |b|=%d words)",
-				got, want, len(a), len(b))
+		// The kernels only intersect suffixes aligned to the same word.
+		n := min(len(a), len(b))
+		checkAbove(t, a[:n], b[:n], uint(off)&63)
+	})
+}
+
+// fuzzMaxN bounds the vertex count decodeDeltaCase produces, which keeps
+// a K_5 count on a decoded complete graph cheap.
+const fuzzMaxN = 40
+
+// decodeDeltaCase reads a graph and a delta against it from fuzz bytes.
+// data[0] picks n ≤ fuzzMaxN; then each 3-byte record (op, u, v) names
+// the pair {u mod n, v mod n}. An even op adds it to the graph; an odd
+// op puts it in the delta, as a delete when the graph has the edge and
+// an insert when it does not. Self-loops and repeats are skipped, so
+// every input decodes to a valid delta.
+func decodeDeltaCase(data []byte) (*graph.Graph, graph.EdgeDelta) {
+	n := 0
+	if len(data) > 0 {
+		n = int(data[0]) % (fuzzMaxN + 1)
+		data = data[1:]
+	}
+	b := graph.NewBuilder(n)
+	var changes [][2]int
+	for ; n > 0 && len(data) >= 3; data = data[3:] {
+		e := [2]int{int(data[1]) % n, int(data[2]) % n}
+		if data[0]&1 == 0 {
+			b.AddEdgeOK(e[0], e[1])
+		} else if e[0] != e[1] {
+			changes = append(changes, e)
 		}
-		if got := IntersectCount(b, a); got != want {
-			t.Fatalf("IntersectCount not symmetric: %d vs naive %d", got, want)
+	}
+	g := b.Build()
+	var d graph.EdgeDelta
+	seen := make(map[[2]int]bool)
+	for _, e := range changes {
+		key := [2]int{min(e[0], e[1]), max(e[0], e[1])}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if g.HasEdge(e[0], e[1]) {
+			d.Delete = append(d.Delete, e)
+		} else {
+			d.Insert = append(d.Insert, e)
+		}
+	}
+	return g, d
+}
+
+// encodeDeltaCase is decodeDeltaCase's inverse, for seeding the corpus.
+func encodeDeltaCase(g *graph.Graph, d graph.EdgeDelta) []byte {
+	out := []byte{byte(g.N())}
+	for _, e := range g.Edges() {
+		out = append(out, 0, byte(e[0]), byte(e[1]))
+	}
+	for _, e := range append(append([][2]int(nil), d.Delete...), d.Insert...) {
+		out = append(out, 1, byte(e[0]), byte(e[1]))
+	}
+	return out
+}
+
+// FuzzCountDelta pins the incremental count churn runs to a full count:
+// for a decoded graph and delta, CountDelta from the parent's count must
+// equal Count on the child, for K_3..K_5 on both adjacency forms. The
+// seeds are the paper's extremal shapes for clique counting: a planted
+// K_5, and the C4-free projective-plane incidence graph, whose deltas
+// create the first triangles.
+func FuzzCountDelta(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	planted, k5 := graph.PlantClique(graph.GNP(24, 0.2, rng), 5, rng)
+	f.Add(encodeDeltaCase(planted, graph.EdgeDelta{
+		Delete: [][2]int{{k5[0], k5[1]}},
+		Insert: [][2]int{{0, 23}, {5, 17}},
+	}))
+	plane := graph.ProjectivePlaneIncidence(3) // points 0..12, lines 13..25
+	f.Add(encodeDeltaCase(plane, graph.EdgeDelta{
+		Delete: [][2]int{plane.Edges()[0]},
+		Insert: [][2]int{{0, 1}, {1, 2}, {0, 2}, {13, 14}},
+	}))
+	k := New(2)
+	defer k.Close()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, d := decodeDeltaCase(data)
+		res, err := graph.ApplyDelta(g, d)
+		if err != nil {
+			t.Fatalf("decoded delta rejected: %v", err)
+		}
+		for _, build := range []func(*graph.Graph) *graph.BitAdjacency{
+			graph.NewBitAdjacencyDense, graph.NewBitAdjacencyHybrid,
+		} {
+			pb, cb := build(g), build(res.Graph)
+			for s := 3; s <= 5; s++ {
+				want := k.Count(cb, s)
+				if got := k.CountDelta(g, pb, res.Graph, cb, s, res.Touched, k.Count(pb, s)); got != want {
+					t.Fatalf("%s K_%d on %v with delta %+v: CountDelta = %d, Count(child) = %d",
+						cb.Mode(), s, g, d, got, want)
+				}
+			}
 		}
 	})
 }

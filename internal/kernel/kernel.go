@@ -106,27 +106,6 @@ func (k *Kernel) Detect(b *graph.BitAdjacency, s int) bool {
 	return k.pass(b, s, true) > 0
 }
 
-// CountBatch answers one count per requested size over a single shared
-// adjacency, computing each distinct size once — the batched backend
-// serve drains coalesced counting jobs through.
-func (k *Kernel) CountBatch(b *graph.BitAdjacency, sizes []int) []int64 {
-	out := make([]int64, len(sizes))
-	for i, s := range sizes {
-		dup := false
-		for j := 0; j < i; j++ {
-			if sizes[j] == s {
-				out[i] = out[j]
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out[i] = k.Count(b, s)
-		}
-	}
-	return out
-}
-
 // pass runs one counting (or early-exit detection) sweep over the pool.
 func (k *Kernel) pass(b *graph.BitAdjacency, s int, detect bool) int64 {
 	switch {
@@ -260,21 +239,23 @@ func (r *runState) runChunk(ws *workerScratch, w int, lo, hi int32) {
 	r.counts[w*countStride] = cnt
 }
 
-// denseFrom counts K_s copies whose lowest-rank vertex is u, using full
-// bitset rows: each forward edge (u,v) contributes the (s-2)-cliques in
-// row(u) ∩ row(v) above v, found 64 candidates per word.
+// denseFrom counts K_s copies whose lowest-rank vertex is u, using the
+// upper bitset rows: each forward edge (u,v) contributes the (s-2)-cliques
+// in row(u) ∩ row(v) above v, found 64 candidates per word. Both rows are
+// read from v's word on, where row(v) starts.
 func (r *runState) denseFrom(ws *workerScratch, u int32, fu []int32) int64 {
 	b := r.bits
-	ru := b.Row(u)
+	ru := b.UpperRow(u)
+	ubase := int(u) >> 6
 	var cnt int64
 	for _, v := range fu {
-		rv := b.Row(v)
+		wi := int(v) >> 6
+		a, rv := ru[wi-ubase:], b.UpperRow(v)
 		if r.s == 3 {
-			cnt += intersectCountAbove(ru, rv, v)
+			cnt += intersectCountAbove(a, rv, uint(v)&63)
 			continue
 		}
-		wi, c := intersectAboveInto(ws.rows[0], ru, rv, v)
-		if c >= int64(r.s-2) {
+		if c := intersectAboveInto(ws.rows[0][wi:], a, rv, uint(v)&63); c >= int64(r.s-2) {
 			cnt += r.denseExtend(ws, ws.rows[0], wi, r.s-2, 1)
 		}
 	}
@@ -293,13 +274,12 @@ func (r *runState) denseExtend(ws *workerScratch, cand []uint64, wi, need, level
 			q := int32(i<<6 + bits.TrailingZeros64(x))
 			x &= x - 1
 			if need == 2 {
-				cnt += intersectCountAbove(cand, b.Row(q), q)
+				cnt += intersectCountAbove(cand[i:], b.UpperRow(q), uint(q)&63)
 				continue
 			}
 			next := ws.rows[level]
-			nwi, c := intersectAboveInto(next, cand, b.Row(q), q)
-			if c >= int64(need-1) {
-				cnt += r.denseExtend(ws, next, nwi, need-1, level+1)
+			if c := intersectAboveInto(next[i:], cand[i:], b.UpperRow(q), uint(q)&63); c >= int64(need-1) {
+				cnt += r.denseExtend(ws, next, i, need-1, level+1)
 			}
 		}
 	}

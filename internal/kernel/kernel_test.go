@@ -77,23 +77,6 @@ func TestKernelWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestCountBatch pins the batched API to per-size calls, including
-// duplicate sizes sharing one computation.
-func TestCountBatch(t *testing.T) {
-	k := New(2)
-	defer k.Close()
-	rng := rand.New(rand.NewSource(9))
-	g := graph.GNP(70, 0.3, rng)
-	b := graph.NewBitAdjacencyHybrid(g)
-	sizes := []int{3, 4, 3, 5, 2, 4}
-	got := k.CountBatch(b, sizes)
-	for i, s := range sizes {
-		if want := g.CountCliques(s); got[i] != want {
-			t.Fatalf("batch[%d] (K_%d) = %d, want %d", i, s, got[i], want)
-		}
-	}
-}
-
 // TestCliqueSize pins the serve-side eligibility gate.
 func TestCliqueSize(t *testing.T) {
 	for s := 2; s <= MaxCliqueSize; s++ {
@@ -114,25 +97,27 @@ func TestCliqueSize(t *testing.T) {
 	}
 }
 
-// TestIntersectCount pins the word primitive on deterministic cases the
-// fuzz target then widens.
+// TestIntersectCount pins the dense kernel's masked intersections on
+// deterministic cases the fuzz target then widens.
 func TestIntersectCount(t *testing.T) {
 	cases := []struct {
 		a, b []uint64
+		off  uint
 		want int64
 	}{
-		{nil, nil, 0},
-		{[]uint64{0}, []uint64{^uint64(0)}, 0},
-		{[]uint64{^uint64(0)}, []uint64{^uint64(0)}, 64},
-		{[]uint64{0b1011}, []uint64{0b1110}, 2},
-		{[]uint64{1, 2, 4}, []uint64{1, 3}, 2}, // shorter row wins
+		{nil, nil, 0, 0},
+		{[]uint64{0}, []uint64{^uint64(0)}, 0, 0},
+		{[]uint64{^uint64(0)}, []uint64{^uint64(0)}, 0, 63},
+		{[]uint64{^uint64(0)}, []uint64{^uint64(0)}, 63, 0},
+		{[]uint64{0b1011}, []uint64{0b1110}, 0, 2},
+		{[]uint64{0b1011}, []uint64{0b1110}, 1, 1},
+		{[]uint64{1 << 63, 1}, []uint64{1 << 63, 3}, 62, 2}, // later words count in full
+		{[]uint64{1 << 63, 1}, []uint64{1 << 63, 3}, 63, 1},
 	}
 	for i, c := range cases {
-		if got := IntersectCount(c.a, c.b); got != c.want {
-			t.Fatalf("case %d: IntersectCount = %d, want %d", i, got, c.want)
+		if got := intersectCountAbove(c.a, c.b, c.off); got != c.want {
+			t.Fatalf("case %d: intersectCountAbove = %d, want %d", i, got, c.want)
 		}
-		if got := IntersectCount(c.b, c.a); got != c.want {
-			t.Fatalf("case %d: IntersectCount not symmetric: %d vs %d", i, got, c.want)
-		}
+		checkAbove(t, c.a, c.b, c.off)
 	}
 }

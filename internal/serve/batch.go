@@ -16,10 +16,10 @@ import (
 // admission control stays per-job honest) and is also indexed here by
 // graph digest. The worker that dequeues the first count job for a
 // digest claims it plus every other pending count job on the same graph
-// and answers them all in one kernel pass over one shared bitset
-// adjacency — "run N patterns over one Network in one pass". Batchmates
-// still surface later from the queue channel; the claimed flag makes
-// those dequeues no-ops.
+// and answers them all over one shared bitset adjacency, running one
+// kernel pass per distinct clique size in the batch. Batchmates still
+// surface later from the queue channel; the claimed flag makes those
+// dequeues no-ops.
 //
 // This is also the SLO guard's pressure valve: under degraded/critical
 // levels count jobs are admitted rather than shed (handlers.go), because
@@ -82,8 +82,8 @@ func (s *Server) batchTake(digest string) []*job {
 }
 
 // runKernelBatch answers the claimed leader plus every batchable count
-// job on the same graph in one kernel pass. Called from a worker with
-// the leader's queue span already finished.
+// job on the same graph, one kernel pass per distinct clique size. Called
+// from a worker with the leader's queue span already finished.
 func (s *Server) runKernelBatch(leader *job) {
 	batch := append([]*job{leader}, s.batchTake(leader.digest)...)
 	started := time.Now()

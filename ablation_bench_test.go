@@ -94,7 +94,7 @@ func BenchmarkAblationSummaryPrimitive(b *testing.B) {
 			var rep *core.SummaryReport
 			for i := 0; i < b.N; i++ {
 				var err error
-				rep, err = core.ComputeNetworkSummary(nw, core.SummaryConfig{Seed: int64(i)})
+				rep, err = core.ComputeNetworkSummary(nw, core.SummaryConfig{Exec: core.Exec{Seed: int64(i)}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -32,7 +32,7 @@ func benchmarkE1(b *testing.B, k, n int, sublinear bool) {
 	var rounds, bits int64
 	for i := 0; i < b.N; i++ {
 		if sublinear {
-			rep, err := core.DetectEvenCycle(nw, core.EvenCycleConfig{K: k, Coloring: coloring, Seed: int64(i)})
+			rep, err := core.DetectEvenCycle(nw, core.EvenCycleConfig{K: k, Coloring: coloring, Exec: core.Exec{Seed: int64(i)}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func benchmarkE1(b *testing.B, k, n int, sublinear bool) {
 			}
 			rounds, bits = int64(rep.Rounds), rep.Stats.TotalBits
 		} else {
-			rep, err := core.DetectCycleLinear(nw, core.LinearCycleConfig{CycleLen: 2 * k, Coloring: coloring, Seed: int64(i)})
+			rep, err := core.DetectCycleLinear(nw, core.LinearCycleConfig{CycleLen: 2 * k, Coloring: coloring, Exec: core.Exec{Seed: int64(i)}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func benchmarkEngine(b *testing.B, parallel bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := core.DetectCycleLinear(nw, core.LinearCycleConfig{
-			CycleLen: 8, Coloring: coloring, Parallel: parallel,
+			CycleLen: 8, Coloring: coloring, Exec: core.Exec{Parallel: parallel},
 		})
 		if err != nil {
 			b.Fatal(err)

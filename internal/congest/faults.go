@@ -109,7 +109,10 @@ func (p *FaultPlan) Empty() bool {
 		len(p.Drops) == 0 && len(p.Crashes) == 0 && len(p.Throttles) == 0
 }
 
-func (p *FaultPlan) validate() error {
+// Validate checks the plan's rates lie in [0,1] and its crash rounds are
+// 1-based. Run applies it to every non-empty plan; callers that accept a
+// plan ahead of a run apply it themselves to fail early.
+func (p *FaultPlan) Validate() error {
 	if p.DropRate < 0 || p.DropRate > 1 {
 		return fmt.Errorf("congest: DropRate %v outside [0,1]", p.DropRate)
 	}

@@ -160,7 +160,7 @@ func Run(nw *Network, factory func() Node, cfg Config) (*Result, error) {
 	}
 	adv := cfg.Adversary
 	if adv == nil && cfg.Faults != nil && !cfg.Faults.Empty() {
-		if err := cfg.Faults.validate(); err != nil {
+		if err := cfg.Faults.Validate(); err != nil {
 			return nil, err
 		}
 		adv = NewPlanAdversary(*cfg.Faults)

@@ -74,7 +74,7 @@ func TestEvenCycleScrambledIDs(t *testing.T) {
 	}
 	// And soundness on a scrambled tree.
 	tree := scrambledNetwork(graph.RandomTree(25, rng), rng)
-	rep2, err := DetectEvenCycle(tree, EvenCycleConfig{K: 2, Seed: 5})
+	rep2, err := DetectEvenCycle(tree, EvenCycleConfig{K: 2, Exec: Exec{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSummaryScrambledIDs(t *testing.T) {
 func TestTesterScrambledIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nw := scrambledNetwork(graph.CompleteBipartite(6, 6), rng)
-	rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 20, Seed: 3})
+	rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 20, Exec: Exec{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

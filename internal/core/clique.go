@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
 	"subgraph/internal/graph"
-	"subgraph/internal/obs"
 )
 
 // K_s detection in O(n) rounds (the [10] upper bound the paper cites):
@@ -18,27 +16,14 @@ import (
 
 // CliqueConfig configures the linear-round clique detector.
 type CliqueConfig struct {
+	Exec
 	// S is the clique size, S ≥ 2.
-	S        int
-	Seed     int64
-	Parallel bool
-	// Faults optionally injects a delivery-phase fault plan.
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
+	S int
 }
 
 // CliqueReport is the outcome of the clique detector.
 type CliqueReport struct {
-	Detected  bool
-	Rounds    int
-	Bandwidth int
-	Stats     congest.Stats
+	Outcome
 }
 
 type cliqueNode struct {
@@ -105,19 +90,9 @@ func DetectClique(nw *congest.Network, cfg CliqueConfig) (*CliqueReport, error) 
 	factory := func() congest.Node {
 		return &cliqueNode{s: cfg.S, idBits: idBits}
 	}
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         idBits,
-		MaxRounds: nw.N() + 3,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	}, cfg.Faults, cfg.Deadline, nil, cfg.Tracer)
+	res, err := cfg.run(nw, factory, congest.Config{B: idBits, MaxRounds: nw.N() + 3})
 	if res == nil {
 		return nil, err
 	}
-	return &CliqueReport{
-		Detected:  res.Rejected(),
-		Rounds:    res.Stats.Rounds,
-		Bandwidth: idBits,
-		Stats:     res.Stats,
-	}, err
+	return &CliqueReport{Outcome: outcome(res, idBits)}, err
 }

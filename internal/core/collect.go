@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
 	"subgraph/internal/graph"
-	"subgraph/internal/obs"
 )
 
 // Generic H-detection by edge collection: every node gossips the edges it
@@ -34,27 +32,14 @@ import (
 
 // CollectConfig configures the edge-collection detector.
 type CollectConfig struct {
+	Exec
 	// H is the pattern graph.
-	H        *graph.Graph
-	Seed     int64
-	Parallel bool
-	// Faults optionally injects a delivery-phase fault plan.
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
+	H *graph.Graph
 }
 
 // CollectReport is the outcome of the edge-collection detector.
 type CollectReport struct {
-	Detected  bool
-	Rounds    int
-	Bandwidth int
-	Stats     congest.Stats
+	Outcome
 }
 
 type edgeKey struct{ a, b congest.NodeID }
@@ -167,19 +152,9 @@ func DetectCollect(nw *congest.Network, cfg CollectConfig) (*CollectReport, erro
 	factory := func() congest.Node {
 		return &collectNode{h: cfg.H, idBits: idBits, budget: budget}
 	}
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         2 * idBits,
-		MaxRounds: budget + 1,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	}, cfg.Faults, cfg.Deadline, nil, cfg.Tracer)
+	res, err := cfg.run(nw, factory, congest.Config{B: 2 * idBits, MaxRounds: budget + 1})
 	if res == nil {
 		return nil, err
 	}
-	return &CollectReport{
-		Detected:  res.Rejected(),
-		Rounds:    res.Stats.Rounds,
-		Bandwidth: 2 * idBits,
-		Stats:     res.Stats,
-	}, err
+	return &CollectReport{Outcome: outcome(res, 2*idBits)}, err
 }

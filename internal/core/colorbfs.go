@@ -8,11 +8,9 @@ package core
 
 import (
 	"math/rand"
-	"time"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
-	"subgraph/internal/obs"
 )
 
 // Color-coded BFS (Alon–Yuster–Zwick color coding adapted to CONGEST,
@@ -130,6 +128,7 @@ func (s *cbfsState) drainCheck() {
 
 // LinearCycleConfig configures the O(n)-round baseline cycle detector.
 type LinearCycleConfig struct {
+	Exec
 	// CycleLen is the target cycle length L ≥ 3 (odd or even).
 	CycleLen int
 	// Reps is the number of independent colorings (detection probability
@@ -138,39 +137,16 @@ type LinearCycleConfig struct {
 	// Coloring optionally injects a deterministic coloring per repetition
 	// (the derandomization hook; nil = random).
 	Coloring func(id congest.NodeID, rep int) int
-	// Seed and Parallel are passed to the simulator.
-	Seed     int64
-	Parallel bool
 	// BroadcastOnly enforces the broadcast-CONGEST variant; the token
 	// relay only broadcasts, so the algorithm is unchanged.
 	BroadcastOnly bool
-	// Faults optionally injects a delivery-phase fault plan.
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Resilient wraps every node in the ack/retransmit decorator
-	// (congest.WrapResilient), trading rounds and bandwidth for
-	// tolerance to message loss. Incompatible with BroadcastOnly.
-	Resilient *congest.ResilientConfig
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
 }
 
 // LinearCycleReport is the outcome of the baseline detector.
 type LinearCycleReport struct {
-	// Detected reports whether some node rejected.
-	Detected bool
-	// Rounds is the number of rounds executed.
-	Rounds int
+	Outcome
 	// RoundsPerRep is the per-repetition round budget n + L + 1.
 	RoundsPerRep int
-	// Bandwidth is the per-edge bandwidth used (bits).
-	Bandwidth int
-	// Stats holds the simulator's communication measurements.
-	Stats congest.Stats
 }
 
 // linearCycleNode runs one ColorBFS per repetition with round budget
@@ -224,23 +200,16 @@ func DetectCycleLinear(nw *congest.Network, cfg LinearCycleConfig) (*LinearCycle
 	factory := func() congest.Node {
 		return &linearCycleNode{cfg: cfg, codec: codec, perRep: perRep}
 	}
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         codec.idBits + codec.hopBits,
+	b := codec.idBits + codec.hopBits
+	res, err := cfg.run(nw, factory, congest.Config{
+		B:         b,
 		MaxRounds: perRep*cfg.Reps + 1,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
 		Broadcast: cfg.BroadcastOnly,
-	}, cfg.Faults, cfg.Deadline, cfg.Resilient, cfg.Tracer)
+	})
 	if res == nil {
 		return nil, err
 	}
-	return &LinearCycleReport{
-		Detected:     res.Rejected(),
-		Rounds:       res.Stats.Rounds,
-		RoundsPerRep: perRep,
-		Bandwidth:    codec.idBits + codec.hopBits,
-		Stats:        res.Stats,
-	}, err
+	return &LinearCycleReport{Outcome: outcome(res, b), RoundsPerRep: perRep}, err
 }
 
 // DefaultCycleReps returns a repetition count giving constant detection

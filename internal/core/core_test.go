@@ -39,7 +39,7 @@ func TestLinearSoundOnCycleFree(t *testing.T) {
 	g := graph.RandomTree(40, rng)
 	nw := congest.NewNetwork(g)
 	for _, L := range []int{3, 4, 6} {
-		rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: L, Reps: 5, Seed: 11})
+		rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: L, Reps: 5, Exec: Exec{Seed: 11}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestLinearSoundOnCycleFree(t *testing.T) {
 func TestLinearSoundOnWrongLength(t *testing.T) {
 	// C_8 contains no C_6; many random colorings must never fire.
 	nw := congest.NewNetwork(graph.Cycle(8))
-	rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: 6, Reps: 50, Seed: 3})
+	rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: 6, Reps: 50, Exec: Exec{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestLinearSoundOnWrongLength(t *testing.T) {
 func TestLinearWithRepsFindsCycle(t *testing.T) {
 	// Random colorings with enough repetitions find C_4 in K_{3,3}.
 	nw := congest.NewNetwork(graph.CompleteBipartite(3, 3))
-	rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: 4, Reps: DefaultCycleReps(4), Seed: 5})
+	rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: 4, Reps: DefaultCycleReps(4), Exec: Exec{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestQuickLinearSoundness(t *testing.T) {
 			return true // only testing soundness here
 		}
 		nw := congest.NewNetwork(g)
-		rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: L, Reps: 8, Seed: seed})
+		rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: L, Reps: 8, Exec: Exec{Seed: seed}})
 		return err == nil && !rep.Detected
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -145,7 +145,7 @@ func TestEvenCycleSoundOnTrees(t *testing.T) {
 		g := graph.RandomTree(35, rng)
 		nw := congest.NewNetwork(g)
 		for _, k := range []int{2, 3} {
-			rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: k, PhaseIReps: 2, PhaseIIReps: 2, Seed: int64(trial)})
+			rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: k, PhaseIReps: 2, PhaseIIReps: 2, Exec: Exec{Seed: int64(trial)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestEvenCycleSoundOnC4Free(t *testing.T) {
 		t.Fatal("generator broke")
 	}
 	nw := congest.NewNetwork(g)
-	rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 2, PhaseIReps: 3, PhaseIIReps: 3, Seed: 9})
+	rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 2, PhaseIReps: 3, PhaseIIReps: 3, Exec: Exec{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestQuickEvenCycleSoundness(t *testing.T) {
 			return true
 		}
 		nw := congest.NewNetwork(g)
-		rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: k, PhaseIReps: 2, PhaseIIReps: 2, Seed: seed})
+		rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: k, PhaseIReps: 2, PhaseIIReps: 2, Exec: Exec{Seed: seed}})
 		return err == nil && !rep.Detected
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -213,7 +213,7 @@ func TestEvenCycleDenseGraphRejects(t *testing.T) {
 	// C_2k); here K_20 for k=2: m=190 > M=2·20^{1.5}≈179.
 	g := graph.Complete(20)
 	nw := congest.NewNetwork(g)
-	rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 2, Seed: 4})
+	rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 2, Exec: Exec{Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestEvenCycleParallelEngineAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g, cyc := graph.PlantCycle(graph.GNP(30, 0.04, rng), 4, rng)
 	nw := congest.NewNetwork(g)
-	cfg := EvenCycleConfig{K: 2, Coloring: PlantedColoring(nw, cyc, 6), Seed: 8}
+	cfg := EvenCycleConfig{K: 2, Coloring: PlantedColoring(nw, cyc, 6), Exec: Exec{Seed: 8}}
 	seq, err := DetectEvenCycle(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestTreeDetectPath(t *testing.T) {
 func TestTreeDetectStarAbsent(t *testing.T) {
 	// K_{1,4} needs a degree-4 vertex; a cycle has none.
 	nw := congest.NewNetwork(graph.Cycle(12))
-	rep, err := DetectTree(nw, TreeConfig{Tree: graph.Star(4), Reps: 30, Seed: 2})
+	rep, err := DetectTree(nw, TreeConfig{Tree: graph.Star(4), Reps: 30, Exec: Exec{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestTreeDetectStarAbsent(t *testing.T) {
 
 func TestTreeDetectStarPresent(t *testing.T) {
 	nw := congest.NewNetwork(graph.Star(6))
-	rep, err := DetectTree(nw, TreeConfig{Tree: graph.Star(4), Reps: 400, Seed: 3})
+	rep, err := DetectTree(nw, TreeConfig{Tree: graph.Star(4), Reps: 400, Exec: Exec{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +298,11 @@ func TestTreeDetectConstantRounds(t *testing.T) {
 	small := congest.NewNetwork(graph.Cycle(10))
 	big := congest.NewNetwork(graph.Cycle(200))
 	tr := graph.Path(4)
-	a, err := DetectTree(small, TreeConfig{Tree: tr, Seed: 1})
+	a, err := DetectTree(small, TreeConfig{Tree: tr, Exec: Exec{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DetectTree(big, TreeConfig{Tree: tr, Seed: 1})
+	b, err := DetectTree(big, TreeConfig{Tree: tr, Exec: Exec{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestQuickTreeSoundness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.GNP(12, 0.15, rng)
 		nw := congest.NewNetwork(g)
-		rep, err := DetectTree(nw, TreeConfig{Tree: pattern, Reps: 20, Seed: seed})
+		rep, err := DetectTree(nw, TreeConfig{Tree: pattern, Reps: 20, Exec: Exec{Seed: seed}})
 		if err != nil {
 			return false
 		}
@@ -499,7 +499,7 @@ func TestEvenCycleBudgetSublinear(t *testing.T) {
 	// n; at n=4000 the even-cycle budget must be well below n.
 	g := graph.Cycle(4000) // topology irrelevant for budget computation
 	nw := congest.NewNetwork(g)
-	rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 2, Seed: 1})
+	rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 2, Exec: Exec{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
-	"subgraph/internal/obs"
 )
 
 // DetectEvenCycle implements Theorem 1.1 / Section 6: C_2k-detection in
@@ -33,6 +31,7 @@ import (
 
 // EvenCycleConfig configures the Theorem 1.1 detector.
 type EvenCycleConfig struct {
+	Exec
 	// K selects the target cycle C_2k; K ≥ 2.
 	K int
 	// TuranConstant is the c in M = c·n^{1+1/k} ≥ ex(n, C_2k). Soundness
@@ -46,9 +45,6 @@ type EvenCycleConfig struct {
 	// of phase I and phase II draw from disjoint rep indices (phase I
 	// uses 0..PhaseIReps-1, phase II continues from PhaseIReps).
 	Coloring func(id congest.NodeID, rep int) int
-	// Seed and Parallel are passed to the simulator.
-	Seed     int64
-	Parallel bool
 	// BroadcastOnly runs under the broadcast-CONGEST variant of [10]
 	// (a node must send the same message on all edges). The algorithm
 	// only ever broadcasts, so this is a model restriction, not a
@@ -60,37 +56,18 @@ type EvenCycleConfig struct {
 	// Phase II budget but risks decomposition failure (a sound reject
 	// only when M ≥ ex(n, C_2k) truly holds).
 	PeelFactor int
-	// Faults optionally injects a delivery-phase fault plan.
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Resilient wraps every node in the ack/retransmit decorator
-	// (congest.WrapResilient), trading rounds and bandwidth for
-	// tolerance to message loss. Incompatible with BroadcastOnly.
-	Resilient *congest.ResilientConfig
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
 }
 
-// EvenCycleReport is the outcome of the detector.
+// EvenCycleReport is the outcome of the detector. Detected means some
+// node rejected (Definition 1: a copy of C_2k was found, or the edge
+// bound certified one exists); Bandwidth fits one length-2k prefix.
 type EvenCycleReport struct {
-	// Detected reports whether some node rejected (Definition 1: a copy
-	// of C_2k was found, or the edge bound certified one exists).
-	Detected bool
-	// Rounds is the number of rounds executed.
-	Rounds int
+	Outcome
 	// R1 and R2 are the per-repetition round budgets of the two phases.
 	R1, R2 int
 	// M is the Turán bound used, HighDegree the n^δ threshold, D the
 	// peeling parameter and Layers the peeling iteration count.
 	M, HighDegree, D, Layers int
-	// Bandwidth is the per-edge bit budget (fits one length-2k prefix).
-	Bandwidth int
-	// Stats holds the simulator's communication measurements.
-	Stats congest.Stats
 }
 
 // evenCyclePlan holds the parameters every node derives identically from
@@ -489,26 +466,16 @@ func DetectEvenCycle(nw *congest.Network, cfg EvenCycleConfig) (*EvenCycleReport
 	}
 	plan := newEvenCyclePlan(nw, cfg)
 	factory := func() congest.Node { return &evenCycleNode{plan: plan} }
-	res, err := runRobust(nw, factory, congest.Config{
+	res, err := cfg.run(nw, factory, congest.Config{
 		B:         plan.bandwidth(),
 		MaxRounds: plan.total,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
 		Broadcast: cfg.BroadcastOnly,
-	}, cfg.Faults, cfg.Deadline, cfg.Resilient, cfg.Tracer)
+	})
 	if res == nil {
 		return nil, err
 	}
-	return &EvenCycleReport{
-		Detected:   res.Rejected(),
-		Rounds:     res.Stats.Rounds,
-		R1:         plan.r1,
-		R2:         plan.r2,
-		M:          plan.m,
-		HighDegree: plan.highDeg,
-		D:          plan.d,
-		Layers:     plan.layers,
-		Bandwidth:  plan.bandwidth(),
-		Stats:      res.Stats,
+	return &EvenCycleReport{Outcome: outcome(res, plan.bandwidth()),
+		R1: plan.r1, R2: plan.r2,
+		M: plan.m, HighDegree: plan.highDeg, D: plan.d, Layers: plan.layers,
 	}, err
 }

@@ -32,7 +32,7 @@ func TestEvenCycleK4Sound(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		g := graph.RandomTree(40, rng)
 		nw := congest.NewNetwork(g)
-		rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 4, PhaseIIReps: 2, Seed: int64(trial)})
+		rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 4, PhaseIIReps: 2, Exec: Exec{Seed: int64(trial)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestDetectorsIgnoreForeignPayloads(t *testing.T) {
 			env.Halt()
 		}}
 	}
-	if _, err := congest.Run(nw, factory, congest.Config{B: 64, MaxRounds: 2}); err != nil {
+	if _, err := (Exec{}).run(nw, factory, congest.Config{B: 64, MaxRounds: 2}); err != nil {
 		t.Fatal(err)
 	}
 }

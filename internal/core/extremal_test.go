@@ -15,7 +15,7 @@ func TestEvenCycleSoundOnProjectivePlane(t *testing.T) {
 	for _, q := range []int{3, 5, 7} {
 		g := graph.ProjectivePlaneIncidence(q)
 		nw := congest.NewNetwork(g)
-		rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 2, PhaseIReps: 2, PhaseIIReps: 2, Seed: int64(q)})
+		rep, err := DetectEvenCycle(nw, EvenCycleConfig{K: 2, PhaseIReps: 2, PhaseIIReps: 2, Exec: Exec{Seed: int64(q)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestLinearBaselineSoundOddCyclesOnBipartite(t *testing.T) {
 	g := graph.ProjectivePlaneIncidence(3)
 	nw := congest.NewNetwork(g)
 	for _, L := range []int{3, 5, 7} {
-		rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: L, Reps: 10, Seed: int64(L)})
+		rep, err := DetectCycleLinear(nw, LinearCycleConfig{CycleLen: L, Reps: 10, Exec: Exec{Seed: int64(L)}})
 		if err != nil {
 			t.Fatal(err)
 		}

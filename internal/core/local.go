@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
 	"subgraph/internal/graph"
-	"subgraph/internal/obs"
 )
 
 // LOCAL-model H-detection (the Section 1 observation that subgraph
@@ -20,29 +18,18 @@ import (
 
 // LocalConfig configures the LOCAL-model detector.
 type LocalConfig struct {
+	Exec
 	// H is the pattern graph.
-	H        *graph.Graph
-	Seed     int64
-	Parallel bool
-	// Faults optionally injects a delivery-phase fault plan.
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
+	H *graph.Graph
 }
 
-// LocalReport is the outcome of the LOCAL detector.
+// LocalReport is the outcome of the LOCAL detector. Its Bandwidth is 0:
+// LOCAL messages are unbounded.
 type LocalReport struct {
-	Detected bool
-	Rounds   int
+	Outcome
 	// MaxMessageBits is the largest single message — the quantity CONGEST
 	// forbids.
 	MaxMessageBits int
-	Stats          congest.Stats
 }
 
 type localNode struct {
@@ -108,19 +95,9 @@ func DetectLocal(nw *congest.Network, cfg LocalConfig) (*LocalReport, error) {
 	factory := func() congest.Node {
 		return &localNode{h: cfg.H, idBits: idBits, radius: radius}
 	}
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         0, // LOCAL: unbounded
-		MaxRounds: radius + 2,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	}, cfg.Faults, cfg.Deadline, nil, cfg.Tracer)
+	res, err := cfg.run(nw, factory, congest.Config{B: 0, MaxRounds: radius + 2}) // LOCAL: unbounded
 	if res == nil {
 		return nil, err
 	}
-	return &LocalReport{
-		Detected:       res.Rejected(),
-		Rounds:         res.Stats.Rounds,
-		MaxMessageBits: res.Stats.MaxEdgeBitsRound,
-		Stats:          res.Stats,
-	}, err
+	return &LocalReport{Outcome: outcome(res, 0), MaxMessageBits: res.Stats.MaxEdgeBitsRound}, err
 }

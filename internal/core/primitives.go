@@ -17,8 +17,7 @@ import (
 
 // SummaryConfig configures the network-summary primitive.
 type SummaryConfig struct {
-	Seed     int64
-	Parallel bool
+	Exec
 }
 
 // SummaryReport is the outcome of ComputeNetworkSummary.
@@ -201,13 +200,8 @@ func ComputeNetworkSummary(nw *congest.Network, cfg SummaryConfig) (*SummaryRepo
 		nodes = append(nodes, sn)
 		return sn
 	}
-	res, err := congest.Run(nw, factory, congest.Config{
-		B:         2 + idBits + 32,
-		MaxRounds: 3*n + 4,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	})
-	if err != nil {
+	res, err := cfg.run(nw, factory, congest.Config{B: 2 + idBits + 32, MaxRounds: 3*n + 4})
+	if res == nil {
 		return nil, err
 	}
 	rep := &SummaryReport{Rounds: res.Stats.Rounds, Stats: res.Stats, Consistent: true}
@@ -225,5 +219,5 @@ func ComputeNetworkSummary(nw *congest.Network, cfg SummaryConfig) (*SummaryRepo
 		}
 	}
 	rep.Depth = depth
-	return rep, nil
+	return rep, err
 }

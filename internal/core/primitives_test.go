@@ -81,7 +81,7 @@ func TestQuickNetworkSummary(t *testing.T) {
 			return true
 		}
 		nw := congest.NewNetwork(g)
-		rep, err := ComputeNetworkSummary(nw, SummaryConfig{Seed: seed})
+		rep, err := ComputeNetworkSummary(nw, SummaryConfig{Exec: Exec{Seed: seed}})
 		if err != nil {
 			return false
 		}
@@ -99,11 +99,11 @@ func TestNetworkSummaryParallelEngineAgrees(t *testing.T) {
 		t.Skip("disconnected sample")
 	}
 	nw := congest.NewNetwork(g)
-	a, err := ComputeNetworkSummary(nw, SummaryConfig{Seed: 1})
+	a, err := ComputeNetworkSummary(nw, SummaryConfig{Exec: Exec{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ComputeNetworkSummary(nw, SummaryConfig{Seed: 1, Parallel: true})
+	b, err := ComputeNetworkSummary(nw, SummaryConfig{Exec: Exec{Seed: 1, Parallel: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestTriangleDetectionUnderFaults(t *testing.T) {
 
 	// A fully lossy network hides the triangle from the plain detector.
 	lossy, err := DetectTriangle(congest.NewNetwork(g), TriangleConfig{
-		Faults: &congest.FaultPlan{DropRate: 1},
+		Exec: Exec{Faults: &congest.FaultPlan{DropRate: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,10 @@ func TestTriangleDetectionUnderFaults(t *testing.T) {
 
 	// The resilient decorator recovers detection under moderate loss.
 	rec, err := DetectTriangle(congest.NewNetwork(g), TriangleConfig{
-		Faults:    &congest.FaultPlan{Seed: 3, DropRate: 0.3},
-		Resilient: &congest.ResilientConfig{MaxRetries: 4},
+		Exec: Exec{
+			Faults:    &congest.FaultPlan{Seed: 3, DropRate: 0.3},
+			Resilient: &congest.ResilientConfig{MaxRetries: 4},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +55,7 @@ func TestDetectorDeadlineReturnsPartialReport(t *testing.T) {
 	g := graph.Cycle(64)
 	rep, err := DetectCycleLinear(congest.NewNetwork(g), LinearCycleConfig{
 		CycleLen: 4,
-		Deadline: time.Nanosecond,
+		Exec:     Exec{Deadline: time.Nanosecond},
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v", err)
@@ -68,7 +70,7 @@ func TestResilientIncompatibleWithBroadcast(t *testing.T) {
 	_, err := DetectCycleLinear(congest.NewNetwork(g), LinearCycleConfig{
 		CycleLen:      4,
 		BroadcastOnly: true,
-		Resilient:     &congest.ResilientConfig{},
+		Exec:          Exec{Resilient: &congest.ResilientConfig{}},
 	})
 	if err == nil {
 		t.Fatal("broadcast + resilient accepted")

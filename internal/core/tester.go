@@ -24,21 +24,17 @@ import (
 
 // TesterConfig configures the triangle-freeness tester.
 type TesterConfig struct {
+	Exec
 	// Trials is T, the number of query rounds (default 16).
-	Trials   int
-	Seed     int64
-	Parallel bool
+	Trials int
 }
 
-// TesterReport is the outcome of the tester.
+// TesterReport is the outcome of the tester. Detected is one-sided: true
+// always witnesses a triangle. Rounds is 2·Trials + O(1), independent of
+// n and Δ.
 type TesterReport struct {
-	// Detected is one-sided: true always witnesses a triangle.
-	Detected bool
-	// Rounds is 2·Trials + O(1), independent of n and Δ.
-	Rounds    int
-	Trials    int
-	Bandwidth int
-	Stats     congest.Stats
+	Outcome
+	Trials int
 }
 
 const (
@@ -133,20 +129,10 @@ func TestTriangleFreeness(nw *congest.Network, cfg TesterConfig) (*TesterReport,
 	factory := func() congest.Node {
 		return &testerNode{idBits: idBits, trials: cfg.Trials}
 	}
-	res, err := congest.Run(nw, factory, congest.Config{
-		B:         2 * (2 + idBits), // a query and an answer may share an edge-round
-		MaxRounds: 2*cfg.Trials + 3,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	})
-	if err != nil {
+	b := 2 * (2 + idBits) // a query and an answer may share an edge-round
+	res, err := cfg.run(nw, factory, congest.Config{B: b, MaxRounds: 2*cfg.Trials + 3})
+	if res == nil {
 		return nil, err
 	}
-	return &TesterReport{
-		Detected:  res.Rejected(),
-		Rounds:    res.Stats.Rounds,
-		Trials:    cfg.Trials,
-		Bandwidth: 2 * (2 + idBits),
-		Stats:     res.Stats,
-	}, nil
+	return &TesterReport{Outcome: outcome(res, b), Trials: cfg.Trials}, err
 }

@@ -19,7 +19,7 @@ func TestTesterSoundOnTriangleFree(t *testing.T) {
 	} {
 		nw := congest.NewNetwork(g)
 		for seed := int64(0); seed < 5; seed++ {
-			rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 30, Seed: seed})
+			rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 30, Exec: Exec{Seed: seed}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +39,7 @@ func TestTesterDetectsFarInstances(t *testing.T) {
 		t.Skip("unlucky sample")
 	}
 	nw := congest.NewNetwork(g)
-	rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 8, Seed: 2})
+	rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 8, Exec: Exec{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTesterConstantRoundsVsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.GNP(120, 0.3, rng)
 	nw := congest.NewNetwork(g)
-	tester, err := TestTriangleFreeness(nw, TesterConfig{Trials: 10, Seed: 1})
+	tester, err := TestTriangleFreeness(nw, TesterConfig{Trials: 10, Exec: Exec{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestQuickTesterSoundness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.GNP(15, 0.2, rng)
 		nw := congest.NewNetwork(g)
-		rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 12, Seed: seed})
+		rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 12, Exec: Exec{Seed: seed}})
 		if err != nil {
 			return false
 		}
@@ -102,7 +102,7 @@ func TestTesterSparseMayMiss(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g, _ := graph.PlantClique(graph.GNP(100, 0.01, rng), 3, rng)
 	nw := congest.NewNetwork(g)
-	rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 2, Seed: 5})
+	rep, err := TestTriangleFreeness(nw, TesterConfig{Trials: 2, Exec: Exec{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
 	"subgraph/internal/graph"
-	"subgraph/internal/obs"
 )
 
 // Tree detection by color-coding dynamic programming (the constant-round
@@ -22,32 +20,19 @@ import (
 
 // TreeConfig configures the tree detector.
 type TreeConfig struct {
+	Exec
 	// Tree is the pattern; it must be a tree (connected, acyclic).
 	Tree *graph.Graph
 	// Reps is the number of independent colorings; default 1.
 	Reps int
 	// Coloring optionally injects a coloring (id, rep) → {0..t-1}.
 	Coloring func(id congest.NodeID, rep int) int
-	Seed     int64
-	Parallel bool
-	// Faults optionally injects a delivery-phase fault plan.
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
 }
 
 // TreeReport is the outcome of the tree detector.
 type TreeReport struct {
-	Detected     bool
-	Rounds       int
+	Outcome
 	RoundsPerRep int
-	Bandwidth    int
-	Stats        congest.Stats
 }
 
 // treePlan precomputes the rooted structure of the pattern.
@@ -202,20 +187,9 @@ func DetectTree(nw *congest.Network, cfg TreeConfig) (*TreeReport, error) {
 	}
 	plan := newTreePlan(cfg)
 	factory := func() congest.Node { return &treeNode{plan: plan} }
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         plan.t,
-		MaxRounds: plan.perRep*cfg.Reps + 1,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	}, cfg.Faults, cfg.Deadline, nil, cfg.Tracer)
+	res, err := cfg.run(nw, factory, congest.Config{B: plan.t, MaxRounds: plan.perRep*cfg.Reps + 1})
 	if res == nil {
 		return nil, err
 	}
-	return &TreeReport{
-		Detected:     res.Rejected(),
-		Rounds:       res.Stats.Rounds,
-		RoundsPerRep: plan.perRep,
-		Bandwidth:    plan.t,
-		Stats:        res.Stats,
-	}, err
+	return &TreeReport{Outcome: outcome(res, plan.t), RoundsPerRep: plan.perRep}, err
 }

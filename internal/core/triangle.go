@@ -1,11 +1,8 @@
 package core
 
 import (
-	"time"
-
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
-	"subgraph/internal/obs"
 )
 
 // Triangle detection by neighbor-list exchange in O(Δ) rounds at
@@ -20,32 +17,14 @@ import (
 
 // TriangleConfig configures the Δ-round triangle detector.
 type TriangleConfig struct {
-	Seed     int64
-	Parallel bool
-	// Faults optionally injects a delivery-phase fault plan (drops,
-	// corruption, crash-stops, throttling).
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Resilient wraps every node in the ack/retransmit decorator
-	// (congest.WrapResilient), trading rounds and bandwidth for
-	// tolerance to message loss.
-	Resilient *congest.ResilientConfig
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
+	Exec
 }
 
 // TriangleReport is the outcome of the triangle detector.
 type TriangleReport struct {
-	Detected  bool
-	Rounds    int
-	Bandwidth int
+	Outcome
 	// MaxDegree is the Δ that bounds the round count.
 	MaxDegree int
-	Stats     congest.Stats
 }
 
 type triangleNode struct {
@@ -86,20 +65,9 @@ func (tn *triangleNode) Round(env *congest.Env, inbox []congest.Message) {
 func DetectTriangle(nw *congest.Network, cfg TriangleConfig) (*TriangleReport, error) {
 	idBits := nw.IDBits()
 	factory := func() congest.Node { return &triangleNode{idBits: idBits} }
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         idBits,
-		MaxRounds: nw.G.MaxDegree() + 3,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	}, cfg.Faults, cfg.Deadline, cfg.Resilient, cfg.Tracer)
+	res, err := cfg.run(nw, factory, congest.Config{B: idBits, MaxRounds: nw.G.MaxDegree() + 3})
 	if res == nil {
 		return nil, err
 	}
-	return &TriangleReport{
-		Detected:  res.Rejected(),
-		Rounds:    res.Stats.Rounds,
-		Bandwidth: idBits,
-		MaxDegree: nw.G.MaxDegree(),
-		Stats:     res.Stats,
-	}, err
+	return &TriangleReport{Outcome: outcome(res, idBits), MaxDegree: nw.G.MaxDegree()}, err
 }

@@ -73,7 +73,7 @@ func TestQuickTriangleExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.GNP(16, 0.25, rng)
 		nw := congest.NewNetwork(g)
-		rep, err := DetectTriangle(nw, TriangleConfig{Seed: seed})
+		rep, err := DetectTriangle(nw, TriangleConfig{Exec: Exec{Seed: seed}})
 		if err != nil {
 			return false
 		}

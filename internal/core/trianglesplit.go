@@ -2,11 +2,9 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"subgraph/internal/bitio"
 	"subgraph/internal/congest"
-	"subgraph/internal/obs"
 )
 
 // Degree-split triangle detection in O(√m) rounds — the classic
@@ -35,30 +33,17 @@ import (
 
 // TriangleSplitConfig configures the degree-split detector.
 type TriangleSplitConfig struct {
+	Exec
 	// Threshold overrides Δ₀ (0 = the optimal ⌈√(2m)⌉).
 	Threshold int
-	Seed      int64
-	Parallel  bool
-	// Faults optionally injects a delivery-phase fault plan.
-	Faults *congest.FaultPlan
-	// Deadline aborts the run after a wall-clock budget (0 = none); on
-	// expiry the partial report is returned alongside the error.
-	Deadline time.Duration
-	// Tracer, when non-nil, streams run events (rounds, messages,
-	// faults, node transitions, timings) to the observability layer in
-	// internal/obs; nil disables instrumentation at zero cost.
-	Tracer obs.Tracer
 }
 
 // TriangleSplitReport is the outcome of the degree-split detector.
 type TriangleSplitReport struct {
-	Detected  bool
-	Rounds    int
+	Outcome
 	Threshold int
 	// HighCount is the measured number of high-degree nodes (≤ 2m/Δ₀).
 	HighCount int
-	Bandwidth int
-	Stats     congest.Stats
 }
 
 type triSplitNode struct {
@@ -177,21 +162,9 @@ func DetectTriangleSplit(nw *congest.Network, cfg TriangleSplitConfig) (*Triangl
 			endAt:     endAt,
 		}
 	}
-	res, err := runRobust(nw, factory, congest.Config{
-		B:         idBits,
-		MaxRounds: endAt + 1,
-		Seed:      cfg.Seed,
-		Parallel:  cfg.Parallel,
-	}, cfg.Faults, cfg.Deadline, nil, cfg.Tracer)
+	res, err := cfg.run(nw, factory, congest.Config{B: idBits, MaxRounds: endAt + 1})
 	if res == nil {
 		return nil, err
 	}
-	return &TriangleSplitReport{
-		Detected:  res.Rejected(),
-		Rounds:    res.Stats.Rounds,
-		Threshold: threshold,
-		HighCount: highCount,
-		Bandwidth: idBits,
-		Stats:     res.Stats,
-	}, err
+	return &TriangleSplitReport{Outcome: outcome(res, idBits), Threshold: threshold, HighCount: highCount}, err
 }

@@ -121,7 +121,7 @@ func TestQuickTriangleSplitExact(t *testing.T) {
 		nw := congest.NewNetwork(g)
 		want := g.CountTriangles() > 0
 		for _, th := range []int{0, 1, 100} {
-			rep, err := DetectTriangleSplit(nw, TriangleSplitConfig{Threshold: th, Seed: seed})
+			rep, err := DetectTriangleSplit(nw, TriangleSplitConfig{Threshold: th, Exec: Exec{Seed: seed}})
 			if err != nil || rep.Detected != want {
 				return false
 			}

@@ -49,13 +49,13 @@ func E1EvenCycleScaling(k int, ns []int, seed int64) []E1Row {
 		coloring := core.PlantedColoring(nw, cyc, seed)
 
 		rep, err := core.DetectEvenCycle(nw, core.EvenCycleConfig{
-			K: k, Coloring: coloring, Seed: seed,
+			K: k, Coloring: coloring, Exec: core.Exec{Seed: seed},
 		})
 		if err != nil {
 			panic(err)
 		}
 		lin, err := core.DetectCycleLinear(nw, core.LinearCycleConfig{
-			CycleLen: 2 * k, Coloring: coloring, Seed: seed,
+			CycleLen: 2 * k, Coloring: coloring, Exec: core.Exec{Seed: seed},
 		})
 		if err != nil {
 			panic(err)
@@ -96,7 +96,7 @@ func E1DetectionProbability(k, n int, repsList []int, trials int, seed int64) []
 			nw := congest.NewNetwork(g)
 			rep, err := core.DetectEvenCycle(nw, core.EvenCycleConfig{
 				K: k, PhaseIReps: reps, PhaseIIReps: reps,
-				Seed: seed + int64(trial)*101 + int64(reps),
+				Exec: core.Exec{Seed: seed + int64(trial)*101 + int64(reps)},
 			})
 			if err != nil {
 				panic(err)

@@ -42,11 +42,11 @@ func E7Separation(k int, ns []int, seed int64) []E7Row {
 		inst := comm.RandomDisjointness(n, 1.5/float64(n), i%2 == 0, rng)
 		g := lower.BuildGkn(k, inst)
 		nw := congest.NewNetwork(g.G)
-		loc, err := core.DetectLocal(nw, core.LocalConfig{H: hk.G, Seed: seed})
+		loc, err := core.DetectLocal(nw, core.LocalConfig{H: hk.G, Exec: core.Exec{Seed: seed}})
 		if err != nil {
 			panic(err)
 		}
-		col, err := core.DetectCollect(nw, core.CollectConfig{H: hk.G, Seed: seed})
+		col, err := core.DetectCollect(nw, core.CollectConfig{H: hk.G, Exec: core.Exec{Seed: seed}})
 		if err != nil {
 			panic(err)
 		}

@@ -75,16 +75,11 @@ func E8EvenCycleDropSweep(k, n int, drops []float64, trials int, seed int64) []E
 		base := graph.GNP(n, 1.0/float64(n), rng)
 		g, cyc := graph.PlantCycle(base, 2*k, rng)
 		nw := congest.NewNetwork(g)
-		cfg := core.LinearCycleConfig{
+		rep, err := core.DetectCycleLinear(nw, core.LinearCycleConfig{
+			Exec:     e8Exec(seed, trial, drop, resilient),
 			CycleLen: 2 * k,
 			Coloring: core.PlantedColoring(nw, cyc, seed),
-			Seed:     seed + int64(trial),
-			Faults:   &congest.FaultPlan{Seed: seed + int64(trial)*31, DropRate: drop},
-		}
-		if resilient {
-			cfg.Resilient = &congest.ResilientConfig{}
-		}
-		rep, err := core.DetectCycleLinear(nw, cfg)
+		})
 		if err != nil {
 			panic(err)
 		}
@@ -101,19 +96,22 @@ func E8TriangleDropSweep(n int, p float64, drops []float64, trials int, seed int
 		base := graph.GNP(n, p, rng)
 		g, _ := graph.PlantClique(base, 3, rng)
 		nw := congest.NewNetwork(g)
-		cfg := core.TriangleConfig{
-			Seed:   seed + int64(trial),
-			Faults: &congest.FaultPlan{Seed: seed + int64(trial)*31, DropRate: drop},
-		}
-		if resilient {
-			cfg.Resilient = &congest.ResilientConfig{}
-		}
-		rep, err := core.DetectTriangle(nw, cfg)
+		rep, err := core.DetectTriangle(nw, core.TriangleConfig{Exec: e8Exec(seed, trial, drop, resilient)})
 		if err != nil {
 			panic(err)
 		}
 		return rep.Detected, rep.Rounds, rep.Stats.TotalBits
 	})
+}
+
+// e8Exec is one sweep trial's run knobs: a seeded Bernoulli drop plan,
+// plus the ack/retransmit decorator on the resilient side of the sweep.
+func e8Exec(seed int64, trial int, drop float64, resilient bool) core.Exec {
+	x := core.Exec{Seed: seed + int64(trial), Faults: &congest.FaultPlan{Seed: seed + int64(trial)*31, DropRate: drop}}
+	if resilient {
+		x.Resilient = &congest.ResilientConfig{}
+	}
+	return x
 }
 
 // FormatE8 renders one sweep as the EXPERIMENTS.md table.

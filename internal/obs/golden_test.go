@@ -34,7 +34,7 @@ func TestGoldenTriangleTrace(t *testing.T) {
 
 	var buf bytes.Buffer
 	tr := obs.NewJSONLTracerOptions(&buf, obs.JSONLOptions{OmitTimings: true})
-	rep, err := core.DetectTriangle(congest.NewNetwork(g), core.TriangleConfig{Seed: 1, Tracer: tr})
+	rep, err := core.DetectTriangle(congest.NewNetwork(g), core.TriangleConfig{Exec: core.Exec{Seed: 1, Tracer: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}

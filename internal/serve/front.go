@@ -202,7 +202,8 @@ type accepted struct {
 
 // accept applies the spec rules every front door shares: exactly one of
 // graph and graph_inline, a parseable pattern and options, a known
-// priority and mode, and the count-mode restrictions. Only then is an
+// priority and mode, a pattern that may run resilient when detect mode
+// asks for it, and the count-mode restrictions. Only then is an
 // inline graph parsed under the upload limits and stored, and the spec
 // rewritten to reference it by digest.
 func (f *FrontEnd) accept(spec *JobSpec) (accepted, *apiError) {
@@ -222,6 +223,9 @@ func (f *FrontEnd) accept(spec *JobSpec) (accepted, *apiError) {
 	}
 	switch spec.Mode {
 	case "", ModeDetect:
+		if err := subgraph.CheckResilient(a.h, a.opts); err != nil {
+			return a, badRequest(err.Error())
+		}
 	case ModeCount:
 		var ok bool
 		if a.cliqueS, ok = kernel.CliqueSize(a.h); !ok {

@@ -95,6 +95,9 @@ func TestBadRequests(t *testing.T) {
 				{"both graphs, stored digest", string(bothGraphs), http.StatusBadRequest},
 				{"unknown field", `{"graph":"` + up.Digest + `","pattern":"triangle","bogus":1}`, http.StatusBadRequest},
 				{"bad options", `{"graph":"` + up.Digest + `","pattern":"triangle","options":{"reps":-4}}`, http.StatusBadRequest},
+				{"crash at round 0", `{"graph":"` + up.Digest + `","pattern":"triangle","options":{"faults":{"crashes":[{"vertex":0,"round":0}]}}}`, http.StatusBadRequest},
+				{"resilient clique", `{"graph":"` + up.Digest + `","pattern":"clique:4","options":{"resilient":true}}`, http.StatusBadRequest},
+				{"resilient path", `{"graph":"` + up.Digest + `","pattern":"path:3","options":{"resilient":true}}`, http.StatusBadRequest},
 				{"bad inline graph", `{"graph_inline":"0 1 2 3 4","pattern":"triangle"}`, http.StatusBadRequest},
 				{"inline graph beyond limits", string(tooBig), http.StatusRequestEntityTooLarge},
 				{"oversized job body", oversized, http.StatusRequestEntityTooLarge},

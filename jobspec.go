@@ -167,19 +167,17 @@ func (s OptionsSpec) Options() (Options, error) {
 	if s.DeadlineMs > math.MaxInt64/int64(time.Millisecond) {
 		return Options{}, fmt.Errorf("subgraph: deadline_ms %d overflows a time.Duration", s.DeadlineMs)
 	}
-	if f := s.Faults; f != nil {
-		if f.DropRate < 0 || f.DropRate > 1 {
-			return Options{}, fmt.Errorf("subgraph: drop_rate %v outside [0,1]", f.DropRate)
-		}
-		if f.CorruptRate < 0 || f.CorruptRate > 1 {
-			return Options{}, fmt.Errorf("subgraph: corrupt_rate %v outside [0,1]", f.CorruptRate)
+	faults := s.Faults.Plan()
+	if faults != nil {
+		if err := faults.Validate(); err != nil {
+			return Options{}, err
 		}
 	}
 	return Options{
 		Reps:      s.Reps,
 		Seed:      s.Seed,
 		Parallel:  s.Parallel,
-		Faults:    s.Faults.Plan(),
+		Faults:    faults,
 		Deadline:  time.Duration(s.DeadlineMs) * time.Millisecond,
 		Resilient: s.Resilient,
 	}, nil

@@ -88,6 +88,7 @@ func TestOptionsSpecValidation(t *testing.T) {
 		{DeadlineMs: 1 << 62}, // overflows a time.Duration
 		{Faults: &FaultSpec{DropRate: 1.5}},
 		{Faults: &FaultSpec{CorruptRate: -0.1}},
+		{Faults: &FaultSpec{Crashes: []CrashSpec{{Vertex: 0, Round: 0}}}}, // rounds are 1-based
 	}
 	for i, s := range bad {
 		if _, err := s.Options(); err == nil {

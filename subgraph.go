@@ -160,8 +160,9 @@ type Options struct {
 	Deadline time.Duration
 	// Resilient wraps every node in the ack/bounded-retransmit decorator
 	// so detection tolerates message loss, at a constant-factor round and
-	// bandwidth overhead. Supported for triangle and cycle patterns; other
-	// patterns return an error.
+	// bandwidth overhead. Detect supports it for triangle and cycle
+	// patterns (see CheckResilient); other patterns, and DetectLocal,
+	// return an error.
 	Resilient bool
 	// Trace streams run events (rounds, messages, faults, node
 	// transitions, timings) to an observability sink — a JSONL trace
@@ -203,28 +204,21 @@ func Detect(nw *Network, h *Graph, opts Options) (*Report, error) {
 	if h == nil || h.N() == 0 {
 		return nil, fmt.Errorf("subgraph: empty pattern")
 	}
-	var resilient *ResilientConfig
-	if opts.Resilient {
-		resilient = &ResilientConfig{}
+	if err := CheckResilient(h, opts); err != nil {
+		return nil, err
 	}
+	x := opts.exec()
 	switch {
 	case h.IsTree():
-		if resilient != nil {
-			return nil, fmt.Errorf("subgraph: resilient mode is not supported for tree patterns")
-		}
 		reps := opts.Reps
 		if reps <= 0 {
 			reps = defaultTreeReps(h.N())
 		}
-		r, err := core.DetectTree(nw, core.TreeConfig{
-			Tree: h, Reps: reps, Seed: opts.Seed, Parallel: opts.Parallel,
-			Faults: opts.Faults, Deadline: opts.Deadline, Tracer: opts.Trace,
-		})
+		r, err := core.DetectTree(nw, core.TreeConfig{Exec: x, Tree: h, Reps: reps})
 		if r == nil {
 			return nil, err
 		}
-		return &Report{Detected: r.Detected, Algorithm: "tree-color-coding",
-			Rounds: r.Rounds, BandwidthBits: r.Bandwidth, Stats: r.Stats}, err
+		return report("tree-color-coding", r.Outcome), err
 
 	case h.N() == 3 && h.M() == 3:
 		// Triangles: both exact detectors are O(log n)-bandwidth; pick
@@ -232,26 +226,18 @@ func Detect(nw *Network, h *Graph, opts Options) (*Report, error) {
 		// (degree split). Resilient mode forces neighbor exchange, the
 		// variant the decorator supports.
 		delta := nw.G.MaxDegree()
-		if resilient != nil || float64(delta*delta) <= float64(2*nw.G.M()) {
-			r, err := core.DetectTriangle(nw, core.TriangleConfig{
-				Seed: opts.Seed, Parallel: opts.Parallel,
-				Faults: opts.Faults, Deadline: opts.Deadline, Resilient: resilient, Tracer: opts.Trace,
-			})
+		if opts.Resilient || float64(delta*delta) <= float64(2*nw.G.M()) {
+			r, err := core.DetectTriangle(nw, core.TriangleConfig{Exec: x})
 			if r == nil {
 				return nil, err
 			}
-			return &Report{Detected: r.Detected, Algorithm: "triangle-neighbor-exchange",
-				Rounds: r.Rounds, BandwidthBits: r.Bandwidth, Stats: r.Stats}, err
+			return report("triangle-neighbor-exchange", r.Outcome), err
 		}
-		r, err := core.DetectTriangleSplit(nw, core.TriangleSplitConfig{
-			Seed: opts.Seed, Parallel: opts.Parallel,
-			Faults: opts.Faults, Deadline: opts.Deadline, Tracer: opts.Trace,
-		})
+		r, err := core.DetectTriangleSplit(nw, core.TriangleSplitConfig{Exec: x})
 		if r == nil {
 			return nil, err
 		}
-		return &Report{Detected: r.Detected, Algorithm: "triangle-degree-split",
-			Rounds: r.Rounds, BandwidthBits: r.Bandwidth, Stats: r.Stats}, err
+		return report("triangle-degree-split", r.Outcome), err
 
 	case isCycle(h):
 		L := h.N()
@@ -261,72 +247,83 @@ func Detect(nw *Network, h *Graph, opts Options) (*Report, error) {
 				reps = 1
 			}
 			r, err := core.DetectEvenCycle(nw, core.EvenCycleConfig{
-				K: L / 2, PhaseIReps: reps, PhaseIIReps: reps,
-				Seed: opts.Seed, Parallel: opts.Parallel,
-				Faults: opts.Faults, Deadline: opts.Deadline, Resilient: resilient, Tracer: opts.Trace,
+				Exec: x, K: L / 2, PhaseIReps: reps, PhaseIIReps: reps,
 			})
 			if r == nil {
 				return nil, err
 			}
-			return &Report{Detected: r.Detected, Algorithm: "even-cycle-sublinear",
-				Rounds: r.Rounds, BandwidthBits: r.Bandwidth, Stats: r.Stats}, err
+			return report("even-cycle-sublinear", r.Outcome), err
 		}
 		reps := opts.Reps
 		if reps <= 0 {
 			reps = core.DefaultCycleReps(L)
 		}
-		r, err := core.DetectCycleLinear(nw, core.LinearCycleConfig{
-			CycleLen: L, Reps: reps, Seed: opts.Seed, Parallel: opts.Parallel,
-			Faults: opts.Faults, Deadline: opts.Deadline, Resilient: resilient, Tracer: opts.Trace,
-		})
+		r, err := core.DetectCycleLinear(nw, core.LinearCycleConfig{Exec: x, CycleLen: L, Reps: reps})
 		if r == nil {
 			return nil, err
 		}
-		return &Report{Detected: r.Detected, Algorithm: "cycle-linear",
-			Rounds: r.Rounds, BandwidthBits: r.Bandwidth, Stats: r.Stats}, err
+		return report("cycle-linear", r.Outcome), err
 
 	case isClique(h):
-		if resilient != nil {
-			return nil, fmt.Errorf("subgraph: resilient mode is not supported for clique patterns")
-		}
-		r, err := core.DetectClique(nw, core.CliqueConfig{
-			S: h.N(), Seed: opts.Seed, Parallel: opts.Parallel,
-			Faults: opts.Faults, Deadline: opts.Deadline, Tracer: opts.Trace,
-		})
+		r, err := core.DetectClique(nw, core.CliqueConfig{Exec: x, S: h.N()})
 		if r == nil {
 			return nil, err
 		}
-		return &Report{Detected: r.Detected, Algorithm: "clique-linear",
-			Rounds: r.Rounds, BandwidthBits: r.Bandwidth, Stats: r.Stats}, err
+		return report("clique-linear", r.Outcome), err
 
 	default:
-		if resilient != nil {
-			return nil, fmt.Errorf("subgraph: resilient mode is not supported for general patterns")
-		}
-		r, err := core.DetectCollect(nw, core.CollectConfig{
-			H: h, Seed: opts.Seed, Parallel: opts.Parallel,
-			Faults: opts.Faults, Deadline: opts.Deadline, Tracer: opts.Trace,
-		})
+		r, err := core.DetectCollect(nw, core.CollectConfig{Exec: x, H: h})
 		if r == nil {
 			return nil, err
 		}
-		return &Report{Detected: r.Detected, Algorithm: "edge-collection",
-			Rounds: r.Rounds, BandwidthBits: r.Bandwidth, Stats: r.Stats}, err
+		return report("edge-collection", r.Outcome), err
 	}
 }
 
+// CheckResilient returns the error Detect gives h under opts when
+// opts.Resilient asks for a detector the ack/retransmit decorator does
+// not support, and nil otherwise. Triangle and cycle patterns may run
+// resilient; trees, larger cliques and general patterns may not.
+func CheckResilient(h *Graph, opts Options) error {
+	if !opts.Resilient || isCycle(h) {
+		return nil
+	}
+	kind := "general"
+	if h.IsTree() {
+		kind = "tree"
+	} else if isClique(h) {
+		kind = "clique"
+	}
+	return fmt.Errorf("subgraph: resilient mode is not supported for %s patterns", kind)
+}
+
 // DetectLocal decides pattern containment in the LOCAL model (unbounded
-// messages, O(|h|) rounds) — exact and deterministic.
+// messages, O(|h|) rounds) — exact and deterministic. It does not take
+// Options.Resilient.
 func DetectLocal(nw *Network, h *Graph, opts Options) (*Report, error) {
-	r, err := core.DetectLocal(nw, core.LocalConfig{
-		H: h, Seed: opts.Seed, Parallel: opts.Parallel,
-		Faults: opts.Faults, Deadline: opts.Deadline, Tracer: opts.Trace,
-	})
+	if opts.Resilient {
+		return nil, fmt.Errorf("subgraph: resilient mode is not supported in the LOCAL model")
+	}
+	r, err := core.DetectLocal(nw, core.LocalConfig{Exec: opts.exec(), H: h})
 	if r == nil {
 		return nil, err
 	}
-	return &Report{Detected: r.Detected, Algorithm: "local-ball-collection",
-		Rounds: r.Rounds, BandwidthBits: 0, Stats: r.Stats}, err
+	return report("local-ball-collection", r.Outcome), err
+}
+
+// exec is the one place Options become the simulator's run knobs.
+func (o Options) exec() core.Exec {
+	x := core.Exec{Seed: o.Seed, Parallel: o.Parallel, Faults: o.Faults, Deadline: o.Deadline, Tracer: o.Trace}
+	if o.Resilient {
+		x.Resilient = &ResilientConfig{}
+	}
+	return x
+}
+
+// report is the facade Report of a detector's Outcome.
+func report(algorithm string, o core.Outcome) *Report {
+	return &Report{Detected: o.Detected, Algorithm: algorithm,
+		Rounds: o.Rounds, BandwidthBits: o.Bandwidth, Stats: o.Stats}
 }
 
 // CliqueListing is the outcome of congested-clique K_s listing.

@@ -183,6 +183,21 @@ func TestFacadeErrorPaths(t *testing.T) {
 	if _, err := DetectLocal(nw, nil, Options{}); err == nil {
 		t.Fatal("nil pattern accepted by DetectLocal")
 	}
+	if _, err := DetectLocal(nw, Path(2), Options{Resilient: true}); err == nil {
+		t.Fatal("resilient mode accepted by DetectLocal")
+	}
+	resilient := Options{Resilient: true}
+	for _, h := range []*Graph{Path(3), Star(3), Complete(2), Complete(4), CompleteBipartite(2, 3)} {
+		_, err := Detect(nw, h, resilient)
+		if err == nil || CheckResilient(h, resilient) == nil || err.Error() != CheckResilient(h, resilient).Error() {
+			t.Fatalf("resilient %v: Detect said %v, CheckResilient %v", h, err, CheckResilient(h, resilient))
+		}
+	}
+	for _, h := range []*Graph{Cycle(3), Cycle(4), Cycle(5)} {
+		if err := CheckResilient(h, resilient); err != nil {
+			t.Fatalf("resilient %v refused: %v", h, err)
+		}
+	}
 	if _, err := ListCliques(Complete(4), 1, 0); err == nil {
 		t.Fatal("s=1 accepted by ListCliques")
 	}

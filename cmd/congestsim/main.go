@@ -22,6 +22,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"subgraph"
 	"subgraph/internal/obs"
@@ -43,13 +44,13 @@ func run() int {
 		cliqueSz  = flag.Int("clique", 4, "planted clique size (graph=planted-clique)")
 		pattern   = flag.String("pattern", "cycle:4", "pattern: triangle | cycle:L | clique:S | path:L | star:L")
 		model     = flag.String("model", "congest", "model: congest | local")
-		reps      = flag.Int("reps", 0, "color-coding repetitions (0 = default)")
+		reps      = flag.Int("reps", 0, "color-coding repetitions for cycle patterns (0 = default; trees are exact and ignore it)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		parallel  = flag.Bool("parallel", false, "use the parallel simulator engine")
 		drop      = flag.Float64("drop", 0, "fault injection: per-message drop probability in [0,1]")
 		corrupt   = flag.Float64("corrupt", 0, "fault injection: per-message bit-flip probability in [0,1]")
 		crash     = flag.String("crash", "", "fault injection: crash-stop failures as \"v@r,v@r\" (vertex v crashes at round r)")
-		deadline  = flag.Duration("deadline", 0, "wall-clock budget for the run (0 = none); on expiry the partial result is printed")
+		deadline  = flag.Duration("deadline", 0, "wall-clock budget for the run (0 = none, or 1m for a tree pattern under faults); on expiry the partial result is printed")
 		resilient = flag.Bool("resilient", false, "wrap nodes in the ack/retransmit decorator to tolerate message loss")
 		tracefile = flag.String("tracefile", "", "stream run events to this file as JSON Lines")
 		report    = flag.String("report", "", "write a JSON run report (metrics, per-round series) to this file")
@@ -102,6 +103,12 @@ func run() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
+	}
+	if *deadline == 0 && faults != nil && h.IsTree() {
+		// A tree node waits for every neighbour's end marker, so one lost
+		// marker leaves the run to its declared round cap, which grows
+		// steeply with the tree (84,982 rounds for path:12).
+		*deadline = time.Minute
 	}
 
 	// Observability sinks: a streaming JSONL trace and/or a metrics

@@ -84,6 +84,10 @@ func NewNetworkWithDuplicateIDs(g *graph.Graph, ids []NodeID) *Network {
 	return &Network{G: g, ids: ids, idx: nil}
 }
 
+// UniqueIDs reports whether identifiers are guaranteed distinct, i.e. the
+// network was not built by NewNetworkWithDuplicateIDs.
+func (nw *Network) UniqueIDs() bool { return nw.idx != nil }
+
 // N returns the number of nodes.
 func (nw *Network) N() int { return nw.G.N() }
 

@@ -1,9 +1,9 @@
 // Package core implements the paper's detection algorithms on top of the
 // CONGEST simulator: the Theorem 1.1 sublinear even-cycle detector
 // (Section 6), the linear-round color-coded BFS baseline for any fixed
-// cycle, color-coding tree detection (cf. [12]), O(n)-round clique
-// detection (cf. [10]), the generic edge-collection detector, and LOCAL
-// model detection by neighborhood collection.
+// cycle, exact tree detection by representative families (cf. [12]),
+// O(n)-round clique detection (cf. [10]), the generic edge-collection
+// detector, and LOCAL model detection by neighborhood collection.
 package core
 
 import (

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"subgraph/internal/congest"
 	"subgraph/internal/graph"
@@ -254,14 +257,10 @@ func TestEvenCycleRejectsBadK(t *testing.T) {
 // --- tree detection ---
 
 func TestTreeDetectPath(t *testing.T) {
-	// P_4 inside C_10 — present; with planted coloring on 4 consecutive
-	// cycle vertices.
+	// P_4 inside C_10 — present.
 	g := graph.Cycle(10)
 	nw := congest.NewNetwork(g)
-	rep, err := DetectTree(nw, TreeConfig{
-		Tree:     graph.Path(4),
-		Coloring: PlantedColoring(nw, []int{0, 1, 2, 3}, 1),
-	})
+	rep, err := DetectTree(nw, TreeConfig{Tree: graph.Path(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +272,7 @@ func TestTreeDetectPath(t *testing.T) {
 func TestTreeDetectStarAbsent(t *testing.T) {
 	// K_{1,4} needs a degree-4 vertex; a cycle has none.
 	nw := congest.NewNetwork(graph.Cycle(12))
-	rep, err := DetectTree(nw, TreeConfig{Tree: graph.Star(4), Reps: 30, Exec: Exec{Seed: 2}})
+	rep, err := DetectTree(nw, TreeConfig{Tree: graph.Star(4), Exec: Exec{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func TestTreeDetectStarAbsent(t *testing.T) {
 
 func TestTreeDetectStarPresent(t *testing.T) {
 	nw := congest.NewNetwork(graph.Star(6))
-	rep, err := DetectTree(nw, TreeConfig{Tree: graph.Star(4), Reps: 400, Exec: Exec{Seed: 3}})
+	rep, err := DetectTree(nw, TreeConfig{Tree: graph.Star(4), Exec: Exec{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestTreeDetectStarPresent(t *testing.T) {
 }
 
 func TestTreeDetectConstantRounds(t *testing.T) {
-	// Round budget must not depend on n.
+	// Neither the rounds nor the declared cap may depend on n.
 	small := congest.NewNetwork(graph.Cycle(10))
 	big := congest.NewNetwork(graph.Cycle(200))
 	tr := graph.Path(4)
@@ -306,8 +305,11 @@ func TestTreeDetectConstantRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.RoundsPerRep != b.RoundsPerRep {
-		t.Fatalf("tree budget grew with n: %d vs %d", a.RoundsPerRep, b.RoundsPerRep)
+	if a.Rounds != b.Rounds {
+		t.Fatalf("tree rounds grew with n: %d vs %d", a.Rounds, b.Rounds)
+	}
+	if a.MaxRounds != b.MaxRounds {
+		t.Fatalf("tree budget grew with n: %d vs %d", a.MaxRounds, b.MaxRounds)
 	}
 }
 
@@ -318,7 +320,43 @@ func TestTreeRejectsNonTree(t *testing.T) {
 	}
 }
 
-// Property: tree detector soundness on random graphs (reject ⇒ copy
+func TestTreeRejectsDuplicateIDs(t *testing.T) {
+	g := graph.Cycle(6)
+	dup := congest.NewNetworkWithDuplicateIDs(g, []congest.NodeID{0, 1, 2, 0, 1, 2})
+	if dup.UniqueIDs() {
+		t.Fatal("duplicate-ID network reports unique identifiers")
+	}
+	if _, err := DetectTree(dup, TreeConfig{Tree: graph.Path(3)}); err == nil {
+		t.Fatal("duplicate identifiers accepted")
+	}
+	if !congest.NewNetworkWithIDs(g, []congest.NodeID{5, 9, 2, 7, 11, 3}).UniqueIDs() {
+		t.Fatal("explicit unique IDs report duplicates")
+	}
+}
+
+// A tree family can take hours to build inside one Round call (path:14 on
+// K_40 branches over ~10^5 sets per family), so the deadline must reach
+// into the branching: the run returns soon after it with a partial report.
+func TestTreeDeadlineCutsFamilyBuild(t *testing.T) {
+	nw := congest.NewNetwork(graph.Complete(40))
+	for _, parallel := range []bool{false, true} {
+		start := time.Now()
+		rep, err := DetectTree(nw, TreeConfig{Tree: graph.Path(14),
+			Exec: Exec{Deadline: 500 * time.Millisecond, Parallel: parallel}})
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("parallel=%v: err = %v, want one wrapping context.DeadlineExceeded", parallel, err)
+		}
+		if rep == nil {
+			t.Fatalf("parallel=%v: no partial report", parallel)
+		}
+		if elapsed > 1500*time.Millisecond {
+			t.Fatalf("parallel=%v: returned %v after a 500ms deadline", parallel, elapsed)
+		}
+	}
+}
+
+// Property: the tree detector is exact on random graphs (reject ⇔ copy
 // exists).
 func TestQuickTreeSoundness(t *testing.T) {
 	pattern := graph.Star(3) // claw
@@ -326,14 +364,11 @@ func TestQuickTreeSoundness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.GNP(12, 0.15, rng)
 		nw := congest.NewNetwork(g)
-		rep, err := DetectTree(nw, TreeConfig{Tree: pattern, Reps: 20, Exec: Exec{Seed: seed}})
+		rep, err := DetectTree(nw, TreeConfig{Tree: pattern, Exec: Exec{Seed: seed}})
 		if err != nil {
 			return false
 		}
-		if rep.Detected {
-			return graph.ContainsSubgraph(pattern, g)
-		}
-		return true
+		return rep.Detected == graph.ContainsSubgraph(pattern, g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

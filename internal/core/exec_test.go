@@ -52,7 +52,7 @@ func TestExecContract(t *testing.T) {
 		run  execRun
 	}{
 		{"tree", func(x Exec) (string, *congest.Stats, error) {
-			return decided(DetectTree(nw, TreeConfig{Exec: x, Tree: graph.Path(4), Reps: 4}))
+			return decided(DetectTree(nw, TreeConfig{Exec: x, Tree: graph.Path(4)}))
 		}},
 		{"clique", func(x Exec) (string, *congest.Stats, error) {
 			return decided(DetectClique(nw, CliqueConfig{Exec: x, S: 4}))

@@ -26,10 +26,11 @@ func GenerateCase(rng *rand.Rand, idx int) *Case {
 	pattern := genPattern(rng)
 
 	opts := subgraph.OptionsSpec{Seed: rng.Int63()}
-	// Reps stays explicit and small for tree and odd-cycle patterns:
-	// Reps=0 means the amplified default there (t^t resp. L^(L-1)
-	// repetitions — cycle:7 defaults to 117k reps), which would dominate
-	// the whole battery's budget for zero extra oracle coverage.
+	// Reps stays explicit and small for odd-cycle patterns: Reps=0 means
+	// the amplified default there (L^(L-1) repetitions — cycle:7 defaults
+	// to 117k reps), which would dominate the whole battery's budget for
+	// zero extra oracle coverage. Trees ignore Reps but still take this
+	// branch, so the case stream (and every seed's replay) is unchanged.
 	if rng.Intn(2) == 0 || expensiveDefaultReps(pattern) {
 		opts.Reps = 1 + rng.Intn(3)
 	}
@@ -137,8 +138,10 @@ func genFaults(rng *rand.Rand, n int) *subgraph.FaultSpec {
 	return f
 }
 
-// expensiveDefaultReps reports whether Reps=0 would amplify to a huge
-// repetition count for this pattern (trees: t^t; odd cycles: L^(L-1)).
+// expensiveDefaultReps reports whether GenerateCase forces an explicit
+// Reps for this pattern: odd cycles, whose Reps=0 default amplifies to
+// L^(L-1) repetitions, and trees, which ignore Reps and stay listed only
+// so the generator's RNG draws, and so its case stream, do not change.
 func expensiveDefaultReps(spec string) bool {
 	h, err := subgraph.ParsePattern(spec)
 	if err != nil {

@@ -84,11 +84,12 @@ func (h *Harness) Close() {
 // exactAlgorithms are the detectors whose answers are two-sided exact;
 // the rest are one-sided (detected ⇒ present, absence may be missed).
 var exactAlgorithms = map[string]bool{
-	"triangle-neighbor-exchange": true,
-	"triangle-degree-split":      true,
-	"clique-linear":              true,
-	"edge-collection":            true,
-	"local-ball-collection":      true,
+	"triangle-neighbor-exchange":   true,
+	"triangle-degree-split":        true,
+	"clique-linear":                true,
+	"edge-collection":              true,
+	"local-ball-collection":        true,
+	"tree-representative-families": true,
 }
 
 // ExactAlgorithm reports whether the named detector's answers are

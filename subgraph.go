@@ -145,7 +145,8 @@ var (
 // Options tunes Detect.
 type Options struct {
 	// Reps is the number of color-coding repetitions for the randomized
-	// detectors (0 = a sensible default for the pattern).
+	// cycle detectors (0 = a sensible default for the pattern). Trees are
+	// detected exactly and ignore it.
 	Reps int
 	// Seed drives all randomness.
 	Seed int64
@@ -190,16 +191,17 @@ type Report struct {
 // Detect decides whether the network contains a copy of pattern h,
 // dispatching on the pattern's shape:
 //
-//   - trees → constant-round color-coding DP;
+//   - trees → the exact representative-family detector, in a number of
+//     rounds set by the pattern alone;
 //   - triangles → the exact Δ-round neighbor-exchange detector;
 //   - even cycles C_{2k} → the Theorem 1.1 sublinear algorithm;
 //   - odd cycles → the O(n) pipelined color-BFS baseline;
 //   - cliques K_s → the O(n) neighborhood-exchange detector;
 //   - anything else → the O(m+n) edge-collection detector (exact).
 //
-// The randomized detectors are one-sided: a "detected" answer is always
-// correct, a "not detected" answer is correct with probability growing in
-// Options.Reps.
+// The randomized detectors (even and odd cycles) are one-sided: a
+// "detected" answer is always correct, a "not detected" answer is correct
+// with probability growing in Options.Reps.
 func Detect(nw *Network, h *Graph, opts Options) (*Report, error) {
 	if h == nil || h.N() == 0 {
 		return nil, fmt.Errorf("subgraph: empty pattern")
@@ -210,15 +212,11 @@ func Detect(nw *Network, h *Graph, opts Options) (*Report, error) {
 	x := opts.exec()
 	switch {
 	case h.IsTree():
-		reps := opts.Reps
-		if reps <= 0 {
-			reps = defaultTreeReps(h.N())
-		}
-		r, err := core.DetectTree(nw, core.TreeConfig{Exec: x, Tree: h, Reps: reps})
+		r, err := core.DetectTree(nw, core.TreeConfig{Exec: x, Tree: h})
 		if r == nil {
 			return nil, err
 		}
-		return report("tree-color-coding", r.Outcome), err
+		return report("tree-representative-families", r.Outcome), err
 
 	case h.N() == 3 && h.M() == 3:
 		// Triangles: both exact detectors are O(log n)-bandwidth; pick
@@ -370,16 +368,4 @@ func isCycle(h *Graph) bool {
 func isClique(h *Graph) bool {
 	n := h.N()
 	return n >= 2 && h.M() == n*(n-1)/2
-}
-
-// defaultTreeReps caps the t^t amplification at something simulable.
-func defaultTreeReps(t int) int {
-	reps := 1
-	for i := 0; i < t; i++ {
-		reps *= t
-		if reps >= 4096 {
-			return 4096
-		}
-	}
-	return reps
 }

@@ -12,7 +12,7 @@ func TestDetectDispatchTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Algorithm != "tree-color-coding" {
+	if rep.Algorithm != "tree-representative-families" {
 		t.Fatalf("algorithm %s", rep.Algorithm)
 	}
 	if !rep.Detected {

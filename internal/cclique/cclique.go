@@ -1,183 +1,81 @@
-// Package cclique simulates the Congested Clique model: n nodes with an
-// all-to-all communication graph, where in each round every ordered pair of
-// nodes may exchange B bits (B = Θ(log n) in the paper's clique-listing
-// lower bound). The input graph is separate from the communication graph:
-// node v initially knows only the input edges incident to v.
+// Package cclique lists cliques in the Congested Clique model: n nodes
+// with an all-to-all communication graph, where in each round every
+// ordered pair of nodes may exchange B bits (B = Θ(log n) in the paper's
+// clique-listing lower bound). The input graph is separate from the
+// communication graph: node v initially knows only the input edges
+// incident to v.
 //
-// The package also implements partition-based K_s listing — the
+// The model is CONGEST on K_n (Dolev–Lenzen–Peled; Censor-Hillel's
+// survey), so the listers are congest.Node programs run by congest.Run
+// over congest.NewNetwork(graph.Complete(n)). Identifiers are vertex
+// indices: int(env.ID()) is a node's index and int(m.From) its sender's.
+// Each program reads its own input row from the input graph in Init.
+//
+// The package implements partition-based K_s listing — the
 // Dolev–Lenzen–Peled "Tri, Tri again" algorithm generalized from triangles
 // to s-cliques — whose round complexity ~n^{1-2/s} matches the shape of the
-// Ω̃(n^{1-2/s}) lower bound the paper proves (Section 1.1 and Lemma 1.3).
+// Ω̃(n^{1-2/s}) lower bound the paper proves (Section 1.1 and Lemma 1.3),
+// and the naive all-to-all baseline.
 package cclique
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"subgraph/internal/bitio"
+	"subgraph/internal/congest"
 	"subgraph/internal/graph"
 )
 
-// Message is a payload in transit between two clique nodes.
-type Message struct {
-	From, To int
-	Payload  bitio.BitString
-}
-
-// Node is one participant's program in the congested clique.
-type Node interface {
-	// Init receives the environment before round 1; the node can read its
-	// input-graph adjacency from it.
-	Init(env *Env)
-	// Round is called once per round with messages delivered this round.
-	Round(env *Env, inbox []Message)
-}
-
-// Env is a node's interface to the clique during a run.
-type Env struct {
-	me    int
-	n     int
-	b     int
-	round int
-	input *graph.Graph
-
-	out    []Message
-	halted bool
-	err    error
-}
-
-// Me returns this node's index (0..n-1).
-func (e *Env) Me() int { return e.me }
-
-// N returns the number of nodes.
-func (e *Env) N() int { return e.n }
-
-// B returns the per-pair bandwidth in bits per round (0 = unbounded).
-func (e *Env) B() int { return e.b }
-
-// Round returns the current round (1-based).
-func (e *Env) Round() int { return e.round }
-
-// InputNeighbors returns this node's adjacency in the input graph.
-func (e *Env) InputNeighbors() []int32 { return e.input.Neighbors(e.me) }
-
-// InputDegree returns this node's degree in the input graph.
-func (e *Env) InputDegree() int { return e.input.Degree(e.me) }
-
-// Send queues payload for node `to` (any node; the communication graph is
-// complete). Self-sends are rejected.
-func (e *Env) Send(to int, payload bitio.BitString) {
-	if e.err != nil {
-		return
-	}
-	if to < 0 || to >= e.n || to == e.me {
-		e.fail(fmt.Errorf("cclique: node %d: invalid recipient %d", e.me, to))
-		return
-	}
-	e.out = append(e.out, Message{From: e.me, To: to, Payload: payload})
-}
-
-// Halt stops the node; Round will not be called again.
-func (e *Env) Halt() { e.halted = true }
-
-func (e *Env) fail(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-// Stats aggregates communication measurements of a clique run.
-type Stats struct {
-	Rounds          int
-	TotalBits       int64
-	TotalMessages   int64
-	MaxPairBitsRnd  int // max bits on one ordered pair within a round
-	MaxNodeBitsRnd  int // max bits sent by one node within a round
-	PerRoundBits    []int64
-	MessagesDropped int // always 0; reserved for lossy variants
-}
-
-// Config controls a congested-clique run.
-type Config struct {
-	// B is the per-ordered-pair bandwidth in bits per round; ≤0 unbounded.
+// ListResult reports the outcome of a listing run.
+type ListResult struct {
+	// Cliques lists each K_s exactly once, vertices ascending.
+	Cliques [][]int
+	// Stats holds the communication measurements of the run; on K_n,
+	// MaxEdgeBitsRound is the most bits one ordered pair carried in a
+	// round.
+	Stats congest.Stats
+	// Groups is the partition parameter k.
+	Groups int
+	// Collectors is the number of collector nodes C(k+s-1, s).
+	Collectors int
+	// B is the per-pair bandwidth used.
 	B int
-	// MaxRounds bounds the execution.
-	MaxRounds int
 }
 
-// Run executes the factory-created nodes on input graph g.
-func Run(g *graph.Graph, factory func() Node, cfg Config) (Stats, error) {
-	if cfg.MaxRounds <= 0 {
-		return Stats{}, fmt.Errorf("cclique: MaxRounds must be positive")
+// finder is a lister's node program: once the run ends, cliques returns
+// the cliques this node listed.
+type finder interface {
+	congest.Node
+	cliques() [][]int
+}
+
+// checkS rejects clique sizes below 2.
+func checkS(s int) error {
+	if s < 2 {
+		return fmt.Errorf("cclique: s must be ≥ 2, got %d", s)
 	}
-	n := g.N()
-	envs := make([]*Env, n)
-	nodes := make([]Node, n)
-	for v := 0; v < n; v++ {
-		envs[v] = &Env{me: v, n: n, b: cfg.B, input: g}
-		nodes[v] = factory()
-		nodes[v].Init(envs[v])
-		if envs[v].err != nil {
-			return Stats{}, envs[v].err
-		}
+	return nil
+}
+
+// runOnClique runs one newNode program per vertex of g on K_n, res.B bits
+// per ordered pair per round, on the engine eng selects. It fills
+// res.Stats and res.Cliques, the latter sorted.
+func runOnClique(g *graph.Graph, res *ListResult, maxRounds int, eng congest.Config, newNode func() finder) error {
+	nodes := make([]finder, 0, g.N())
+	factory := func() congest.Node {
+		nd := newNode()
+		nodes = append(nodes, nd)
+		return nd
 	}
-	var stats Stats
-	inboxes := make([][]Message, n)
-	for round := 1; round <= cfg.MaxRounds; round++ {
-		allHalted := true
-		for v := 0; v < n; v++ {
-			if !envs[v].halted {
-				allHalted = false
-				break
-			}
-		}
-		if allHalted {
-			break
-		}
-		for v := 0; v < n; v++ {
-			if envs[v].halted {
-				continue
-			}
-			envs[v].round = round
-			nodes[v].Round(envs[v], inboxes[v])
-			if envs[v].err != nil {
-				return Stats{}, envs[v].err
-			}
-		}
-		stats.Rounds = round
-		next := make([][]Message, n)
-		pairBits := make(map[[2]int]int)
-		nodeBits := make(map[int]int)
-		var roundBits int64
-		for v := 0; v < n; v++ {
-			for _, m := range envs[v].out {
-				bits := m.Payload.Len()
-				key := [2]int{m.From, m.To}
-				pairBits[key] += bits
-				nodeBits[m.From] += bits
-				if cfg.B > 0 && pairBits[key] > cfg.B {
-					return Stats{}, fmt.Errorf(
-						"cclique: bandwidth violation in round %d: %d→%d carried %d bits (B=%d)",
-						round, m.From, m.To, pairBits[key], cfg.B)
-				}
-				if pairBits[key] > stats.MaxPairBitsRnd {
-					stats.MaxPairBitsRnd = pairBits[key]
-				}
-				if nodeBits[m.From] > stats.MaxNodeBitsRnd {
-					stats.MaxNodeBitsRnd = nodeBits[m.From]
-				}
-				roundBits += int64(bits)
-				stats.TotalMessages++
-				next[m.To] = append(next[m.To], m)
-			}
-			envs[v].out = envs[v].out[:0]
-		}
-		stats.TotalBits += roundBits
-		stats.PerRoundBits = append(stats.PerRoundBits, roundBits)
-		for v := range next {
-			sort.SliceStable(next[v], func(i, j int) bool { return next[v][i].From < next[v][j].From })
-		}
-		inboxes = next
+	eng.B, eng.MaxRounds = res.B, maxRounds
+	run, err := congest.Run(congest.NewNetwork(graph.Complete(g.N())), factory, eng)
+	if err != nil {
+		return err
 	}
-	return stats, nil
+	res.Stats = run.Stats
+	for _, nd := range nodes {
+		res.Cliques = append(res.Cliques, nd.cliques()...)
+	}
+	slices.SortFunc(res.Cliques, slices.Compare[[]int])
+	return nil
 }

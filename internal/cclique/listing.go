@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"subgraph/internal/bitio"
+	"subgraph/internal/congest"
 	"subgraph/internal/graph"
 )
 
@@ -27,26 +28,17 @@ import (
 // graphs — the shape matched by the paper's Ω̃(n^{1-2/s}) lower bound.
 // Phase lengths are agreed on by two 1-round load announcements.
 
-// ListResult reports the outcome of a listing run.
-type ListResult struct {
-	// Cliques lists each K_s exactly once, vertices ascending.
-	Cliques [][]int
-	// Stats holds the communication measurements of the run.
-	Stats Stats
-	// Groups is the partition parameter k.
-	Groups int
-	// Collectors is the number of collector nodes C(k+s-1, s).
-	Collectors int
-	// B is the per-pair bandwidth used.
-	B int
-}
-
 // ListCliques runs K_s listing on g with per-pair bandwidth bandwidth
 // (pass 0 for the default Θ(log n)). It requires s ≥ 2 and n ≥ s.
 func ListCliques(g *graph.Graph, s int, bandwidth int) (*ListResult, error) {
+	return listCliques(g, s, bandwidth, congest.Config{})
+}
+
+// listCliques is ListCliques on the engine eng selects.
+func listCliques(g *graph.Graph, s int, bandwidth int, eng congest.Config) (*ListResult, error) {
 	n := g.N()
-	if s < 2 {
-		return nil, fmt.Errorf("cclique: s must be ≥ 2, got %d", s)
+	if err := checkS(s); err != nil {
+		return nil, err
 	}
 	if n < s {
 		return &ListResult{}, nil
@@ -69,40 +61,18 @@ func ListCliques(g *graph.Graph, s int, bandwidth int) (*ListResult, error) {
 		msgBits: msgBits,
 		cap:     bandwidth / msgBits,
 		tuples:  tuples,
-		tupleIx: indexMultisets(tuples),
-	}
-
-	nodes := make([]*listNode, n)
-	factory := func() Node {
-		ln := &listNode{plan: plan}
-		nodes[ln.assignSlot(nodes)] = ln
-		return ln
-	}
-	// Generous round cap: announcements + both phases can never exceed
-	// total message count.
-	maxRounds := 4 + 2*(g.M()*k*k+n)
-	stats, err := Run(g, factory, Config{B: bandwidth, MaxRounds: maxRounds})
-	if err != nil {
-		return nil, err
 	}
 	res := &ListResult{
-		Stats:      stats,
 		Groups:     k,
 		Collectors: len(tuples),
 		B:          bandwidth,
 	}
-	for _, ln := range nodes {
-		res.Cliques = append(res.Cliques, ln.found...)
+	// Generous round cap: announcements + both phases can never exceed
+	// total message count.
+	maxRounds := 4 + 2*(g.M()*k*k+n)
+	if err := runOnClique(g, res, maxRounds, eng, func() finder { return &listNode{plan: plan} }); err != nil {
+		return nil, err
 	}
-	sort.Slice(res.Cliques, func(i, j int) bool {
-		a, b := res.Cliques[i], res.Cliques[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
 	return res, nil
 }
 
@@ -157,14 +127,6 @@ func multisetKey(ms []int) string {
 	return string(b)
 }
 
-func indexMultisets(tuples [][]int) map[string]int {
-	ix := make(map[string]int, len(tuples))
-	for i, t := range tuples {
-		ix[multisetKey(t)] = i
-	}
-	return ix
-}
-
 // listPlan is the shared read-only parameters of a listing run.
 type listPlan struct {
 	g       *graph.Graph
@@ -174,7 +136,6 @@ type listPlan struct {
 	msgBits int
 	cap     int // messages per ordered pair per round
 	tuples  [][]int
-	tupleIx map[string]int
 }
 
 func (p *listPlan) group(v int) int { return v % p.k }
@@ -243,21 +204,12 @@ type listNode struct {
 	found [][]int
 }
 
-// assignSlot gives the factory a deterministic index for the node being
-// created (Run calls the factory in vertex order).
-func (ln *listNode) assignSlot(nodes []*listNode) int {
-	for i, x := range nodes {
-		if x == nil {
-			ln.me = i
-			return i
-		}
-	}
-	panic("cclique: factory called too many times")
-}
+func (ln *listNode) cliques() [][]int { return ln.found }
 
-func (ln *listNode) Init(env *Env) {
+func (ln *listNode) Init(env *congest.Env) {
 	p := ln.plan
 	n := env.N()
+	ln.me = int(env.ID())
 	ln.perRelay = make([][]edgeMsg, n)
 	ln.perDest = make(map[int][]edgeMsg)
 	ln.edges = make(map[[2]int]struct{})
@@ -265,16 +217,16 @@ func (ln *listNode) Init(env *Env) {
 	// spread them round-robin over relays (skipping self as relay target;
 	// units whose relay would be self skip phase 1 locally).
 	seq := 0
-	for _, wi := range env.InputNeighbors() {
+	for _, wi := range p.g.Neighbors(ln.me) {
 		w := int(wi)
-		if w < env.Me() {
+		if w < ln.me {
 			continue // the smaller endpoint owns the edge
 		}
-		for _, dest := range p.collectorsForEdge(env.Me(), w) {
+		for _, dest := range p.collectorsForEdge(ln.me, w) {
 			relay := seq % n
 			seq++
-			m := edgeMsg{u: env.Me(), w: w, dest: dest}
-			if relay == env.Me() {
+			m := edgeMsg{u: ln.me, w: w, dest: dest}
+			if relay == ln.me {
 				ln.perDest[dest] = append(ln.perDest[dest], m)
 			} else {
 				ln.perRelay[relay] = append(ln.perRelay[relay], m)
@@ -303,9 +255,8 @@ func (ln *listNode) decode(s bitio.BitString) edgeMsg {
 	return edgeMsg{u: int(u), w: int(w), dest: int(d)}
 }
 
-func (ln *listNode) Round(env *Env, inbox []Message) {
+func (ln *listNode) Round(env *congest.Env, inbox []congest.Message) {
 	p := ln.plan
-	n := env.N()
 	switch {
 	case env.Round() == 1:
 		// Announce phase-1 load.
@@ -315,11 +266,7 @@ func (ln *listNode) Round(env *Env, inbox []Message) {
 				own = len(q)
 			}
 		}
-		for v := 0; v < n; v++ {
-			if v != env.Me() {
-				env.Send(v, bitio.Uint(uint64(own), p.msgBits))
-			}
-		}
+		env.Broadcast(bitio.Uint(uint64(own), p.msgBits))
 		ln.load1Max = own
 
 	case env.Round() == 2:
@@ -352,11 +299,7 @@ func (ln *listNode) Round(env *Env, inbox []Message) {
 					own = len(q)
 				}
 			}
-			for v := 0; v < n; v++ {
-				if v != env.Me() {
-					env.Send(v, bitio.Uint(uint64(own), p.msgBits))
-				}
-			}
+			env.Broadcast(bitio.Uint(uint64(own), p.msgBits))
 			ln.r2 = own
 		}
 
@@ -394,7 +337,7 @@ func (ln *listNode) Round(env *Env, inbox []Message) {
 }
 
 // phase1Send emits up to cap units to each relay.
-func (ln *listNode) phase1Send(env *Env) {
+func (ln *listNode) phase1Send(env *congest.Env) {
 	for r := range ln.perRelay {
 		q := ln.perRelay[r]
 		take := ln.plan.cap
@@ -402,14 +345,14 @@ func (ln *listNode) phase1Send(env *Env) {
 			take = len(q)
 		}
 		for i := 0; i < take; i++ {
-			env.Send(r, ln.encode(q[i]))
+			env.Send(congest.NodeID(r), ln.encode(q[i]))
 		}
 		ln.perRelay[r] = q[take:]
 	}
 }
 
 // absorbRelay stores phase-1 units into the per-destination relay queues.
-func (ln *listNode) absorbRelay(inbox []Message) {
+func (ln *listNode) absorbRelay(inbox []congest.Message) {
 	for _, m := range inbox {
 		if m.Payload.Len() != ln.plan.msgBits || m.Payload.Bit(0) != 1 {
 			continue // load announcement, not a unit
@@ -420,7 +363,7 @@ func (ln *listNode) absorbRelay(inbox []Message) {
 }
 
 // phase2Send forwards up to cap units to each destination collector.
-func (ln *listNode) phase2Send(env *Env) {
+func (ln *listNode) phase2Send(env *congest.Env) {
 	for dest, q := range ln.perDest {
 		take := ln.plan.cap
 		if take > len(q) {
@@ -428,10 +371,10 @@ func (ln *listNode) phase2Send(env *Env) {
 		}
 		for i := 0; i < take; i++ {
 			m := q[i]
-			if dest == env.Me() {
+			if dest == ln.me {
 				ln.edges[[2]int{m.u, m.w}] = struct{}{}
 			} else {
-				env.Send(dest, ln.encode(m))
+				env.Send(congest.NodeID(dest), ln.encode(m))
 			}
 		}
 		ln.perDest[dest] = q[take:]
@@ -439,7 +382,7 @@ func (ln *listNode) phase2Send(env *Env) {
 }
 
 // collect stores delivered edges at a collector.
-func (ln *listNode) collect(inbox []Message) {
+func (ln *listNode) collect(inbox []congest.Message) {
 	for _, m := range inbox {
 		if m.Payload.Len() != ln.plan.msgBits || m.Payload.Bit(0) != 1 {
 			continue
@@ -452,15 +395,15 @@ func (ln *listNode) collect(inbox []Message) {
 }
 
 // finish enumerates the collector's cliques and halts.
-func (ln *listNode) finish(env *Env) {
+func (ln *listNode) finish(env *congest.Env) {
 	p := ln.plan
-	if env.Me() < len(p.tuples) && len(ln.edges) > 0 {
+	if ln.me < len(p.tuples) && len(ln.edges) > 0 {
 		b := graph.NewBuilder(p.g.N())
 		for e := range ln.edges {
 			b.AddEdgeOK(e[0], e[1])
 		}
 		local := b.Build()
-		myKey := multisetKey(p.tuples[env.Me()])
+		myKey := multisetKey(p.tuples[ln.me])
 		local.ForEachClique(p.s, func(c []int) bool {
 			ms := make([]int, len(c))
 			for i, v := range c {

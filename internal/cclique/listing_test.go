@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"subgraph/internal/bitio"
+	"subgraph/internal/congest"
 	"subgraph/internal/graph"
 )
 
@@ -104,8 +105,8 @@ func TestListingBandwidthRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.MaxPairBitsRnd > res.B {
-		t.Fatalf("pair bits %d exceed B=%d", res.Stats.MaxPairBitsRnd, res.B)
+	if res.Stats.MaxEdgeBitsRound > res.B {
+		t.Fatalf("pair bits %d exceed B=%d", res.Stats.MaxEdgeBitsRound, res.B)
 	}
 	if res.Groups < 2 {
 		t.Fatalf("groups = %d", res.Groups)
@@ -150,9 +151,12 @@ func TestMultisets(t *testing.T) {
 	if len(ms) != 6 {
 		t.Fatalf("multisets(3,2): %d", len(ms))
 	}
-	ix := indexMultisets(ms)
-	if len(ix) != 6 {
-		t.Fatal("index collision")
+	keys := map[string]bool{}
+	for _, m := range ms {
+		keys[multisetKey(m)] = true
+	}
+	if len(keys) != 6 {
+		t.Fatal("multiset key collision")
 	}
 }
 
@@ -168,78 +172,97 @@ func TestContainsPair(t *testing.T) {
 	}
 }
 
-// --- runner-level tests ---
+// pairPeak is the most bits one ordered pair carried within a round.
+func pairPeak(r *ListResult) int { return r.Stats.MaxEdgeBitsRound }
 
-func TestCliqueRunnerBandwidthViolation(t *testing.T) {
-	g := graph.Complete(3)
-	factory := func() Node {
-		return &funcNode{onRound: func(env *Env, _ []Message) {
-			for v := 0; v < env.N(); v++ {
-				if v != env.Me() {
-					env.Send(v, bitio.Uint(0, 20))
+// TestListingEngineEquality runs both listers on the sequential and the
+// parallel engine; the runs must agree on every stat and every clique.
+func TestListingEngineEquality(t *testing.T) {
+	listers := []struct {
+		name string
+		list func(*graph.Graph, int, int, congest.Config) (*ListResult, error)
+	}{{"partition", listCliques}, {"naive", listCliquesNaive}}
+	for _, n := range []int{16, 32, 48} {
+		g := graph.GNP(n, 0.5, rand.New(rand.NewSource(int64(n))))
+		for _, s := range []int{3, 4} {
+			for _, l := range listers {
+				seq, err := l.list(g, s, 0, congest.Config{})
+				if err != nil {
+					t.Fatalf("%s n=%d s=%d sequential: %v", l.name, n, s, err)
+				}
+				par, err := l.list(g, s, 0, congest.Config{Parallel: true, Workers: 4})
+				if err != nil {
+					t.Fatalf("%s n=%d s=%d parallel: %v", l.name, n, s, err)
+				}
+				if d := congest.DiffStats(seq.Stats, par.Stats); d != "" {
+					t.Errorf("%s n=%d s=%d: stats differ: %s", l.name, n, s, d)
+				}
+				if !reflect.DeepEqual(seq.Cliques, par.Cliques) {
+					t.Errorf("%s n=%d s=%d: cliques differ (%d vs %d)",
+						l.name, n, s, len(seq.Cliques), len(par.Cliques))
 				}
 			}
+		}
+	}
+}
+
+// --- the model's contract on K_n ---
+
+// runClique runs one factory program per vertex on congest.Run over K_n,
+// the network both listers run on.
+func runClique(n int, factory func() congest.Node, b, maxRounds int) error {
+	_, err := congest.Run(congest.NewNetwork(graph.Complete(n)), factory,
+		congest.Config{B: b, MaxRounds: maxRounds})
+	return err
+}
+
+func TestCliqueRunnerBandwidthViolation(t *testing.T) {
+	factory := func() congest.Node {
+		return &congest.FuncNode{OnRound: func(env *congest.Env, _ []congest.Message) {
+			env.Broadcast(bitio.Uint(0, 20))
 		}}
 	}
-	if _, err := Run(g, factory, Config{B: 10, MaxRounds: 3}); err == nil {
+	if err := runClique(3, factory, 10, 3); err == nil {
 		t.Fatal("violation not detected")
 	}
 }
 
 func TestCliqueRunnerSelfSendRejected(t *testing.T) {
-	g := graph.Complete(3)
-	factory := func() Node {
-		return &funcNode{onRound: func(env *Env, _ []Message) {
-			env.Send(env.Me(), bitio.Uint(0, 1))
+	factory := func() congest.Node {
+		return &congest.FuncNode{OnRound: func(env *congest.Env, _ []congest.Message) {
+			env.Send(env.ID(), bitio.Uint(0, 1))
 		}}
 	}
-	if _, err := Run(g, factory, Config{B: 10, MaxRounds: 2}); err == nil {
+	if err := runClique(3, factory, 10, 2); err == nil {
 		t.Fatal("self-send accepted")
 	}
 }
 
 func TestCliqueRunnerAllToAll(t *testing.T) {
 	// Every node sends its index to everyone; each must receive n-1
-	// distinct values.
-	g := graph.Complete(5)
+	// distinct values, one from every other node.
 	got := make([]int, 5)
-	factory := func() Node {
-		return &funcNode{onRound: func(env *Env, inbox []Message) {
+	factory := func() congest.Node {
+		return &congest.FuncNode{OnRound: func(env *congest.Env, inbox []congest.Message) {
+			me := int(env.ID())
 			if env.Round() == 1 {
-				for v := 0; v < env.N(); v++ {
-					if v != env.Me() {
-						env.Send(v, bitio.Uint(uint64(env.Me()), 8))
-					}
-				}
+				env.Broadcast(bitio.Uint(uint64(me), 8))
 				return
 			}
-			got[env.Me()] = len(inbox)
+			for _, m := range inbox {
+				if v, _ := bitio.NewReader(m.Payload).ReadUint(8); congest.NodeID(v) == m.From {
+					got[me]++
+				}
+			}
 			env.Halt()
 		}}
 	}
-	if _, err := Run(g, factory, Config{B: 8, MaxRounds: 3}); err != nil {
+	if err := runClique(5, factory, 8, 3); err != nil {
 		t.Fatal(err)
 	}
 	for v, c := range got {
 		if c != 4 {
 			t.Fatalf("node %d received %d", v, c)
 		}
-	}
-}
-
-type funcNode struct {
-	onInit  func(env *Env)
-	onRound func(env *Env, inbox []Message)
-}
-
-func (f *funcNode) Init(env *Env) {
-	if f.onInit != nil {
-		f.onInit(env)
-	}
-}
-
-func (f *funcNode) Round(env *Env, inbox []Message) {
-	if f.onRound != nil {
-		f.onRound(env, inbox)
 	}
 }

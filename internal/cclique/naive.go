@@ -1,9 +1,11 @@
 package cclique
 
 import (
+	"math/bits"
 	"sort"
 
 	"subgraph/internal/bitio"
+	"subgraph/internal/congest"
 	"subgraph/internal/graph"
 )
 
@@ -15,58 +17,32 @@ import (
 // Θ(n^{1-2/s}), though its tiny constants win at small n; the
 // BenchmarkAblationListing pair records the comparison.
 func ListCliquesNaive(g *graph.Graph, s int, bandwidth int) (*ListResult, error) {
+	return listCliquesNaive(g, s, bandwidth, congest.Config{})
+}
+
+// listCliquesNaive is ListCliquesNaive on the engine eng selects.
+func listCliquesNaive(g *graph.Graph, s int, bandwidth int, eng congest.Config) (*ListResult, error) {
 	n := g.N()
-	if s < 2 {
-		return nil, errBadS(s)
+	if err := checkS(s); err != nil {
+		return nil, err
 	}
 	if n < s {
 		return &ListResult{}, nil
 	}
 	if bandwidth <= 0 {
-		bandwidth = 8 * bitsLen(n) // Θ(log n)
+		bandwidth = 8 * bits.Len(uint(n)) // Θ(log n)
 	}
 	chunks := (n + bandwidth - 1) / bandwidth
-
-	nodes := make([]*naiveNode, 0, n)
-	factory := func() Node {
-		nn := &naiveNode{n: n, s: s, b: bandwidth, chunks: chunks}
-		nodes = append(nodes, nn)
-		return nn
-	}
-	stats, err := Run(g, factory, Config{B: bandwidth, MaxRounds: chunks + 2})
-	if err != nil {
+	res := &ListResult{B: bandwidth}
+	newNode := func() finder { return &naiveNode{g: g, n: n, s: s, b: bandwidth, chunks: chunks} }
+	if err := runOnClique(g, res, chunks+2, eng, newNode); err != nil {
 		return nil, err
 	}
-	res := &ListResult{Stats: stats, B: bandwidth}
-	for _, nn := range nodes {
-		res.Cliques = append(res.Cliques, nn.found...)
-	}
-	sort.Slice(res.Cliques, func(i, j int) bool {
-		a, b := res.Cliques[i], res.Cliques[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
 	return res, nil
 }
 
-type errBadS int
-
-func (e errBadS) Error() string { return "cclique: s must be ≥ 2" }
-
-func bitsLen(n int) int {
-	b := 1
-	for n > 1 {
-		b++
-		n >>= 1
-	}
-	return b
-}
-
 type naiveNode struct {
+	g               *graph.Graph
 	n, s, b, chunks int
 
 	me    int
@@ -75,11 +51,13 @@ type naiveNode struct {
 	found [][]int
 }
 
-func (nn *naiveNode) Init(env *Env) {
-	nn.me = env.Me()
+func (nn *naiveNode) cliques() [][]int { return nn.found }
+
+func (nn *naiveNode) Init(env *congest.Env) {
+	nn.me = int(env.ID())
 	w := bitio.NewWriter()
 	nbrs := map[int]bool{}
-	for _, x := range env.InputNeighbors() {
+	for _, x := range nn.g.Neighbors(nn.me) {
 		nbrs[int(x)] = true
 	}
 	for v := 0; v < nn.n; v++ {
@@ -93,14 +71,14 @@ func (nn *naiveNode) Init(env *Env) {
 	nn.rows = map[int]*bitio.Writer{}
 }
 
-func (nn *naiveNode) Round(env *Env, inbox []Message) {
+func (nn *naiveNode) Round(env *congest.Env, inbox []congest.Message) {
 	// Absorb row chunks (senders arrive sorted, chunks arrive in round
 	// order, so appending reconstructs each row).
 	for _, m := range inbox {
-		w, ok := nn.rows[m.From]
+		w, ok := nn.rows[int(m.From)]
 		if !ok {
 			w = bitio.NewWriter()
-			nn.rows[m.From] = w
+			nn.rows[int(m.From)] = w
 		}
 		w.WriteBits(m.Payload)
 	}
@@ -111,12 +89,7 @@ func (nn *naiveNode) Round(env *Env, inbox []Message) {
 		if hi > nn.n {
 			hi = nn.n
 		}
-		chunk := nn.row.Slice(lo, hi)
-		for v := 0; v < env.N(); v++ {
-			if v != nn.me {
-				env.Send(v, chunk)
-			}
-		}
+		env.Broadcast(nn.row.Slice(lo, hi))
 		return
 	}
 	// All rows received: rebuild the graph and list own-minimum cliques.

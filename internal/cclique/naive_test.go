@@ -60,8 +60,8 @@ func TestNaiveRoundsShape(t *testing.T) {
 	if res.Stats.Rounds != 32/8+1 {
 		t.Fatalf("rounds %d, want %d", res.Stats.Rounds, 32/8+1)
 	}
-	if res.Stats.MaxPairBitsRnd > 8 {
-		t.Fatalf("bandwidth exceeded: %d", res.Stats.MaxPairBitsRnd)
+	if res.Stats.MaxEdgeBitsRound > 8 {
+		t.Fatalf("bandwidth exceeded: %d", res.Stats.MaxEdgeBitsRound)
 	}
 }
 

@@ -128,7 +128,7 @@ func firstRowDiff(got, want *graph.Graph) string {
 // sorted endpoints of the changes; and the base graph must not move. The
 // seeds are the extremal shapes: a planted K_5, the C4-free
 // projective-plane incidence graph, and the paper's gadgets H_2 and
-// G_{2,2}, too large for FuzzCountDelta's decoder.
+// G_{2,2}.
 func FuzzApplyDelta(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	planted, k5 := graph.PlantClique(graph.GNP(24, 0.2, rng), 5, rng)

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"subgraph/internal/comm"
 	"subgraph/internal/graph"
+	"subgraph/internal/lower"
 )
 
 // wordsOf packs fuzz bytes into uint64 rows (little-endian, zero-padded
@@ -94,29 +96,35 @@ func FuzzIntersectCount(f *testing.F) {
 	})
 }
 
-// fuzzMaxN bounds the vertex count decodeDeltaCase produces, which keeps
-// a K_5 count on a decoded complete graph cheap.
-const fuzzMaxN = 40
+// fuzzMaxRecords bounds the graph-edge records, and separately the delta
+// records, that decodeDeltaCase keeps. It bounds a K_5 count by edges
+// rather than vertices: the densest decodable graph is K_23, while sparse
+// gadgets of up to 255 vertices still decode.
+const fuzzMaxRecords = 256
 
 // decodeDeltaCase reads a graph and a delta against it from fuzz bytes.
-// data[0] picks n ≤ fuzzMaxN; then each 3-byte record (op, u, v) names
-// the pair {u mod n, v mod n}. An even op adds it to the graph; an odd
-// op puts it in the delta, as a delete when the graph has the edge and
-// an insert when it does not. Self-loops and repeats are skipped, so
-// every input decodes to a valid delta.
+// data[0] is n; then each 3-byte record (op, u, v) names the pair
+// {u mod n, v mod n}. An even op adds it to the graph; an odd op puts it
+// in the delta, as a delete when the graph has the edge and an insert
+// when it does not. Records of either kind beyond fuzzMaxRecords, delta
+// self-loops and repeats are skipped, so every input decodes to a valid
+// delta.
 func decodeDeltaCase(data []byte) (*graph.Graph, graph.EdgeDelta) {
 	n := 0
 	if len(data) > 0 {
-		n = int(data[0]) % (fuzzMaxN + 1)
+		n = int(data[0])
 		data = data[1:]
 	}
 	b := graph.NewBuilder(n)
 	var changes [][2]int
+	graphRecords := 0
 	for ; n > 0 && len(data) >= 3; data = data[3:] {
 		e := [2]int{int(data[1]) % n, int(data[2]) % n}
-		if data[0]&1 == 0 {
+		switch {
+		case data[0]&1 == 0 && graphRecords < fuzzMaxRecords:
+			graphRecords++
 			b.AddEdgeOK(e[0], e[1])
-		} else if e[0] != e[1] {
+		case data[0]&1 == 1 && len(changes) < fuzzMaxRecords && e[0] != e[1]:
 			changes = append(changes, e)
 		}
 	}
@@ -153,9 +161,10 @@ func encodeDeltaCase(g *graph.Graph, d graph.EdgeDelta) []byte {
 // FuzzCountDelta pins the incremental count churn runs to a full count:
 // for a decoded graph and delta, CountDelta from the parent's count must
 // equal Count on the child, for K_3..K_5 on both adjacency forms. The
-// seeds are the paper's extremal shapes for clique counting: a planted
-// K_5, and the C4-free projective-plane incidence graph, whose deltas
-// create the first triangles.
+// seeds are the extremal shapes for clique counting: a planted K_5, the
+// C4-free projective-plane incidence graph, whose deltas create the first
+// triangles, and the paper's gadgets H_2 and G_{2,2}, each with one
+// delete and one insert.
 func FuzzCountDelta(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	planted, k5 := graph.PlantClique(graph.GNP(24, 0.2, rng), 5, rng)
@@ -168,6 +177,14 @@ func FuzzCountDelta(f *testing.F) {
 		Delete: [][2]int{plane.Edges()[0]},
 		Insert: [][2]int{{0, 1}, {1, 2}, {0, 2}, {13, 14}},
 	}))
+	inst := &comm.DisjointnessInstance{N: 2,
+		X: map[[2]int]bool{{0, 1}: true}, Y: map[[2]int]bool{{0, 1}: true, {1, 0}: true}}
+	for _, g := range []*graph.Graph{lower.BuildHk(2).G, lower.BuildGkn(2, inst).G} {
+		f.Add(encodeDeltaCase(g, graph.EdgeDelta{
+			Delete: [][2]int{g.Edges()[0]},
+			Insert: [][2]int{{0, g.N() - 1}},
+		}))
+	}
 	k := New(2)
 	defer k.Close()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -18,7 +18,7 @@ import (
 // handlers.
 type SpanTracer struct {
 	parent *Span
-	window int
+	window int // rounds per bandwidth annotation, set at RunStart
 
 	run    *Span // current engine_run span
 	rounds *Span // live child covering the round loop
@@ -28,15 +28,16 @@ type SpanTracer struct {
 	winBits, winMsgs, winDrop int64
 }
 
-// spanRoundWindow is how many rounds one bandwidth annotation covers.
-// 128 annotations per span (maxSpanAnnotations) × 32 rounds ≫ any
-// configured MaxRounds in the detectors, so windows don't get dropped.
+// spanRoundWindow is the fewest rounds one bandwidth annotation covers.
+// RunStart widens the window to ⌈MaxRounds/maxSpanAnnotations⌉ when the
+// run's round cap needs it, so the windows fit the span's 128
+// annotations and describe every round of the run.
 const spanRoundWindow = 32
 
 // NewSpanTracer returns a tracer attaching engine spans under parent.
 // A nil parent yields a fully functional no-op (nil-span methods).
 func NewSpanTracer(parent *Span) *SpanTracer {
-	return &SpanTracer{parent: parent, window: spanRoundWindow}
+	return &SpanTracer{parent: parent}
 }
 
 // disabled reports whether the tracer has nowhere to put spans; the
@@ -51,6 +52,7 @@ func (t *SpanTracer) RunStart(info RunInfo) {
 	}
 	t.run = t.parent.StartChild("engine_run")
 	t.rounds = nil
+	t.window = max(spanRoundWindow, (info.MaxRounds+maxSpanAnnotations-1)/maxSpanAnnotations)
 	t.winStart, t.winEnd, t.winBits, t.winMsgs, t.winDrop = 0, 0, 0, 0, 0
 	t.run.Annotate("engine", info.Engine)
 	t.run.Annotate("nodes", strconv.Itoa(info.Nodes))

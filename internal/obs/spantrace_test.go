@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -143,5 +144,42 @@ func TestSpanTracerAbortedRun(t *testing.T) {
 	run := v.SpanByName("engine_run")
 	if got, _ := run.Annotation("error"); got != "deadline exceeded" {
 		t.Fatalf("error annotation = %q", got)
+	}
+}
+
+// A run whose round cap exceeds 128 windows of 32 rounds widens its
+// window from MaxRounds: the rounds span then covers every round without
+// a gap and drops no annotation.
+func TestSpanTracerLongRunCoversEveryRound(t *testing.T) {
+	const maxRounds = 100_000
+	tl := NewTimeline("st4")
+	job := tl.StartSpan("job")
+	st := NewSpanTracer(job)
+	st.RunStart(RunInfo{Engine: "sequential", Nodes: 4, Edges: 3, MaxRounds: maxRounds})
+	for r := 1; r <= maxRounds; r++ {
+		st.RoundStart(r)
+		st.RoundEnd(RoundStats{Round: r, Bits: 2, Messages: 1})
+	}
+	st.Phase("rounds", 0)
+	st.RunEnd(RunSummary{Outcome: "completed", Rounds: maxRounds, TotalBits: 2 * maxRounds})
+	job.Finish()
+
+	next := 1
+	for _, a := range tl.View().SpanByName("rounds").Annotations {
+		var lo, hi int
+		var bits, msgs int64
+		if _, err := fmt.Sscanf(a.Key, "rounds_%d_%d", &lo, &hi); err != nil {
+			t.Fatalf("annotation %q=%q is not a round window", a.Key, a.Value)
+		}
+		if lo != next || hi < lo {
+			t.Fatalf("window %q follows round %d", a.Key, next-1)
+		}
+		if _, err := fmt.Sscanf(a.Value, "bits=%d msgs=%d", &bits, &msgs); err != nil || msgs != int64(hi-lo+1) || bits != 2*msgs {
+			t.Fatalf("window %q value = %q", a.Key, a.Value)
+		}
+		next = hi + 1
+	}
+	if next != maxRounds+1 {
+		t.Fatalf("windows end at round %d, want %d", next-1, maxRounds)
 	}
 }

@@ -40,13 +40,37 @@ import (
 
 // DeltaRequest is the wire form of a delta submission.
 type DeltaRequest struct {
-	Insert [][2]int `json:"insert,omitempty"`
-	Delete [][2]int `json:"delete,omitempty"`
+	Insert Edges `json:"insert,omitempty"`
+	Delete Edges `json:"delete,omitempty"`
 	// Watch lists patterns to (re-)evaluate on the successor graph:
 	// clique-family patterns (triangle, cycle:3, clique:2..8) are counted,
 	// longer cycles (cycle:4..) are detected. Evaluation is incremental
 	// when the churn ratio permits.
 	Watch []string `json:"watch,omitempty"`
+}
+
+// Edges is a delta's edge list on the wire. Each edge is exactly two JSON
+// integers: encoding/json alone would zero-fill a short array and drop
+// the extra elements of a long one, so [[5]] would insert {5, 0}, an
+// edge the client never named.
+type Edges [][2]int
+
+// UnmarshalJSON decodes an edge list, refusing any edge that is not a
+// pair of integers. An empty list decodes to nil.
+func (e *Edges) UnmarshalJSON(b []byte) error {
+	var raw [][]*int
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return err
+	}
+	var out Edges
+	for i, p := range raw {
+		if len(p) != 2 || p[0] == nil || p[1] == nil {
+			return fmt.Errorf("edge %d is not a pair of integers", i)
+		}
+		out = append(out, [2]int{*p[0], *p[1]})
+	}
+	*e = out
+	return nil
 }
 
 // WatchResult is one watched pattern's evaluation on the child graph.

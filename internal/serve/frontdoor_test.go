@@ -110,6 +110,16 @@ func TestBadRequests(t *testing.T) {
 			if got := post(t, d.base+"/v1/graphs/"+up.Digest+"/delta", oversized); got != http.StatusRequestEntityTooLarge {
 				t.Errorf("oversized delta body: HTTP %d, want 413", got)
 			}
+			// An edge is exactly two integers: a short or long array must
+			// not be zero-filled or truncated into an edge nobody named.
+			for _, op := range []string{"insert", "delete"} {
+				for _, edge := range []string{"[5]", "[0,1,2]", "[]"} {
+					body := `{"` + op + `":[` + edge + `]}`
+					if got := post(t, d.base+"/v1/graphs/"+up.Digest+"/delta", body); got != http.StatusBadRequest {
+						t.Errorf("delta %s: HTTP %d, want 400", body, got)
+					}
+				}
+			}
 
 			// Oversized raw upload → 413.
 			if got := post(t, d.base+"/v1/graphs", beyondLimits[d.name]+"\n"); got != http.StatusRequestEntityTooLarge {

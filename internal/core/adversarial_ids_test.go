@@ -117,10 +117,7 @@ func TestCollectScrambledIDs(t *testing.T) {
 
 func TestSummaryScrambledIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	g := graph.GNP(18, 0.25, rng)
-	if !g.Connected() {
-		t.Skip("disconnected sample")
-	}
+	g := connectedGNP(t, 18, 0.25, rng)
 	nw := scrambledNetwork(g, rng)
 	rep, err := ComputeNetworkSummary(nw, SummaryConfig{})
 	if err != nil {

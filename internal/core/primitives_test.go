@@ -92,12 +92,24 @@ func TestQuickNetworkSummary(t *testing.T) {
 	}
 }
 
+// connectedGNP draws GNP(n, p) samples from rng until one is connected:
+// the network summary refuses a disconnected network. It fails the test
+// if none of a bounded number of draws connects, rather than skipping.
+func connectedGNP(t *testing.T, n int, p float64, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	const draws = 20
+	for i := 0; i < draws; i++ {
+		if g := graph.GNP(n, p, rng); g.Connected() {
+			return g
+		}
+	}
+	t.Fatalf("no connected GNP(%d, %g) sample in %d draws", n, p, draws)
+	return nil
+}
+
 func TestNetworkSummaryParallelEngineAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := graph.GNP(25, 0.15, rng)
-	if !g.Connected() {
-		t.Skip("disconnected sample")
-	}
+	g := connectedGNP(t, 25, 0.15, rng)
 	nw := congest.NewNetwork(g)
 	a, err := ComputeNetworkSummary(nw, SummaryConfig{Exec: Exec{Seed: 1}})
 	if err != nil {

@@ -18,7 +18,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Delta validation failure reasons (DeltaError.Reason). They are part
@@ -177,26 +177,19 @@ func ApplyDelta(base *Graph, d EdgeDelta) (*DeltaResult, error) {
 	// Per-vertex change lists. Only touched vertices appear as keys.
 	delNbr := make(map[int32][]int32, 2*len(del))
 	insNbr := make(map[int32][]int32, 2*len(ins))
+	tv := make([]int32, 0, 2*(len(del)+len(ins)))
 	for key := range del {
 		delNbr[key[0]] = append(delNbr[key[0]], key[1])
 		delNbr[key[1]] = append(delNbr[key[1]], key[0])
+		tv = append(tv, key[0], key[1])
 	}
 	for key := range ins {
 		insNbr[key[0]] = append(insNbr[key[0]], key[1])
 		insNbr[key[1]] = append(insNbr[key[1]], key[0])
+		tv = append(tv, key[0], key[1])
 	}
-	touched := make(map[int32]struct{}, len(delNbr)+len(insNbr))
-	for v := range delNbr {
-		touched[v] = struct{}{}
-	}
-	for v := range insNbr {
-		touched[v] = struct{}{}
-	}
-	tv := make([]int32, 0, len(touched))
-	for v := range touched {
-		tv = append(tv, v)
-	}
-	sort.Slice(tv, func(i, j int) bool { return tv[i] < tv[j] })
+	slices.Sort(tv)
+	tv = slices.Compact(tv)
 
 	m2 := base.m - len(del) + len(ins)
 	ng := &Graph{
@@ -206,22 +199,14 @@ func ApplyDelta(base *Graph, d EdgeDelta) (*DeltaResult, error) {
 		csr: make([]int32, 2*m2),
 		adj: make([][]int32, base.n),
 	}
-	for v := 0; v < base.n; v++ {
-		deg := int32(len(base.adj[v]))
-		deg += int32(len(insNbr[int32(v)]) - len(delNbr[int32(v)]))
-		ng.off[v+1] = ng.off[v] + deg
-	}
-	for v := 0; v < base.n; v++ {
-		dst := ng.csr[ng.off[v]:ng.off[v+1]:ng.off[v+1]]
-		src := base.adj[v]
-		dels := delNbr[int32(v)]
-		insv := insNbr[int32(v)]
-		if len(dels) == 0 && len(insv) == 0 {
-			copy(dst, src)
-		} else {
-			mergeRow(dst, src, dels, insv)
-		}
-		ng.adj[v] = dst
+	patchRows(ng.off, ng.csr, base.off, base.csr, tv, func(t int32, row []int32) int32 {
+		dels, insv := delNbr[t], insNbr[t]
+		k := len(base.adj[t]) + len(insv) - len(dels)
+		mergeRow(row[:k], base.adj[t], dels, insv)
+		return int32(k)
+	})
+	for v := range ng.adj {
+		ng.adj[v] = ng.csr[ng.off[v]:ng.off[v+1]:ng.off[v+1]]
 	}
 	return &DeltaResult{
 		Graph:    ng,
@@ -229,6 +214,30 @@ func ApplyDelta(base *Graph, d EdgeDelta) (*DeltaResult, error) {
 		Inserted: len(ins),
 		Deleted:  len(del),
 	}, nil
+}
+
+// patchRows fills the CSR (off, dst) from the CSR (srcOff, src), row by
+// row: each row not in rows (ascending, distinct) is copied from src, a
+// run of them in one block whose offsets move by a running shift, and
+// each row t in rows is written by fill, which gets dst from off[t] on and
+// returns the row's length. The work is one memmove of the untouched rows
+// plus the offsets, with no per-row lookup.
+func patchRows(off, dst, srcOff, src, rows []int32, fill func(t int32, row []int32) int32) {
+	var shift int32 // off[v] - srcOff[v] inside the current run
+	lo := int32(0)
+	copyRun := func(hi int32) {
+		copy(dst[srcOff[lo]+shift:], src[srcOff[lo]:srcOff[hi]])
+		for v := lo + 1; v <= hi; v++ {
+			off[v] = srcOff[v] + shift
+		}
+	}
+	for _, t := range rows {
+		copyRun(t)
+		off[t+1] = off[t] + fill(t, dst[off[t]:])
+		shift = off[t+1] - srcOff[t+1]
+		lo = t + 1
+	}
+	copyRun(int32(len(off) - 1))
 }
 
 // mergeRow writes src minus dels, merged in sorted order with insv, into

@@ -129,11 +129,18 @@ func decodeDeltaCase(data []byte) (*graph.Graph, graph.EdgeDelta) {
 		}
 	}
 	g := b.Build()
+	return g, toggles(g, changes)
+}
+
+// toggles is the delta that flips each listed pair of g, skipping
+// self-loops and repeats: a delete when g has the edge, an insert when it
+// does not.
+func toggles(g *graph.Graph, pairs [][2]int) graph.EdgeDelta {
 	var d graph.EdgeDelta
 	seen := make(map[[2]int]bool)
-	for _, e := range changes {
+	for _, e := range pairs {
 		key := [2]int{min(e[0], e[1]), max(e[0], e[1])}
-		if seen[key] {
+		if e[0] == e[1] || seen[key] {
 			continue
 		}
 		seen[key] = true
@@ -143,7 +150,7 @@ func decodeDeltaCase(data []byte) (*graph.Graph, graph.EdgeDelta) {
 			d.Insert = append(d.Insert, e)
 		}
 	}
-	return g, d
+	return d
 }
 
 // encodeDeltaCase is decodeDeltaCase's inverse, for seeding the corpus.
@@ -160,11 +167,16 @@ func encodeDeltaCase(g *graph.Graph, d graph.EdgeDelta) []byte {
 
 // FuzzCountDelta pins the incremental count churn runs to a full count:
 // for a decoded graph and delta, CountDelta from the parent's count must
-// equal Count on the child, for K_3..K_5 on both adjacency forms. The
-// seeds are the extremal shapes for clique counting: a planted K_5, the
-// C4-free projective-plane incidence graph, whose deltas create the first
-// triangles, and the paper's gadgets H_2 and G_{2,2}, each with one
-// delete and one insert.
+// equal Count on the child, for K_3..K_5 on both adjacency forms. A second
+// leg builds the child's adjacency as the parent's Successor, and a
+// grandchild's as the child's, as the server does along a chain: the
+// grandchild's delta flips each of the first delta's pairs with the
+// second endpoint moved up by one. CountDelta into each successor, and
+// Count on it (which fills its deferred rows), must equal Count on a
+// scratch build. The seeds are the extremal shapes for clique counting: a
+// planted K_5, the C4-free projective-plane incidence graph, whose deltas
+// create the first triangles, and the paper's gadgets H_2 and G_{2,2},
+// each with one delete and one insert.
 func FuzzCountDelta(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	planted, k5 := graph.PlantClique(graph.GNP(24, 0.2, rng), 5, rng)
@@ -193,6 +205,15 @@ func FuzzCountDelta(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded delta rejected: %v", err)
 		}
+		var shifted [][2]int
+		for _, e := range append(append([][2]int(nil), d.Delete...), d.Insert...) {
+			shifted = append(shifted, [2]int{e[0], (e[1] + 1) % g.N()})
+		}
+		d2 := toggles(res.Graph, shifted)
+		res2, err := graph.ApplyDelta(res.Graph, d2)
+		if err != nil {
+			t.Fatalf("second delta rejected: %v", err)
+		}
 		for _, build := range []func(*graph.Graph) *graph.BitAdjacency{
 			graph.NewBitAdjacencyDense, graph.NewBitAdjacencyHybrid,
 		} {
@@ -202,6 +223,31 @@ func FuzzCountDelta(f *testing.F) {
 				if got := k.CountDelta(g, pb, res.Graph, cb, s, res.Touched, k.Count(pb, s)); got != want {
 					t.Fatalf("%s K_%d on %v with delta %+v: CountDelta = %d, Count(child) = %d",
 						cb.Mode(), s, g, d, got, want)
+				}
+			}
+
+			// The successor leg. Each CountDelta runs before the Count
+			// that fills the successor's rows, so it reads a rowless one.
+			sb := pb.Successor(res.Graph, res.Touched)
+			sb2 := sb.Successor(res2.Graph, res2.Touched)
+			scratch2 := build(res2.Graph)
+			for s := 3; s <= 5; s++ {
+				want, want2 := k.Count(cb, s), k.Count(scratch2, s)
+				if got := k.CountDelta(g, pb, res.Graph, sb, s, res.Touched, k.Count(pb, s)); got != want {
+					t.Fatalf("K_%d on %v with delta %+v: CountDelta into the successor = %d, Count(%s child) = %d",
+						s, g, d, got, cb.Mode(), want)
+				}
+				if got := k.CountDelta(res.Graph, sb, res2.Graph, sb2, s, res2.Touched, want); got != want2 {
+					t.Fatalf("K_%d on %v with deltas %+v then %+v: CountDelta into the second successor = %d, Count(%s grandchild) = %d",
+						s, g, d, d2, got, scratch2.Mode(), want2)
+				}
+				if got := k.Count(sb, s); got != want {
+					t.Fatalf("K_%d on %v with delta %+v: Count(successor) = %d, Count(%s child) = %d",
+						s, g, d, got, cb.Mode(), want)
+				}
+				if got := k.Count(sb2, s); got != want2 {
+					t.Fatalf("K_%d on %v with deltas %+v then %+v: Count(second successor) = %d, Count(%s grandchild) = %d",
+						s, g, d, d2, got, scratch2.Mode(), want2)
 				}
 			}
 		}

@@ -117,3 +117,41 @@ func TestCountIncidentEdgeCases(t *testing.T) {
 		t.Fatalf("s=2 single vertex on K5: got %d, want 4", got)
 	}
 }
+
+// TestCountSuccessorHybrid plants a K_6 through a delta on a graph past
+// the dense budget (n = 11586), so the child's Successor takes the hybrid
+// form. Its counts, and CountDelta into it, must equal a scratch build's.
+func TestCountSuccessorHybrid(t *testing.T) {
+	k := New(2)
+	defer k.Close()
+	rng := rand.New(rand.NewSource(9))
+	g := graph.GNM(11586, 40000, rng)
+	var d graph.EdgeDelta
+	for i := 0; i < 6; i++ {
+		for j := i + 1; j < 6; j++ {
+			u, v := 1000*i, 1000*j
+			if !g.HasEdge(u, v) {
+				d.Insert = append(d.Insert, [2]int{u, v})
+			}
+		}
+	}
+	res, err := graph.ApplyDelta(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := graph.NewBitAdjacency(g)
+	sb := pb.Successor(res.Graph, res.Touched)
+	scratch := graph.NewBitAdjacency(res.Graph)
+	if sb.Mode() != graph.BitHybrid || scratch.Mode() != graph.BitHybrid {
+		t.Fatalf("modes %s (successor), %s (scratch), want hybrid", sb.Mode(), scratch.Mode())
+	}
+	for s := 3; s <= 6; s++ {
+		want := k.Count(scratch, s)
+		if got := k.CountDelta(g, pb, res.Graph, sb, s, res.Touched, k.Count(pb, s)); got != want {
+			t.Fatalf("K_%d: CountDelta into the successor = %d, scratch Count = %d", s, got, want)
+		}
+		if got := k.Count(sb, s); got != want {
+			t.Fatalf("K_%d: Count(successor) = %d, scratch Count = %d", s, got, want)
+		}
+	}
+}

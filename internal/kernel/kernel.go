@@ -118,6 +118,10 @@ func (k *Kernel) pass(b *graph.BitAdjacency, s int, detect bool) int64 {
 	case b.N() < s:
 		return 0
 	}
+	// A successor's dense rows wait for its first dense pass. Filling
+	// them here, before the lock, keeps that one-time build from holding
+	// up passes over other graphs.
+	b.FillRows()
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.closed {

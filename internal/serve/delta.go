@@ -205,14 +205,17 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Lazy adjacency builds, shared by forwarding and watch evaluation.
-	// Resolved through the store's per-digest cache, so a chain of deltas
-	// builds each graph's adjacency once: the parent's was built when it
-	// was the previous step's child. The ad-hoc build only covers entries
-	// a tiny store already evicted.
+	// Resolved through the store's per-digest cache: the parent's was
+	// usually built when it was the previous step's child, and the
+	// child's is the parent's Successor, which keeps the parent's order,
+	// rebuilds only the touched vertices' forward lists and leaves dense
+	// rows to the child's first dense count. The parent is resolved before
+	// the child's build starts, so no build waits on another digest's.
+	// The ad-hoc builds only cover entries a tiny store already evicted.
 	var pb, cb *graph.BitAdjacency
 	parentBits := func() *graph.BitAdjacency {
 		if pb == nil {
-			if b, ok := s.store.Bits(parentDigest); ok {
+			if b, ok := s.store.Bits(parentDigest, nil); ok {
 				pb = b
 			} else {
 				pb = graph.NewBitAdjacency(parent)
@@ -221,17 +224,22 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 		return pb
 	}
 	childBits := func() *graph.BitAdjacency {
-		if cb == nil {
-			switch {
-			case d.Empty():
-				cb = parentBits()
-			default:
-				if b, ok := s.store.Bits(childDigest); ok {
-					cb = b
-				} else {
-					cb = graph.NewBitAdjacency(child)
-				}
-			}
+		if cb != nil {
+			return cb
+		}
+		if childDigest == parentDigest {
+			// An empty delta, or one whose changes cancel out.
+			cb = parentBits()
+			return cb
+		}
+		from := parentBits()
+		successor := func(g *graph.Graph) *graph.BitAdjacency {
+			return from.Successor(g, res.Touched)
+		}
+		if b, ok := s.store.Bits(childDigest, successor); ok {
+			cb = b
+		} else {
+			cb = successor(child)
 		}
 		return cb
 	}

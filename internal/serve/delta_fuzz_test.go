@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -15,10 +16,12 @@ import (
 
 // FuzzDeltaRequest decodes arbitrary bytes as a delta body through
 // FrontEnd.Decode, the decoder both doors use. Whenever it accepts a body,
-// a generic decode of the same bytes must show every insert and delete
-// element as an array of exactly two integers equal to the decoded pair —
-// so no edge is zero-filled or truncated on the way in — and the request
-// must survive a re-encode and a second decode unchanged.
+// the body must hold exactly one JSON value, so nothing after it is
+// dropped unread. A generic decode of the same bytes must show every
+// insert and delete element as an array of exactly two integers equal to
+// the decoded pair — so no edge is zero-filled or truncated on the way
+// in — and the request must survive a re-encode and a second decode
+// unchanged.
 func FuzzDeltaRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"insert":[[5]]}`,
@@ -28,6 +31,8 @@ func FuzzDeltaRequest(f *testing.F) {
 		`{"delete":[[0,1,2]]}`,
 		`{"delete":[[]]}`,
 		`{"insert":[[0,2],[0,3]],"delete":[[0,1]],"watch":["clique:3","cycle:4"]}`,
+		`{"insert":[[0,2]]} {"delete":[[0,1]]}`,
+		`{"insert":[[0,2]]}garbage`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -42,6 +47,9 @@ func FuzzDeltaRequest(f *testing.F) {
 		req, ok := decode(body)
 		if !ok {
 			return
+		}
+		if n, err := jsonValues(body); err != nil || n != 1 {
+			t.Fatalf("Decode accepted %q, which holds %d JSON values (%v), want exactly one", body, n, err)
 		}
 		ins, del, err := genericEdgeLists(body)
 		if err != nil {
@@ -63,6 +71,21 @@ func FuzzDeltaRequest(f *testing.F) {
 			t.Fatalf("round trip of %q: %+v became %+v", body, req, again)
 		}
 	})
+}
+
+// jsonValues counts the JSON values in body, up to the first one that
+// fails to decode.
+func jsonValues(body []byte) (int, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	for n := 0; ; n++ {
+		var v any
+		switch err := dec.Decode(&v); {
+		case err == io.EOF:
+			return n, nil
+		case err != nil:
+			return n, err
+		}
+	}
 }
 
 // genericEdgeLists walks the top-level object of body in order and returns

@@ -123,12 +123,18 @@ func WriteErr(w http.ResponseWriter, status int, format string, args ...any) {
 
 const drainingMsg = "server is draining; submit elsewhere"
 
-// Decode reads a bounded JSON body into v, refusing unknown fields. An
-// over-bound body answers 413 and any other decode failure 400.
+// Decode reads a bounded JSON body into v, refusing unknown fields and
+// anything after the one JSON value but white space: a second value would
+// otherwise be dropped without a word. An over-bound body answers 413 and
+// any other decode failure 400.
 func (f *FrontEnd) Decode(w http.ResponseWriter, r *http.Request, v any, what string) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, f.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		err = endOfInput(dec)
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -138,6 +144,20 @@ func (f *FrontEnd) Decode(w http.ResponseWriter, r *http.Request, v any, what st
 		return false
 	}
 	return true
+}
+
+// endOfInput reports an error unless dec holds nothing more than white
+// space.
+func endOfInput(dec *json.Decoder) error {
+	tok, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return err
+	default:
+		return fmt.Errorf("unexpected %v after the JSON value", tok)
+	}
 }
 
 // TraceIDHeader carries a job's trace ID end to end: clients may set it

@@ -101,6 +101,8 @@ func TestBadRequests(t *testing.T) {
 				{"bad inline graph", `{"graph_inline":"0 1 2 3 4","pattern":"triangle"}`, http.StatusBadRequest},
 				{"inline graph beyond limits", string(tooBig), http.StatusRequestEntityTooLarge},
 				{"oversized job body", oversized, http.StatusRequestEntityTooLarge},
+				{"second job spec after the first", `{"graph":"` + up.Digest + `","pattern":"triangle"} {"pattern":"clique:4"}`, http.StatusBadRequest},
+				{"garbage after the job spec", `{"graph":"` + up.Digest + `","pattern":"triangle"}garbage`, http.StatusBadRequest},
 			}
 			for _, tc := range cases {
 				if got := post(t, d.base+"/v1/jobs", tc.body); got != tc.want {
@@ -118,6 +120,17 @@ func TestBadRequests(t *testing.T) {
 					if got := post(t, d.base+"/v1/graphs/"+up.Digest+"/delta", body); got != http.StatusBadRequest {
 						t.Errorf("delta %s: HTTP %d, want 400", body, got)
 					}
+				}
+			}
+
+			// A body holds one JSON value: a second one, or garbage, after
+			// it must not be dropped without a word.
+			for _, body := range []string{
+				`{"insert":[[0,2]]} {"delete":[[0,1]]}`,
+				`{"insert":[[0,2]]}garbage`,
+			} {
+				if got := post(t, d.base+"/v1/graphs/"+up.Digest+"/delta", body); got != http.StatusBadRequest {
+					t.Errorf("delta %s: HTTP %d, want 400", body, got)
 				}
 			}
 

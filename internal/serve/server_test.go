@@ -22,6 +22,13 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
 	s := New(cfg)
+	return s, startTestServer(t, s)
+}
+
+// startTestServer starts s behind an httptest server, draining both on
+// cleanup. Tests that set a store seam do so between New and this call.
+func startTestServer(t *testing.T, s *Server) *Client {
+	t.Helper()
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -32,7 +39,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 		}
 		ts.Close()
 	})
-	return s, &Client{Base: ts.URL}
+	return &Client{Base: ts.URL}
 }
 
 // testEdgeList renders a small seeded graph with a planted triangle.

@@ -58,7 +58,8 @@ type Store struct {
 
 	// buildNetwork is a test seam; nil means subgraph.NewNetwork.
 	buildNetwork func(*graph.Graph) *subgraph.Network
-	// buildBits is a test seam; nil means graph.NewBitAdjacency.
+	// buildBits is a test seam for Bits' scratch build; nil means
+	// graph.NewBitAdjacency.
 	buildBits func(*graph.Graph) *graph.BitAdjacency
 }
 
@@ -291,12 +292,15 @@ func (s *Store) Network(digest string) (*subgraph.Network, bool) {
 
 // Bits returns the shared bitset adjacency for digest, touching its
 // recency. Like Network, the first call builds it outside the store lock
-// (single-flighted, entry pinned during the build); later calls — count
-// jobs, delta recounts on the same graph, and each delta step's reuse of
-// its parent's adjacency — share the one build. Along a delta chain every
-// graph's adjacency is therefore built exactly once, even though each
-// incremental recount consults two graphs (parent and child).
-func (s *Store) Bits(digest string) (*graph.BitAdjacency, bool) {
+// (single-flighted, entry pinned during the build), with build when it
+// is not nil and a scratch graph.NewBitAdjacency otherwise; later calls —
+// count jobs, delta recounts on the same graph, and each delta step's
+// reuse of its parent's adjacency — share the one build, whichever
+// builder made it. A delta builds its child as the parent's Successor,
+// so along a delta chain only the base graph is peeled (and any
+// successor whose inherited order drifted too far). build runs outside
+// the store lock and must not call back into the store.
+func (s *Store) Bits(digest string, build func(*graph.Graph) *graph.BitAdjacency) (*graph.BitAdjacency, bool) {
 	key := digest + "\x00bits" // distinct single-flight slot from the network build
 	for {
 		s.mu.Lock()
@@ -322,7 +326,9 @@ func (s *Store) Bits(digest string) (*graph.BitAdjacency, bool) {
 		sg.pins++ // the build must not race eviction
 		s.mu.Unlock()
 
-		build := s.buildBits
+		if build == nil {
+			build = s.buildBits
+		}
 		if build == nil {
 			build = graph.NewBitAdjacency
 		}

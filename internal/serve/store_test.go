@@ -1,9 +1,11 @@
 package serve
 
 import (
-	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
-	"net/http/httptest"
+	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,17 +142,7 @@ func TestCountJobsBuildNoNetwork(t *testing.T) {
 		atomic.AddInt32(&builds, 1)
 		return subgraph.NewNetwork(g)
 	}
-	s.Start()
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if _, err := s.Drain(ctx); err != nil {
-			t.Errorf("drain on cleanup: %v", err)
-		}
-		ts.Close()
-	})
-	c := &Client{Base: ts.URL}
+	c := startTestServer(t, s)
 
 	text, g := countEdgeList(t, 5)
 	up, err := c.UploadGraph(text)
@@ -355,4 +347,196 @@ func TestStoreConcurrentChurn(t *testing.T) {
 	if s.Len() > 4 {
 		t.Fatalf("store over cap with no pins: %d", s.Len())
 	}
+}
+
+// chainDelta draws a delta of two deletes and two inserts against g.
+func chainDelta(rng *rand.Rand, g *graph.Graph) DeltaRequest {
+	var req DeltaRequest
+	edges := g.Edges()
+	for len(req.Delete) < 2 {
+		e := edges[rng.Intn(len(edges))]
+		if !slices.Contains(req.Delete, e) {
+			req.Delete = append(req.Delete, e)
+		}
+	}
+	for len(req.Insert) < 2 {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		e := [2]int{min(u, v), max(u, v)}
+		if u != v && !g.HasEdge(u, v) && !slices.Contains(req.Insert, e) {
+			req.Insert = append(req.Insert, e)
+		}
+	}
+	return req
+}
+
+// chainBase is a sparse graph with a planted K_6, so that K_3..K_6 all
+// count to something.
+func chainBase() *graph.Graph {
+	rng := rand.New(rand.NewSource(23))
+	g, _ := graph.PlantClique(graph.GNP(200, 0.05, rng), 6, rng)
+	return g
+}
+
+// applyChain primes count jobs for primed on base, then applies steps
+// chain deltas from it, each forwarding every primed count. It returns
+// the digests from base to the last child and the last child's graph.
+func applyChain(t *testing.T, c *Client, base *graph.Graph, primed []string, steps int) ([]string, *graph.Graph) {
+	t.Helper()
+	up, err := c.UploadGraph(edgeListOf(t, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range primed {
+		v, _, err := c.SubmitJob(JobSpec{Graph: up.Digest, Pattern: p, Mode: ModeCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err = c.WaitJob(v.ID, 10*time.Second); err != nil || v.State != StateDone {
+			t.Fatalf("priming %s: %+v, %v", p, v, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	digests, cur := []string{up.Digest}, base
+	for step := 0; step < steps; step++ {
+		req := chainDelta(rng, cur)
+		view, status, err := c.ApplyDelta(digests[step], req)
+		if err != nil || status != http.StatusCreated {
+			t.Fatalf("step %d: status %d, %v", step, status, err)
+		}
+		if view.Forwarded != len(primed) {
+			t.Fatalf("step %d forwarded %d counts, want %d", step, view.Forwarded, len(primed))
+		}
+		res, err := graph.ApplyDelta(cur, graph.EdgeDelta{Insert: req.Insert, Delete: req.Delete})
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests, cur = append(digests, view.Digest), res.Graph
+	}
+	return digests, cur
+}
+
+// scratchCount is the count job result a scratch build of g answers.
+func scratchCount(s *Server, g *graph.Graph, size int) *JobResult {
+	b := graph.NewBitAdjacency(g)
+	return CountResult(s.kernel.Count(b, size), b.Mode())
+}
+
+// TestDeltaChainPeelsOnlyTheBase follows a 20-step delta chain whose
+// counts are forwarded, counting scratch builds through the store's seam:
+// only the base graph is peeled, and every child's adjacency is a
+// successor sharing the base's order. A count job for a size nobody
+// primed then runs the kernel on the last child's deferred rows, and its
+// result must be byte-identical to a scratch count's.
+func TestDeltaChainPeelsOnlyTheBase(t *testing.T) {
+	s := New(Config{Workers: 2})
+	var mu sync.Mutex
+	var peeled []string
+	s.store.buildBits = func(g *graph.Graph) *graph.BitAdjacency {
+		mu.Lock()
+		peeled = append(peeled, g.Digest())
+		mu.Unlock()
+		return graph.NewBitAdjacency(g)
+	}
+	c := startTestServer(t, s)
+
+	digests, last := applyChain(t, c, chainBase(), []string{"triangle", "clique:4"}, 20)
+	mu.Lock()
+	if len(peeled) != 1 || peeled[0] != digests[0] {
+		t.Fatalf("peeled %v, want only the base %s", peeled, digests[0])
+	}
+	mu.Unlock()
+	noBuild := func(g *graph.Graph) *graph.BitAdjacency {
+		t.Errorf("adjacency of %s built after the chain", g.Digest())
+		return graph.NewBitAdjacency(g)
+	}
+	base, _ := s.store.Bits(digests[0], noBuild)
+	for i, d := range digests[1:] {
+		b, ok := s.store.Bits(d, noBuild)
+		if !ok || &b.Order()[0] != &base.Order()[0] {
+			t.Fatalf("step %d's adjacency does not inherit the base's order", i)
+		}
+	}
+
+	v, _, err := c.SubmitJob(JobSpec{Graph: digests[20], Pattern: "clique:5", Mode: ModeCount})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err = c.WaitJob(v.ID, 10*time.Second); err != nil || v.State != StateDone || v.Cached {
+		t.Fatalf("clique:5 count on the last child: %+v, %v; want a fresh kernel run", v, err)
+	}
+	got, _ := json.Marshal(v.Result)
+	want, _ := json.Marshal(scratchCount(s, last, 5))
+	if string(got) != string(want) {
+		t.Fatalf("count on the successor answered %s, a scratch count %s", got, want)
+	}
+	if *v.Result.Count == 0 || v.Result.Algorithm != "kernel-bitset-dense" {
+		t.Fatalf("result %s: want a dense count of the planted K_6's K_5s", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(peeled) != 1 {
+		t.Fatalf("the count job peeled again: %v", peeled)
+	}
+}
+
+// TestConcurrentCountsOnRowlessChild submits count jobs for every clique
+// size at once on a delta child whose dense rows are not filled yet. Empty
+// deltas watching the same sizes count on the child's adjacency from the
+// delta handlers, and deltas from the child recount through its forward
+// lists. Under -race this runs the one-time row fill from several
+// goroutines against concurrent kernel passes and CountIncident.
+func TestConcurrentCountsOnRowlessChild(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 4})
+	digests, child := applyChain(t, c, chainBase(), []string{"triangle"}, 1)
+	base, _ := s.store.Bits(digests[0], nil)
+	if b, ok := s.store.Bits(digests[1], nil); !ok || &b.Order()[0] != &base.Order()[0] {
+		t.Fatal("the child's adjacency is not its parent's successor")
+	}
+	var wg sync.WaitGroup
+	for size := 3; size <= 8; size++ {
+		for rep := 0; rep < 2; rep++ {
+			wg.Add(1)
+			go func(size int) {
+				defer wg.Done()
+				v, _, err := c.SubmitJob(JobSpec{Graph: digests[1], Pattern: fmt.Sprintf("clique:%d", size), Mode: ModeCount})
+				if err == nil {
+					v, err = c.WaitJob(v.ID, 20*time.Second)
+				}
+				if err != nil || v.State != StateDone {
+					t.Errorf("clique:%d count: %+v, %v", size, v, err)
+					return
+				}
+				if want := scratchCount(s, child, size); *v.Result.Count != *want.Count || v.Result.Algorithm != want.Algorithm {
+					t.Errorf("clique:%d count %d (%s), scratch %d (%s)",
+						size, *v.Result.Count, v.Result.Algorithm, *want.Count, want.Algorithm)
+				}
+			}(size)
+		}
+		wg.Add(1)
+		go func(size int) {
+			defer wg.Done()
+			watch := fmt.Sprintf("clique:%d", size)
+			view, status, err := c.ApplyDelta(digests[1], DeltaRequest{Watch: []string{watch}})
+			if err != nil || status != http.StatusOK || len(view.Watch) != 1 {
+				t.Errorf("empty delta watching %s: status %d, %+v, %v", watch, status, view, err)
+				return
+			}
+			if want := scratchCount(s, child, size); *view.Watch[0].Count != *want.Count {
+				t.Errorf("%s watch %d, scratch %d", watch, *view.Watch[0].Count, *want.Count)
+			}
+		}(size)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 4; i++ {
+		req := chainDelta(rng, child)
+		req.Watch = []string{"clique:4"}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, status, err := c.ApplyDelta(digests[1], req); err != nil || status != http.StatusCreated {
+				t.Errorf("delta from the rowless child: status %d, %v", status, err)
+			}
+		}()
+	}
+	wg.Wait()
 }

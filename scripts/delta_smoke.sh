@@ -13,9 +13,14 @@
 #      incrementally (cycle:4 via the delete-free dirty rule);
 #   5. a count job on the final child must hit the forwarded cache
 #      (cached: true, no kernel run) and agree with the watch count;
-#   6. a delta deleting a non-edge must bounce with 409 and the typed
+#   6. a third delta inserts [1,3], closing the K4 {0,1,2,3}: a clique:4
+#      count job on that child must run the kernel (not cached) over the
+#      adjacency the delta built, whose dense rows wait for this first
+#      dense count, and answer 1 with kernel-bitset-dense;
+#   7. a delta body with data after its JSON value must answer 400;
+#   8. a delta deleting a non-edge must bounce with 409 and the typed
 #      reason delete_missing_edge, leaving the stored graphs untouched;
-#   7. SIGTERM the daemon and require a clean drain (exit 0).
+#   9. SIGTERM the daemon and require a clean drain (exit 0).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -109,6 +114,32 @@ for _ in $(seq 1 100); do
 done
 [ "$(jget "$workdir/job1.json" "d.get('cached', False)")" = True ] || fail "forwarded entry missed"
 [ "$(jget "$workdir/job1.json" "d['result']['count']")" = 3 ] || fail "cached count disagrees with watch"
+
+echo "== delta 3 closes a K4; a clique:4 count runs the kernel on its deferred rows"
+status=$(curl -sS -o "$workdir/d3.json" -w '%{http_code}' \
+  -H 'Content-Type: application/json' \
+  -d '{"insert":[[1,3]]}' "$base/v1/graphs/$child2/delta")
+[ "$status" = 201 ] || fail "delta 3 status $status, want 201"
+child3=$(jget "$workdir/d3.json" "d['digest']")
+[ "$(jget "$workdir/d3.json" "d['forwarded_cache_entries']")" = 1 ] || fail "delta 3 forwarded nothing"
+curl -fsS -o "$workdir/job2.json" -H 'Content-Type: application/json' \
+  -d "{\"graph\":\"$child3\",\"pattern\":\"clique:4\",\"mode\":\"count\"}" "$base/v1/jobs"
+job2=$(jget "$workdir/job2.json" "d['id']")
+for _ in $(seq 1 100); do
+  curl -fsS -o "$workdir/job2.json" "$base/v1/jobs/$job2"
+  [ "$(jget "$workdir/job2.json" "d['state']")" = done ] && break
+  sleep 0.1
+done
+[ "$(jget "$workdir/job2.json" "d['state']")" = done ] || fail "clique:4 count job never finished"
+[ "$(jget "$workdir/job2.json" "d.get('cached', False)")" = False ] || fail "clique:4 count came from the cache"
+[ "$(jget "$workdir/job2.json" "d['result']['count']")" = 1 ] || fail "K4 {0,1,2,3} not counted once"
+[ "$(jget "$workdir/job2.json" "d['result']['algorithm']")" = kernel-bitset-dense ] || fail "clique:4 count not dense"
+
+echo "== a delta body with trailing data bounces with 400"
+status=$(curl -sS -o "$workdir/trail.json" -w '%{http_code}' \
+  -H 'Content-Type: application/json' \
+  -d '{"insert":[[5,7]]} {"delete":[[0,1]]}' "$base/v1/graphs/$child2/delta")
+[ "$status" = 400 ] || fail "trailing-data delta status $status, want 400"
 
 echo "== conflicting delta bounces with 409 + typed reason"
 status=$(curl -sS -o "$workdir/bad.json" -w '%{http_code}' \

@@ -19,25 +19,45 @@ type cjob struct {
 	id                string
 	key               string // the cluster-shared cache identity
 	created           time.Time
-
-	// resMu single-flights resolution: concurrent polls of one job must
-	// not race a redispatch or double-finalize. Held across worker I/O —
-	// acceptable because only this job's pollers contend on it.
-	resMu sync.Mutex
-
-	mu           sync.Mutex
-	node         string // base URL of the worker holding the job
-	workerID     string // the worker's job ID for it
+	// done closes when the job settles. A job answered from the shared
+	// cache is terminal when registered and keeps the shared settled
+	// channel; admit gives every other job its own.
+	done chan struct{}
+	// redispatched is owned by the job's waiter (follow).
 	redispatched bool
-	admitted     bool // counted in Router.inflight (false for cache hits)
-	lastState    string
-	terminalV    *serve.JobView
+
+	mu       sync.Mutex
+	node     string         // base URL of the worker holding the job
+	workerID string         // the worker's job ID for it
+	admitted bool           // counted in Router.inflight (false for cache hits)
+	last     *serve.JobView // the latest view a worker gave, translated, or the answer
 }
 
-func (c *cjob) terminalView() *serve.JobView {
+// settled is the done channel of every job registered terminal: one
+// closed channel, because the router retains thousands of jobs.
+var settled = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// view is the job's record: its answer once terminal, else the latest
+// view its worker gave, else a skeleton built from the spec.
+func (c *cjob) view() serve.JobView {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.terminalV
+	last := c.last
+	c.mu.Unlock()
+	if last != nil {
+		return *last
+	}
+	return c.skeletonView()
+}
+
+// record makes v the job's latest view.
+func (c *cjob) record(v serve.JobView) {
+	c.mu.Lock()
+	c.last = &v
+	c.mu.Unlock()
 }
 
 func (c *cjob) assignment() (node, workerID string) {
@@ -48,15 +68,9 @@ func (c *cjob) assignment() (node, workerID string) {
 
 // skeletonView is the job's view before any worker state is known.
 func (c *cjob) skeletonView() serve.JobView {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	state := c.lastState
-	if state == "" {
-		state = serve.StateQueued
-	}
 	return serve.JobView{
 		ID:       c.id,
-		State:    state,
+		State:    serve.StateQueued,
 		Graph:    c.Spec.Graph,
 		Pattern:  c.Spec.Pattern,
 		Options:  c.Spec.Options,
@@ -84,13 +98,14 @@ func (r *Router) admit(cj *cjob) bool {
 	}
 	r.inflight++
 	cj.admitted = true
+	cj.done = make(chan struct{})
 	r.reg.Gauge(GaugeInflight).Set(float64(r.inflight))
 	return true
 }
 
-// settle releases the job's in-flight slot (idempotent per job). A
-// terminal job (keep) stays pollable; one the cluster could not place is
-// dropped, so its refusal leaves no residue.
+// settle releases the job's in-flight slot and closes its done channel
+// (idempotent per job). A terminal job (keep) stays readable; one the
+// cluster could not place is dropped, so its refusal leaves no residue.
 func (r *Router) settle(cj *cjob, keep bool) {
 	if keep {
 		r.jobs.Finish(cj.id)
@@ -103,6 +118,7 @@ func (r *Router) settle(cj *cjob, keep bool) {
 		cj.admitted = false
 		r.inflight--
 		r.reg.Gauge(GaugeInflight).Set(float64(r.inflight))
+		close(cj.done)
 	}
 }
 
@@ -126,35 +142,28 @@ func (r *Router) BeginDrain() {
 	}
 }
 
-// Drain begins draining and actively resolves every admitted job until
-// all are terminal or ctx expires — polls keep flowing to workers, so a
-// worker crash mid-drain is detected and the job re-dispatched even
-// with no client polling it.
+// Drain begins draining and waits until every admitted job has settled
+// or ctx expires. Each job's waiter keeps following its worker, so a
+// worker crash mid-drain is still detected and the job re-dispatched with
+// no client reading it.
 func (r *Router) Drain(ctx context.Context) error {
 	r.BeginDrain()
 	r.Stop()
-	for {
-		pending := r.jobs.Pending()
-		if len(pending) == 0 {
-			// Deltas have been refused since BeginDrain; the recount pool
-			// can park permanently.
-			r.krn.Close()
-			r.logger.Info("router drain complete",
-				"jobs_completed", r.reg.Counter(MetricJobsCompleted).Value())
-			return nil
-		}
+	for pending := r.jobs.Pending(); len(pending) > 0; pending = r.jobs.Pending() {
 		for _, cj := range pending {
-			if ctx.Err() != nil {
+			select {
+			case <-cj.done:
+			case <-ctx.Done():
 				return fmt.Errorf("cluster: drain interrupted: %w", context.Cause(ctx))
 			}
-			r.resolve(cj)
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: drain interrupted: %w", context.Cause(ctx))
-		case <-time.After(5 * time.Millisecond):
 		}
 	}
+	// Deltas have been refused since BeginDrain; the recount pool can park
+	// permanently.
+	r.krn.Close()
+	r.logger.Info("router drain complete",
+		"jobs_completed", r.reg.Counter(MetricJobsCompleted).Value())
+	return nil
 }
 
 // ---- submit ------------------------------------------------------------
@@ -171,7 +180,7 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	cj := &cjob{Submission: sub, key: key, created: time.Now()}
+	cj := &cjob{Submission: sub, key: key, created: time.Now(), done: settled}
 
 	// Cluster-shared cache: a result any worker computed — for any
 	// client, through any previous router process — answers here without
@@ -180,8 +189,7 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 		r.jobs.Register(cj, "", true)
 		v := cj.skeletonView()
 		v.State, v.Cached, v.Result, v.Node = serve.StateDone, true, res, r.cfg.NodeName
-		v, _ = r.conclude(cj, v)
-		serve.WriteJSON(w, http.StatusOK, v)
+		serve.WriteJSON(w, http.StatusOK, r.conclude(cj, v))
 		return
 	}
 
@@ -208,6 +216,7 @@ func (r *Router) handleJobSubmit(w http.ResponseWriter, req *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, res.view)
 		return
 	case res.assigned:
+		go r.follow(cj)
 		w.Header().Set("Location", "/v1/jobs/"+cj.id)
 		serve.WriteJSON(w, http.StatusAccepted, res.view)
 		return
@@ -275,17 +284,15 @@ func (r *Router) forward(cj *cjob, exclude string) fwdResult {
 		switch {
 		case status == http.StatusOK || status == http.StatusAccepted:
 			r.reg.Counter(MetricJobsForwarded).Inc()
-			res := fwdResult{assigned: true, view: cj.translate(view, m.displayName())}
-			if view.State == serve.StateDone || view.State == serve.StateFailed {
-				// Finalized before the assignment is published: the resolver
-				// polls only assigned jobs, so it cannot finalize this one too.
-				res = fwdResult{terminal: true, view: r.finalize(cj, m, view)}
-			}
 			cj.mu.Lock()
 			cj.node, cj.workerID = m.base, view.ID
-			cj.lastState = view.State
 			cj.mu.Unlock()
-			return res
+			if terminal(view) {
+				return fwdResult{terminal: true, view: r.finalize(cj, m, view)}
+			}
+			v := cj.translate(view, m.displayName())
+			cj.record(v)
+			return fwdResult{assigned: true, view: v}
 		case status == http.StatusTooManyRequests:
 			saw429 = true
 			// Workers may answer in either RFC 9110 form; normalize to
@@ -318,93 +325,92 @@ func (r *Router) forward(cj *cjob, exclude string) fwdResult {
 	return fwdResult{status: http.StatusServiceUnavailable, errMsg: lastErr}
 }
 
-// ---- poll / redispatch -------------------------------------------------
+// ---- read / follow / redispatch ----------------------------------------
 
+// handleJobGet answers from the job's record, never the worker. With
+// wait, it first parks until the job settles or the wait runs out.
 func (r *Router) handleJobGet(w http.ResponseWriter, req *http.Request) {
+	wait, ok := serve.ParseWait(w, req)
+	if !ok {
+		return
+	}
 	cj, ok := r.jobs.Get(req.PathValue("id"))
 	if !ok {
 		serve.WriteErr(w, http.StatusNotFound, "unknown job %q", req.PathValue("id"))
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, r.resolve(cj))
+	serve.Await(req.Context(), cj.done, wait)
+	serve.WriteJSON(w, http.StatusOK, cj.view())
 }
 
-// resolve returns the job's current view, consulting the owning worker.
-// A dead or amnesiac worker (connection error, or 404 after a restart)
-// triggers the redispatch path: the job is re-placed on another replica
-// at most once — the engine is deterministic in the spec, so the re-run
-// returns the byte-identical result the lost run would have.
-func (r *Router) resolve(cj *cjob) serve.JobView {
-	cj.resMu.Lock()
-	defer cj.resMu.Unlock()
-	if v := cj.terminalView(); v != nil {
-		return *v
-	}
-	node, workerID := cj.assignment()
-	m := r.memberByBase(node)
-	if m == nil || workerID == "" {
-		return cj.skeletonView()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
-	var view serve.JobView
-	status, _, err := r.getJSON(ctx, m.base, "/v1/jobs/"+workerID, &view)
-	cancel()
-	switch {
-	case status == http.StatusOK && (view.State == serve.StateDone || view.State == serve.StateFailed):
-		return r.finalize(cj, m, view)
-	case status == http.StatusOK:
-		cj.mu.Lock()
-		cj.lastState = view.State
-		cj.mu.Unlock()
-		return cj.translate(view, m.displayName())
-	case status == 0 || status == http.StatusNotFound:
-		if status == 0 {
-			r.markDown(m)
+// follow is an admitted job's waiter. It holds one forwarded wait at a
+// time on the job's worker until the job settles: a terminal answer
+// finalizes the job and an expired wait records its state. A dropped
+// connection or a 404 means the worker died or restarted without the
+// job, so the job is re-placed (at most once) and the new assignment
+// followed. Any other status pauses for probeInterval before asking
+// again, so a confused worker is not asked in a tight loop.
+func (r *Router) follow(cj *cjob) {
+	for {
+		node, workerID := cj.assignment()
+		m := r.memberByBase(node)
+		ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
+		var view serve.JobView
+		status, _, err := r.getJSON(ctx, m.base, "/v1/jobs/"+workerID+"?wait="+followWait.String(), &view)
+		cancel()
+		switch {
+		case status == http.StatusOK && terminal(view):
+			r.finalize(cj, m, view)
+			return
+		case status == http.StatusOK:
+			cj.record(cj.translate(view, m.displayName()))
+		case status == 0 || status == http.StatusNotFound:
+			if status == 0 {
+				r.markDown(m)
+			}
+			r.logger.Warn("job lost with worker; redispatching",
+				"job_id", cj.id, "member", m.displayName(), "status", status, "err", err)
+			if !r.redispatch(cj, m.base) {
+				return
+			}
+		default:
+			time.Sleep(probeInterval)
 		}
-		r.logger.Warn("job lost with worker; redispatching",
-			"job_id", cj.id, "member", m.displayName(), "status", status, "err", err)
-		return r.redispatch(cj, m.base)
-	default:
-		// Transient worker hiccup: report what we know; the next poll
-		// retries.
-		return cj.skeletonView()
 	}
 }
 
-// redispatch re-places a job whose worker died or forgot it — once. The
-// resubmission routes around the failed node (and any node the prober
-// has marked down), pushing the graph from the router mirror when the
-// replacement lacks it. A second loss fails the job: losing two replicas
-// inside one job's lifetime is an outage to report, not to paper over.
-func (r *Router) redispatch(cj *cjob, failedNode string) serve.JobView {
-	cj.mu.Lock()
-	already := cj.redispatched
-	cj.redispatched = true
-	cj.mu.Unlock()
-	if already {
-		return r.finalizeFailed(cj, "job lost twice: worker crashed after redispatch")
+// redispatch re-places a job whose worker died or forgot it — once — and
+// reports whether it now runs on another worker. The engine is
+// deterministic in the spec, so the re-run returns the byte-identical
+// result the lost run would have. The resubmission routes around the
+// failed node (and any node the prober has marked down), pushing the
+// graph from the router mirror when the replacement lacks it. A second
+// loss fails the job: losing two replicas inside one job's lifetime is
+// an outage to report, not to paper over.
+func (r *Router) redispatch(cj *cjob, failedNode string) (placed bool) {
+	if cj.redispatched {
+		r.finalizeFailed(cj, "job lost twice: worker crashed after redispatch")
+		return false
 	}
+	cj.redispatched = true
 	r.reg.Counter(MetricJobsRedispatched).Inc()
 	cj.Root.Annotate("redispatched_from", failedNode)
 	res := r.forward(cj, failedNode)
-	switch {
-	case res.terminal:
-		return *cj.terminalView()
-	case res.assigned:
-		return res.view
-	default:
-		return r.finalizeFailed(cj, fmt.Sprintf("redispatch found no worker: %s", res.errMsg))
+	if !res.assigned && !res.terminal {
+		r.finalizeFailed(cj, fmt.Sprintf("redispatch found no worker: %s", res.errMsg))
 	}
+	return res.assigned
+}
+
+func terminal(v serve.JobView) bool {
+	return v.State == serve.StateDone || v.State == serve.StateFailed
 }
 
 // finalize installs a worker's terminal view as the job's answer,
 // feeding the shared cache, the router SLO guard, and the counters.
 func (r *Router) finalize(cj *cjob, m *member, view serve.JobView) serve.JobView {
 	cj.Root.Annotate("node", m.displayName())
-	v, first := r.conclude(cj, cj.translate(view, m.displayName()))
-	if !first {
-		return v
-	}
+	v := r.conclude(cj, cj.translate(view, m.displayName()))
 	latency := time.Since(cj.created)
 	if v.State == serve.StateDone {
 		r.reg.Counter(MetricJobsCompleted).Inc()
@@ -426,36 +432,28 @@ func (r *Router) finalize(cj *cjob, m *member, view serve.JobView) serve.JobView
 }
 
 // finalizeFailed closes a job the cluster could not finish.
-func (r *Router) finalizeFailed(cj *cjob, msg string) serve.JobView {
+func (r *Router) finalizeFailed(cj *cjob, msg string) {
 	v := cj.skeletonView()
 	v.State = serve.StateFailed
 	v.Error = msg
 	cj.Root.Annotate("outcome", "lost")
-	v, first := r.conclude(cj, v)
-	if first {
-		r.reg.Counter(MetricJobsFailed).Inc()
-		r.logger.Warn("cluster job failed", "job_id", cj.id, "err", msg)
-	}
-	return v
+	r.conclude(cj, v)
+	r.reg.Counter(MetricJobsFailed).Inc()
+	r.logger.Warn("cluster job failed", "job_id", cj.id, "err", msg)
 }
 
-// conclude makes v the job's terminal view unless another caller already
-// did (first = false; that view is returned). The root span closes and
-// the timeline is recorded before the view becomes visible to pollers,
-// so a client that sees the job terminal can fetch /debug/jobs/{id} at
-// once; then the in-flight slot is freed.
-func (r *Router) conclude(cj *cjob, v serve.JobView) (_ serve.JobView, first bool) {
-	if tv := cj.terminalView(); tv != nil {
-		return *tv, false
-	}
+// conclude makes v the job's terminal view. Each job concludes once: on
+// its submit path, or on its waiter. The root span closes and the
+// timeline is recorded before the view becomes visible to readers, so a
+// client that sees the job terminal can fetch /debug/jobs/{id} at once;
+// then the job settles, freeing its in-flight slot and waking waiters.
+func (r *Router) conclude(cj *cjob, v serve.JobView) serve.JobView {
 	cj.Root.Finish()
 	v.LatencyNs = cj.Root.DurationNs()
 	r.front.Publish(cj.TL, cj.id, v.State)
-	cj.mu.Lock()
-	cj.terminalV = &v
-	cj.mu.Unlock()
+	cj.record(v)
 	r.settle(cj, true)
-	return v, true
+	return v
 }
 
 func errString(err error) string {

@@ -78,8 +78,9 @@ func StartInProcess(nWorkers int, workerCfg serve.Config, routerCfg Config) (*In
 }
 
 // KillWorker hard-crashes worker i (no drain; its in-flight jobs are
-// lost from the router's point of view). The router discovers the death
-// on its next probe, forward, or poll and re-routes.
+// lost from the router's point of view). The router learns of the death
+// from its waiters' dropped connections, re-dispatching their jobs, or
+// from its next probe or forward.
 func (c *InProcess) KillWorker(i int) error {
 	if i < 0 || i >= len(c.Workers) {
 		return fmt.Errorf("cluster: no worker %d", i)

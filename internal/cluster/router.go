@@ -56,22 +56,19 @@ const RoleRouter = "router"
 // Router settings no deployment has needed to vary. The upload bounds
 // are the worker's defaults (serve.Config).
 const (
-	// maxRetainedJobs bounds the job history kept for polling.
+	// maxRetainedJobs bounds the job history kept for reads.
 	maxRetainedJobs = 8192
 	// probeInterval is the health-probe cadence.
 	probeInterval = 250 * time.Millisecond
 	// probeFailures consecutive probe failures mark a member down;
-	// forward and poll connection errors mark it down at once.
+	// forward and wait connection errors mark it down at once.
 	probeFailures = 2
-	// forwardTimeout bounds one forwarded submit, poll, push or delta.
+	// forwardTimeout bounds one forwarded submit, wait, push or delta.
 	forwardTimeout = 15 * time.Second
-	// resolveInterval is the cadence of the background completion
-	// resolver, which polls workers for admitted jobs so a terminal state
-	// is already known when a client polls the router. Without it the
-	// router learns of a completion only inside a client poll, stacking
-	// the router→worker hop on top of the client's poll backoff and
-	// pushing tail latency past an extra backoff tick.
-	resolveInterval = 10 * time.Millisecond
+	// followWait is how long a job's waiter asks its worker to park one
+	// GET (the worker clamps it to its own cap); well under
+	// forwardTimeout, so an answer always beats the request's timeout.
+	followWait = 5 * time.Second
 )
 
 // Config tunes a Router. Zero fields take the documented defaults.
@@ -189,9 +186,8 @@ type Router struct {
 	mu       sync.Mutex
 	inflight int
 
-	stopProbe   chan struct{}
-	probeDone   chan struct{}
-	resolveDone chan struct{}
+	stopProbe chan struct{}
+	probeDone chan struct{}
 }
 
 // New builds a Router over a static member list (prober not started).
@@ -256,12 +252,11 @@ func New(cfg Config) (*Router, error) {
 // Registry exposes the router's metrics registry.
 func (r *Router) Registry() *obs.Registry { return r.reg }
 
-// Start launches the background health prober and the completion
-// resolver (idempotent-unsafe; call once). Stop with Stop or Drain.
+// Start launches the background health prober (idempotent-unsafe; call
+// once). Stop with Stop or Drain.
 func (r *Router) Start() {
 	r.stopProbe = make(chan struct{})
 	r.probeDone = make(chan struct{})
-	r.resolveDone = make(chan struct{})
 	go func() {
 		defer close(r.probeDone)
 		t := time.NewTicker(probeInterval)
@@ -275,23 +270,9 @@ func (r *Router) Start() {
 			}
 		}
 	}()
-	go func() {
-		defer close(r.resolveDone)
-		t := time.NewTicker(resolveInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.stopProbe:
-				return
-			case <-t.C:
-				r.resolvePending()
-			}
-		}
-	}()
 }
 
-// Stop halts the prober and the resolver (safe when Start was never
-// called).
+// Stop halts the prober (safe when Start was never called).
 func (r *Router) Stop() {
 	if r.stopProbe == nil {
 		return
@@ -302,35 +283,6 @@ func (r *Router) Stop() {
 		close(r.stopProbe)
 	}
 	<-r.probeDone
-	<-r.resolveDone
-}
-
-// resolvePending polls the owning worker of every assigned, still
-// pending job (bounded fan-out). Completions finalize here — feeding the
-// shared cache, SLO guard, and counters — so a client poll, whenever it
-// lands, gets the terminal view without waiting out a worker round-trip;
-// a crashed worker is likewise discovered within one resolver tick even
-// if no client is polling.
-func (r *Router) resolvePending() {
-	pending := r.jobs.Pending()
-	if len(pending) == 0 {
-		return
-	}
-	sem := make(chan struct{}, 8)
-	var wg sync.WaitGroup
-	for _, cj := range pending {
-		if _, workerID := cj.assignment(); workerID == "" {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(cj *cjob) {
-			defer wg.Done()
-			r.resolve(cj)
-			<-sem
-		}(cj)
-	}
-	wg.Wait()
 }
 
 // ProbeOnce runs one health round over all members: /healthz decides

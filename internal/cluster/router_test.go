@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,7 +166,11 @@ func TestClusterWorkerCrashRedispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jv, status, err := c.Client.SubmitJob(serve.JobSpec{Graph: up.Digest, Pattern: "cycle:4"})
+	// A job of tens of milliseconds: the router's waiter learns of an
+	// outcome at once, so the job must still be running when its worker
+	// dies.
+	slow := serve.JobSpec{Graph: up.Digest, Pattern: "cycle:5", Options: subgraph.OptionsSpec{Reps: 400}}
+	jv, status, err := c.Client.SubmitJob(slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +178,7 @@ func TestClusterWorkerCrashRedispatch(t *testing.T) {
 		t.Fatalf("submit status = %d, want 202 (fresh spec must execute)", status)
 	}
 
-	// Kill the worker holding the job before the router can learn its
-	// outcome.
+	// Kill the worker holding the job while it runs.
 	if err := c.KillWorker(workerIndex(t, c, jv.Node)); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +207,10 @@ func TestClusterAdmissionBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jv, _, err := c.Client.SubmitJob(serve.JobSpec{Graph: up.Digest, Pattern: "path:4"})
+	// A job of tens of milliseconds, so it is still in flight at the
+	// second submit: the router's waiter frees the slot the moment a job
+	// ends.
+	jv, _, err := c.Client.SubmitJob(serve.JobSpec{Graph: up.Digest, Pattern: "cycle:5", Options: subgraph.OptionsSpec{Reps: 400}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +375,7 @@ func TestClusterShedsOnWorkerSLOLevels(t *testing.T) {
 }
 
 // TestClusterDrainResolvesWithoutPollers pins Drain's active side: jobs
-// nobody is polling still resolve (Drain polls the workers itself).
+// nobody is polling still resolve (each job's waiter follows its worker).
 func TestClusterDrainResolvesWithoutPollers(t *testing.T) {
 	c := startTestCluster(t, 2, serve.Config{Workers: 2}, Config{})
 	text, _ := testEdgeList(t, 17)
@@ -396,5 +404,69 @@ func TestClusterDrainResolvesWithoutPollers(t *testing.T) {
 		if v.State != serve.StateDone {
 			t.Errorf("job %s after drain: state %s, err %q", id, v.State, v.Error)
 		}
+	}
+}
+
+// TestClusterFollowsEachJobWithOneWait pins the router's waiter: each
+// admitted job costs its worker exactly one GET /v1/jobs/{id}, a wait
+// parked until the job ends, because the router answers its clients'
+// reads — plain or parked — from its own record. The clients wake to the
+// terminal view with the job's timeline already recorded. The jobs run
+// at once, so -race sees waiters and readers share each record.
+func TestClusterFollowsEachJobWithOneWait(t *testing.T) {
+	const jobs = 4
+	// The completion tap holds every job running for 50 ms.
+	srv := serve.New(serve.Config{Workers: jobs, OnJobDone: func(serve.JobDone) { time.Sleep(50 * time.Millisecond) }})
+	srv.Start()
+	h := srv.Handler()
+	var gets atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			gets.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer worker.Close()
+	rt, err := New(Config{Members: []string{worker.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Stop()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	c := &serve.Client{Base: front.URL}
+
+	text, _ := testEdgeList(t, 19)
+	up, err := c.UploadGraph(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			jv, _, err := c.SubmitJob(serve.JobSpec{Graph: up.Digest, Pattern: "triangle", Options: subgraph.OptionsSpec{Seed: seed}})
+			if err != nil {
+				t.Errorf("submit: %v", err)
+				return
+			}
+			if _, err := c.Job(jv.ID); err != nil {
+				t.Errorf("plain read: %v", err)
+				return
+			}
+			if jv, err = c.WaitJob(jv.ID, 30*time.Second); err != nil || jv.State != serve.StateDone {
+				t.Errorf("job %s: state %s, err %v", jv.ID, jv.State, err)
+				return
+			}
+			if _, err := c.DebugJob(jv.ID); err != nil {
+				t.Errorf("job %s reads done but its timeline is not recorded: %v", jv.ID, err)
+			}
+		}(int64(i))
+	}
+	wg.Wait()
+	if n := gets.Load(); n != jobs {
+		t.Errorf("the worker saw %d GET /v1/jobs/{id} for %d jobs, want one each", n, jobs)
 	}
 }

@@ -401,41 +401,43 @@ func (c *Client) Job(id string) (JobView, error) {
 	return v, err
 }
 
-// WaitJob polls until the job reaches a terminal state or the timeout
-// elapses. Transient poll failures (connection errors, 5xx, 429) do not
-// abort the wait — the job keeps running server-side regardless, so the
-// poll is retried at the next tick; only a definitive client error (e.g.
-// 404 for an unknown id) returns early.
+// WaitJob waits until the job reaches a terminal state or the timeout
+// elapses. Each request parks on the server (GET /v1/jobs/{id}?wait=)
+// until the job ends or the wait runs out, so the finish is seen in the
+// round trip it happens in. A wait never asks for more than half the
+// time one attempt may take, so the server answers before the attempt's
+// own timeouts fire. Transient failures (connection errors, 5xx, 429) are
+// retried under the client's retry policy, which paces them, and do not
+// abort the wait — the job keeps running server-side regardless. A
+// definitive client error (e.g. 404 for an unknown id) returns early, and
+// so does any failure under a single-attempt policy (NoRetry), whose
+// callers want the raw answer.
 func (c *Client) WaitJob(id string, timeout time.Duration) (JobView, error) {
 	deadline := time.Now().Add(timeout)
-	delay := 2 * time.Millisecond
-	var lastErr error
+	p := c.policy()
+	budget := p.PerAttemptTimeout
+	if t := c.http().Timeout; t > 0 && t < budget {
+		budget = t
+	}
 	for {
 		var v JobView
-		status, err := c.do("GET", "/v1/jobs/"+id, "", nil, &v)
-		switch {
-		case err == nil && status == http.StatusOK:
-			if v.State == StateDone || v.State == StateFailed {
-				return v, nil
-			}
-			lastErr = nil
-		case status >= 400 && status < 500 && status != http.StatusTooManyRequests:
-			if err == nil {
-				err = fmt.Errorf("job %s: HTTP %d", id, status)
-			}
-			return v, err
-		default:
-			lastErr = err
+		wait := max(min(time.Until(deadline), budget/2), 0)
+		status, err := c.doPolicy(p, "GET", "/v1/jobs/"+id+"?wait="+wait.String(), "", nil, &v)
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("job %s: HTTP %d", id, status)
 		}
-		if time.Now().After(deadline) {
-			if lastErr != nil {
-				return v, fmt.Errorf("job %s: polling kept failing for %v: %w", id, timeout, lastErr)
+		switch {
+		case err == nil && (v.State == StateDone || v.State == StateFailed):
+			return v, nil
+		case err != nil && (p.MaxAttempts == 1 ||
+			status >= 400 && status < 500 && status != http.StatusTooManyRequests):
+			return v, err
+		}
+		if !time.Now().Before(deadline) {
+			if err != nil {
+				return v, fmt.Errorf("job %s: waiting kept failing for %v: %w", id, timeout, err)
 			}
 			return v, fmt.Errorf("job %s still %s after %v", id, v.State, timeout)
-		}
-		time.Sleep(delay)
-		if delay < 50*time.Millisecond {
-			delay *= 2
 		}
 	}
 }

@@ -174,13 +174,11 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	churn := d.ChurnRatio(parent)
 	incremental := churn <= s.cfg.DeltaChurnThreshold
 
-	var childDigest string
-	var deduped bool
-	if d.Empty() {
-		// The successor IS the parent: no new entry, no lineage (a graph
-		// is not its own child), and the response dedupes.
-		childDigest, deduped = parentDigest, true
-	} else {
+	// An empty delta, or one whose changes cancel out, leads back to the
+	// parent: no new entry, no lineage (a graph is not its own child), no
+	// forwarding, and the response dedupes.
+	childDigest, deduped := parentDigest, true
+	if !d.Empty() {
 		childDigest, deduped = s.store.PutChild(child, parentDigest)
 	}
 
@@ -244,7 +242,7 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 		return cb
 	}
 
-	if !d.Empty() {
+	if childDigest != parentDigest {
 		view.Forwarded = s.forwardCountEntries(parent, child, parentDigest, childDigest,
 			res.Touched, incremental, parentBits, childBits)
 	}

@@ -132,6 +132,15 @@ func TestDeltaEdgeCases(t *testing.T) {
 	})
 
 	t.Run("insert plus delete same edge", func(t *testing.T) {
+		// A cached count on the parent: a delta that changed the graph
+		// would forward it.
+		jv, _, err := c.SubmitJob(JobSpec{Graph: up.Digest, Pattern: "triangle", Mode: ModeCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WaitJob(jv.ID, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
 		view, status, err := c.ApplyDelta(up.Digest, DeltaRequest{
 			Insert: [][2]int{{int(e0[0]), int(e0[1])}},
 			Delete: [][2]int{{int(e0[0]), int(e0[1])}},
@@ -146,6 +155,20 @@ func TestDeltaEdgeCases(t *testing.T) {
 		}
 		if view.TouchedVertices != 2 {
 			t.Fatalf("touched = %d, want 2", view.TouchedVertices)
+		}
+		// The graph is not its own parent, and a change that did nothing
+		// forwards nothing, although its churn is low enough to forward.
+		if !view.Incremental {
+			t.Fatalf("churn %.3f is over the forwarding threshold; the graph is too small to test forwarding", view.ChurnRatio)
+		}
+		if view.Parent != "" || view.Forwarded != 0 {
+			t.Fatalf("cancelling delta: parent %q, forwarded %d; want no lineage and nothing forwarded", view.Parent, view.Forwarded)
+		}
+		if p, ok := s.store.Parent(up.Digest); ok {
+			t.Fatalf("Parent(%s) = %q: the graph records itself as its parent", up.Digest, p)
+		}
+		if kids := s.store.Children(up.Digest); len(kids) != 0 {
+			t.Fatalf("Children(%s) = %v, want none", up.Digest, kids)
 		}
 	})
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -122,6 +123,42 @@ func WriteErr(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 const drainingMsg = "server is draining; submit elsewhere"
+
+// maxJobWait caps how long one GET /v1/jobs/{id}?wait= parks. It stays
+// below the client's default per-attempt timeout (10 s) and the router's
+// forward timeout (15 s), so a parked request answers before the caller
+// gives up on it.
+const maxJobWait = 5 * time.Second
+
+// ParseWait reads the wait parameter of GET /v1/jobs/{id}, a Go duration
+// ("250ms", "5s") clamped to maxJobWait; absent, it is zero. A malformed
+// or negative wait is answered 400 and ok is false.
+func ParseWait(w http.ResponseWriter, r *http.Request) (wait time.Duration, ok bool) {
+	q := r.URL.Query().Get("wait")
+	if q == "" {
+		return 0, true
+	}
+	wait, err := time.ParseDuration(q)
+	if err != nil || wait < 0 {
+		writeErr(w, http.StatusBadRequest, "wait must be a non-negative duration such as 5s, got %q", q)
+		return 0, false
+	}
+	return min(wait, maxJobWait), true
+}
+
+// Await parks a job read until done closes, wait elapses or ctx ends.
+func Await(ctx context.Context, done <-chan struct{}, wait time.Duration) {
+	if wait <= 0 {
+		return
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
+	case <-ctx.Done():
+	}
+}
 
 // Decode reads a bounded JSON body into v, refusing unknown fields and
 // anything after the one JSON value but white space: a second value would

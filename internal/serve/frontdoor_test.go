@@ -144,6 +144,17 @@ func TestBadRequests(t *testing.T) {
 				}
 				resp.Body.Close()
 			}
+			// The wait is checked before the job is looked up.
+			for _, wait := range []string{"abc", "-1s"} {
+				resp, err := http.Get(d.base + "/v1/jobs/j-999999?wait=" + wait)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("wait=%s: HTTP %d, want 400", wait, resp.StatusCode)
+				}
+			}
 		})
 	}
 }
@@ -210,4 +221,56 @@ func submitAndCheckTimeline(c *serve.Client, spec serve.JobSpec) error {
 		return fmt.Errorf("job %s reads %s but its timeline is not recorded: %w", jv.ID, jv.State, err)
 	}
 	return nil
+}
+
+// TestJobWait pins GET /v1/jobs/{id}?wait= on both front doors. The job
+// is held running by a blocking completion tap: a wait shorter than the
+// hold answers the running job's view once it elapses, and a wait
+// outlasting it wakes when the job ends, answering the terminal view in
+// one request with the job's timeline already recorded.
+func TestJobWait(t *testing.T) {
+	var hold sync.Mutex
+	tap := func(serve.JobDone) { hold.Lock(); hold.Unlock() }
+	for _, d := range startDoors(t, serve.Config{Workers: 1, OnJobDone: tap}) {
+		t.Run(d.name, func(t *testing.T) {
+			c := &serve.Client{Base: d.base, Retry: serve.NoRetry()}
+			up, err := c.UploadGraph(edgeList(t, 9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hold.Lock()
+			jv, status, err := c.SubmitJob(serve.JobSpec{Graph: up.Digest, Pattern: "triangle"})
+			if err != nil || status != http.StatusAccepted {
+				hold.Unlock()
+				t.Fatalf("submit: (%d, %v)", status, err)
+			}
+			get := func(wait string) (serve.JobView, time.Duration) {
+				t.Helper()
+				start := time.Now()
+				resp, err := http.Get(d.base + "/v1/jobs/" + jv.ID + "?wait=" + wait)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var v serve.JobView
+				if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("wait=%s: HTTP %d, %v", wait, resp.StatusCode, err)
+				}
+				return v, time.Since(start)
+			}
+
+			v, took := get("50ms")
+			if v.State == serve.StateDone || v.State == serve.StateFailed || took < 50*time.Millisecond {
+				t.Errorf("wait=50ms on a held job: state %s after %v, want a running view after at least 50ms", v.State, took)
+			}
+			time.AfterFunc(100*time.Millisecond, hold.Unlock)
+			v, took = get("5s")
+			if v.State != serve.StateDone || took >= 5*time.Second {
+				t.Fatalf("wait=5s across the job's end: state %s after %v, want done before the wait runs out", v.State, took)
+			}
+			if _, err := c.DebugJob(jv.ID); err != nil {
+				t.Errorf("woken to a terminal view before the timeline was recorded: %v", err)
+			}
+		})
+	}
 }

@@ -164,11 +164,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	wait, ok := ParseWait(w, r)
+	if !ok {
+		return
+	}
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
+	Await(r.Context(), j.finished, wait)
 	writeJSON(w, http.StatusOK, j.view())
 }
 

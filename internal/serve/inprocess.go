@@ -50,8 +50,8 @@ func StartInProcess(cfg Config) (*InProcess, error) {
 // draining — the crash-injection hook the cluster harness and the
 // node-crash diffcheck oracle use. In-flight worker goroutines keep
 // running (and their results are simply unreachable), which is exactly
-// what a router sees when a node dies mid-job: connection errors on
-// forward and poll. Safe to call more than once.
+// what a router sees when a node dies mid-job: its parked waits drop and
+// new forwards fail to connect. Safe to call more than once.
 func (p *InProcess) Kill() error {
 	return p.hs.Close()
 }

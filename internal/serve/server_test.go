@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -643,5 +645,47 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWaitJobOneRequest pins the blocking wait: WaitJob on a job that
+// finishes about 100 ms after submission costs the worker exactly one
+// GET /v1/jobs/{id}, parked until the job ends. A poller would have
+// asked again and again in that time.
+func TestWaitJobOneRequest(t *testing.T) {
+	s := New(Config{Workers: 1})
+	s.holdJobs = make(chan struct{})
+	s.Start()
+	h := s.Handler()
+	var gets atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			gets.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := &Client{Base: ts.URL}
+
+	text, _ := testEdgeList(t, 21)
+	up, err := c.UploadGraph(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jv, status, err := c.SubmitJob(JobSpec{Graph: up.Digest, Pattern: "triangle"})
+	if err != nil || status != http.StatusAccepted {
+		t.Fatalf("submit: (%d, %v)", status, err)
+	}
+	release := time.AfterFunc(100*time.Millisecond, func() { close(s.holdJobs) })
+	defer release.Stop()
+	done, err := c.WaitJob(jv.ID, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != StateDone {
+		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	}
+	if n := gets.Load(); n != 1 {
+		t.Errorf("the worker saw %d GET /v1/jobs/{id} for one WaitJob, want 1", n)
 	}
 }

@@ -119,13 +119,11 @@ func (s *Store) put(g *graph.Graph, parentDigest string) (digest string, deduped
 
 // recordLineageLocked attaches a parent to an entry. The first recorded
 // parent wins: a graph reachable by two different deltas keeps its
-// original lineage.
+// original lineage. A graph is never its own parent: a delta whose
+// changes cancel out leads back to the graph it started from.
 func (s *Store) recordLineageLocked(el *list.Element, parentDigest string) {
-	if parentDigest == "" {
-		return
-	}
 	sg := el.Value.(*storedGraph)
-	if sg.info.Parent != "" {
+	if parentDigest == "" || parentDigest == sg.info.Digest || sg.info.Parent != "" {
 		return
 	}
 	sg.info.Parent = parentDigest

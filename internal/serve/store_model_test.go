@@ -41,8 +41,8 @@ func (m *refStore) put(d, parent string) bool {
 	} else {
 		m.mru = append([]string{d}, m.mru...)
 	}
-	// The first recorded parent wins.
-	if _, ok := m.parent[d]; parent != "" && !ok {
+	// The first recorded parent wins, and a graph is never its own.
+	if _, ok := m.parent[d]; parent != "" && parent != d && !ok {
 		m.parent[d] = parent
 		m.children[parent] = append(m.children[parent], d)
 	}

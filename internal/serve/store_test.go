@@ -284,6 +284,16 @@ func TestStoreLineage(t *testing.T) {
 	if info, _ := s.Info(cd); info.Parent != pd {
 		t.Fatalf("Info.Parent = %q, want %q", info.Parent, pd)
 	}
+	// A graph is never recorded as its own parent.
+	if _, dd := s.PutChild(parent, pd); !dd {
+		t.Fatal("parent re-put as its own child not deduped")
+	}
+	if got, ok := s.Parent(pd); ok {
+		t.Fatalf("Parent(%s) = %q after PutChild onto itself, want none", pd, got)
+	}
+	if kids := s.Children(pd); len(kids) != 1 || kids[0] != cd {
+		t.Fatalf("Children after PutChild onto itself = %v, want [%s]", kids, cd)
+	}
 	// Re-deriving the same child from a different parent keeps the first
 	// lineage.
 	other := storeTestGraph(52)

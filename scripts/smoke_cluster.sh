@@ -12,9 +12,10 @@
 #      from a single daemon;
 #   4. upload four seeded graphs, fire a 200-job burst at the router
 #      from 8 closed-loop curl clients (submit, then poll to a terminal
-#      state; curl retries transient statuses), and SIGKILL one worker
-#      mid-run: every job must still end done (the router re-dispatches
-#      the dead worker's jobs to the surviving replica);
+#      state; curl retries transient statuses), put a slow job in flight
+#      on w1 and SIGKILL w1 mid-run: every job must still end done, and
+#      the router must have re-dispatched at least one job (the slow
+#      one) to the surviving replica;
 #   5. SIGTERM the router and the surviving worker and require clean
 #      drains (exit 0) from both.
 set -euo pipefail
@@ -155,18 +156,48 @@ for ((k = 0; k < clients; k++)); do
   client_pids+=($!)
 done
 sleep 0.7
-echo "   SIGKILL worker w1 (pid $worker1)"
+# The burst's jobs take milliseconds, so the kill rarely catches one in
+# flight. Slow jobs (cycle:5 with 400 repetitions, distinct seeds) are
+# submitted until one reports w1 as its node; that one is running when
+# w1 dies.
+slow_ids=()
+for ((k = 0; k < 20; k++)); do
+  spec="{\"graph\":\"${digests[k % 4]}\",\"pattern\":\"cycle:5\",\"options\":{\"seed\":$((1000 + k)),\"reps\":400}}"
+  body=$(curl -fsS "${retry[@]}" -H 'Content-Type: application/json' -d "$spec" "$base/v1/jobs")
+  slow_ids+=("$(field id "$body")")
+  node=$(field node "$body")
+  [ "$node" = w1 ] || [ "$node" = "http://$w1" ] && break
+done
+if [ "$node" != w1 ] && [ "$node" != "http://$w1" ]; then
+  echo "no slow job landed on w1 in ${#slow_ids[@]} submissions" >&2
+  exit 1
+fi
+echo "   SIGKILL worker w1 (pid $worker1) with slow job ${slow_ids[-1]} on it"
 kill -KILL "$worker1" 2>/dev/null || true
 wait "${client_pids[@]}"
+for id in "${slow_ids[@]}"; do
+  state=
+  for _ in $(seq 1 12); do # each read parks up to 5s on the router
+    state=$(field state "$(curl -fsS "${retry[@]}" "$base/v1/jobs/$id?wait=5s")")
+    [ "$state" = done ] || [ "$state" = failed ] && break
+  done
+  echo "slow-$id $state" >>"$workdir/client-slow.out"
+done
 done_jobs=$(cat "$workdir"/client*.out | grep -c ' done$' || true)
-if [ "$done_jobs" -ne "$jobs" ]; then
-  echo "$done_jobs of $jobs jobs ended done after the worker crash; the rest:" >&2
+want=$((jobs + ${#slow_ids[@]}))
+if [ "$done_jobs" -ne "$want" ]; then
+  echo "$done_jobs of $want jobs ended done after the worker crash; the rest:" >&2
   cat "$workdir"/client*.out | grep -v ' done$' >&2 || true
   tail -n 40 "$workdir/router.log" >&2
   exit 1
 fi
 redispatched=$(curl -fsS "$base/metrics" | sed -n 's/.*"cluster_jobs_redispatched_total":\([0-9]*\).*/\1/p')
-echo "   all $jobs jobs done (${redispatched:-0} re-dispatched by the router)"
+echo "   all $want jobs done (${redispatched:-0} re-dispatched by the router)"
+if [ "${redispatched:-0}" -lt 1 ]; then
+  echo "the router re-dispatched no job although w1 died running one" >&2
+  tail -n 40 "$workdir/router.log" >&2
+  exit 1
+fi
 
 echo "== SIGTERM drain (router, then surviving worker)"
 kill -TERM "$router"

@@ -8,40 +8,35 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"subgraph/internal/graph"
-	"subgraph/internal/kernel"
 	"subgraph/internal/serve"
 )
 
 // Evolving graphs, cluster edition. A delta must be applied by a worker
-// that holds the *parent* graph — that worker validates the batch against
-// the stored edge set and maintains its own incremental caches — so the
-// router routes the request to the parent digest's owners (healing an
-// amnesiac owner from the mirror, same as the job path). The successor
-// graph then lives under a new digest with, in general, a *different*
-// owner set, so after the worker answers, the router:
+// that holds the *parent* graph, so the router routes the request to the
+// parent digest's owners (healing an amnesiac owner from the mirror, as
+// the job path does). The applier rarely ran the parent's count jobs, so
+// the router carries the parent's counts from its shared cache with the
+// delta (DeltaRequest.ParentCounts), and the worker returns the child
+// counts it derives from them (DeltaView.Counts). The child lives under a
+// new digest with, in general, other owners, so after the worker answers,
+// the router:
 //
 //   - applies the same delta to its mirrored parent (content addressing
 //     guarantees the same child), recording lineage in the mirror;
 //   - pushes the child to the child digest's owners, so the first job on
 //     the successor finds it warm instead of eating a 404/push round-trip;
-//   - seeds the cluster-shared result cache along lineage: count-mode
-//     entries cached for the parent are re-derived for the child by
-//     incremental recounting over the touched vertices, byte-identical
-//     to what a worker computing the child from scratch would return.
+//   - caches the returned child counts, so a count job on the successor
+//     answers at the router. An over-threshold delta returns none.
 //
-// Seeding respects the worker's own churn verdict (DeltaView.Incremental):
-// an over-threshold delta seeds nothing and the child's first count job
-// recomputes on a worker.
-//
-// The mirror and the worker applied the same delta to the same
-// content-addressed parent, so they must agree on the child. When they do
-// not — the mirror rejects a delta the worker accepted, or derives a
-// different child digest — one of them holds a corrupt graph. The router
-// then answers 502, counts the divergence, and neither mirrors nor
-// replicates the child nor seeds the cache from it.
+// The mirror and the worker must agree on the child, and the worker's
+// cached parent counts on the carried ones. When they do not (the mirror
+// rejects a delta the worker accepted or derives another child digest,
+// or the worker refuses a carried count with a 409 whose reason is
+// serve.DeltaCountMismatch), one side holds a corrupt graph or count. The
+// router then answers 502, counts the divergence, and neither mirrors nor
+// replicates the child nor caches its counts.
 
 // handleGraphDelta routes POST /v1/graphs/{digest}/delta.
 func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
@@ -68,20 +63,27 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 	if !r.front.Decode(w, req, &dreq, "delta") {
 		return
 	}
+	// Counts are carried from the shared cache only, never from a client.
+	dreq.ParentCounts = r.cache.Counts(parentDigest)
 	payload, _ := json.Marshal(dreq) // ints and strings always encode
 
 	status, body, applier := r.forwardDelta(req.Context(), parentDigest, payload)
 	if applier == nil {
-		// No owner could be reached (or validation failed): relay whatever
-		// terminal verdict we have. Worker validation is deterministic in
-		// (parent, delta), so a 4xx from one owner is the cluster's answer.
-		if body != nil {
+		// No owner applied the delta: relay the verdict there is. Worker
+		// validation is deterministic in (parent, delta), so a 4xx from one
+		// owner is the cluster's answer, unless it refuses the router's
+		// carried counts.
+		var refusal struct{ Error, Reason string }
+		switch {
+		case body == nil:
+			serve.WriteErr(w, http.StatusServiceUnavailable, "no live worker could apply the delta; retry later")
+		case json.Unmarshal(body, &refusal) == nil && refusal.Reason == serve.DeltaCountMismatch:
+			r.diverged(w, parentDigest, "a worker refused the router's carried counts: %s", refusal.Error)
+		default:
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(status)
 			_, _ = w.Write(body)
-			return
 		}
-		serve.WriteErr(w, http.StatusServiceUnavailable, "no live worker could apply the delta; retry later")
 		return
 	}
 
@@ -93,7 +95,7 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 
 	if dv.Digest != parentDigest {
 		// Real successor: mirror it, replicate it to its owners, seed the
-		// shared cache.
+		// shared cache with its counts.
 		res, aerr := graph.ApplyDelta(parent, graph.EdgeDelta{Insert: dreq.Insert, Delete: dreq.Delete})
 		if aerr != nil {
 			r.diverged(w, parentDigest, "worker %s applied the delta but the router mirror rejects it: %v",
@@ -106,9 +108,13 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		childDigest, _ := r.store.PutChild(res.Graph, parentDigest)
-		r.replicateChild(req.Context(), childDigest, applier.base)
-		if dv.Incremental {
-			r.seedLineageCache(parent, res.Graph, parentDigest, childDigest, res.Touched)
+		r.pushToOwners(req.Context(), childDigest, applier.base)
+		for size, cres := range dv.Counts {
+			key, err := serve.SpecCacheKey(serve.JobSpec{Graph: childDigest, Pattern: "clique:" + strconv.Itoa(size), Mode: serve.ModeCount})
+			if err == nil && cres != nil && cres.Count != nil {
+				r.cache.Put(key, cres)
+				r.reg.Counter(MetricDeltaSeeded).Inc()
+			}
 		}
 	}
 	r.reg.Counter(MetricGraphDeltas).Inc()
@@ -118,12 +124,12 @@ func (r *Router) handleGraphDelta(w http.ResponseWriter, req *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// diverged answers 502 for a delta on which the worker and the router
-// mirror disagree, and counts it.
+// diverged answers 502 for a delta on which a worker and the router
+// disagree, and counts it.
 func (r *Router) diverged(w http.ResponseWriter, parentDigest, format string, args ...any) {
 	detail := fmt.Sprintf(format, args...)
 	r.reg.Counter(MetricDeltaDivergence).Inc()
-	r.logger.Error("delta divergence between worker and router mirror", "parent", parentDigest, "detail", detail)
+	r.logger.Error("delta divergence between worker and router", "parent", parentDigest, "detail", detail)
 	serve.WriteErr(w, http.StatusBadGateway, "delta divergence: %s", detail)
 }
 
@@ -185,59 +191,4 @@ func (r *Router) postDelta(ctx context.Context, m *member, digest string, payloa
 		return 0, nil, err
 	}
 	return resp.StatusCode, body, nil
-}
-
-// replicateChild pushes a freshly mirrored successor graph to its owners,
-// skipping the worker that applied the delta (it already stored the
-// child). Push failures are tolerated — the job forward path heals
-// lazily, same as uploads.
-func (r *Router) replicateChild(ctx context.Context, childDigest, applierBase string) {
-	var wg sync.WaitGroup
-	for _, m := range r.routeOrder(childDigest, applierBase) {
-		wg.Add(1)
-		go func(m *member) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, forwardTimeout)
-			defer cancel()
-			if err := r.pushGraph(pctx, m, childDigest); err != nil {
-				r.logger.Warn("child graph push failed",
-					"member", m.displayName(), "digest", childDigest, "err", err)
-			}
-		}(m)
-	}
-	wg.Wait()
-}
-
-// seedLineageCache forwards the parent's count-mode entries in the
-// cluster-shared cache to the child by incremental recounting, so a count
-// job on the successor answers at the router without touching the fleet.
-// Keys go through serve.SpecCacheKey — the same derivation workers use —
-// and the seeded envelopes are byte-identical to worker-computed results.
-func (r *Router) seedLineageCache(parent, child *graph.Graph, parentDigest, childDigest string, touched []int32) {
-	var pb, cb *graph.BitAdjacency
-	seeded := 0
-	for size := 2; size <= kernel.MaxCliqueSize; size++ {
-		pattern := "clique:" + strconv.Itoa(size)
-		pkey, err := serve.SpecCacheKey(serve.JobSpec{Graph: parentDigest, Pattern: pattern, Mode: serve.ModeCount})
-		if err != nil {
-			continue
-		}
-		res, ok := r.cache.Get(pkey)
-		if !ok || res.Count == nil {
-			continue
-		}
-		if pb == nil {
-			pb, cb = graph.NewBitAdjacency(parent), graph.NewBitAdjacency(child)
-		}
-		cnt := r.krn.CountDelta(parent, pb, child, cb, size, touched, *res.Count)
-		ckey, err := serve.SpecCacheKey(serve.JobSpec{Graph: childDigest, Pattern: pattern, Mode: serve.ModeCount})
-		if err != nil {
-			continue
-		}
-		r.cache.Put(ckey, serve.CountResult(cnt, cb.Mode()))
-		seeded++
-	}
-	if seeded > 0 {
-		r.reg.Counter(MetricDeltaSeeded).Add(int64(seeded))
-	}
 }

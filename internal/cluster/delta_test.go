@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -173,10 +177,13 @@ func TestClusterDeltaErrors(t *testing.T) {
 // cluster_delta_divergence_total, and nothing mirrored, replicated or
 // seeded from the disputed child. A stub worker plays the disagreeing
 // side, once reporting a wrong child digest and once accepting a delta
-// the mirror rejects.
+// the mirror rejects, each time with child counts the router must not
+// cache.
 func TestClusterDeltaDivergence(t *testing.T) {
 	text, g := testEdgeList(t, 51)
 	missing := findMissingEdge(t, g)
+	stubChild := strings.Repeat("0", 64)
+	stubCounts := map[int]*serve.JobResult{3: serve.CountResult(7, graph.NewBitAdjacency(g).Mode())}
 	cases := []struct {
 		name string
 		req  serve.DeltaRequest
@@ -192,8 +199,10 @@ func TestClusterDeltaDivergence(t *testing.T) {
 					serve.WriteJSON(w, http.StatusCreated, serve.UploadView{})
 				case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/delta"):
 					serve.WriteJSON(w, http.StatusCreated, serve.DeltaView{
-						GraphInfo:   serve.GraphInfo{Digest: strings.Repeat("0", 64)},
+						GraphInfo:   serve.GraphInfo{Digest: stubChild},
 						Incremental: true,
+						Forwarded:   len(stubCounts),
+						Counts:      stubCounts,
 					})
 				default:
 					http.NotFound(w, r)
@@ -238,6 +247,214 @@ func TestClusterDeltaDivergence(t *testing.T) {
 			if n := rt.store.Len(); n != 1 {
 				t.Errorf("mirror holds %d graphs, want only the parent", n)
 			}
+			ckey, err := serve.SpecCacheKey(serve.JobSpec{Graph: stubChild, Pattern: "clique:3", Mode: serve.ModeCount})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := rt.cache.Get(ckey); ok || rt.cache.Len() != 1 {
+				t.Errorf("the disputed child's counts were cached (%d entries, want the parent's 1)", rt.cache.Len())
+			}
 		})
+	}
+}
+
+// chainDelta draws k edge deletions and k insertions against g.
+func chainDelta(rng *rand.Rand, g *graph.Graph, k int) graph.EdgeDelta {
+	var d graph.EdgeDelta
+	edges := g.Edges()
+	for _, i := range rng.Perm(len(edges))[:k] {
+		d.Delete = append(d.Delete, edges[i])
+	}
+	picked := make(map[[2]int]bool)
+	for len(d.Insert) < k {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		if u > v {
+			u, v = v, u
+		}
+		if u == v || g.HasEdge(u, v) || picked[[2]int{u, v}] {
+			continue
+		}
+		picked[[2]int{u, v}] = true
+		d.Insert = append(d.Insert, [2]int{u, v})
+	}
+	return d
+}
+
+// TestClusterDeltaChain runs a delta chain through a router over three
+// workers, one of which dies halfway, and holds every step to a local
+// mirror: each successor's K3 and K4 counts answer at the router from
+// its shared cache, byte-equal to a scratch count on the mirror, two
+// entries are seeded per step, and no step diverges.
+func TestClusterDeltaChain(t *testing.T) {
+	const steps, killAfter = 12, 6
+	c := startTestCluster(t, 3, serve.Config{Workers: 1}, Config{Replication: 2})
+	rng := rand.New(rand.NewSource(61))
+	mirror := graph.GNP(200, 0.06, rng)
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, mirror); err != nil {
+		t.Fatal(err)
+	}
+	up, err := c.Client.UploadGraph(buf.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := up.Digest
+	sizes := []int{3, 4}
+	for _, s := range sizes {
+		jv, _, err := c.Client.SubmitJob(serve.JobSpec{Graph: digest, Pattern: fmt.Sprintf("clique:%d", s), Mode: serve.ModeCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := c.Client.WaitJob(jv.ID, 30*time.Second); err != nil || v.State != serve.StateDone {
+			t.Fatalf("priming clique:%d: state %s, err %v", s, v.State, err)
+		}
+	}
+
+	k := kernel.New(1)
+	defer k.Close()
+	seeded := c.Router.reg.Counter(MetricDeltaSeeded)
+	for step := 1; step <= steps; step++ {
+		d := chainDelta(rng, mirror, 4)
+		res, err := graph.ApplyDelta(mirror, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirror = res.Graph
+		before := seeded.Value()
+		dv, status, err := c.Client.ApplyDelta(digest, serve.DeltaRequest{Insert: d.Insert, Delete: d.Delete})
+		if err != nil || status != http.StatusCreated {
+			t.Fatalf("step %d: delta status %d, err %v", step, status, err)
+		}
+		if dv.Digest != mirror.Digest() || dv.Parent != digest || !dv.Incremental {
+			t.Fatalf("step %d: view %+v, want incremental child %s of %s", step, dv, mirror.Digest(), digest)
+		}
+		digest = dv.Digest
+		bits := graph.NewBitAdjacency(mirror)
+		for _, s := range sizes {
+			pattern := fmt.Sprintf("clique:%d", s)
+			v, status, err := c.Client.SubmitJob(serve.JobSpec{Graph: digest, Pattern: pattern, Mode: serve.ModeCount})
+			if err != nil || status != http.StatusOK || !v.Cached {
+				t.Fatalf("step %d %s: status %d, cached %v, err %v; want a router cache hit", step, pattern, status, v.Cached, err)
+			}
+			got, _ := json.Marshal(v.Result)
+			want, _ := json.Marshal(serve.CountResult(k.Count(bits, s), bits.Mode()))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("step %d %s: served %s, mirror %s", step, pattern, got, want)
+			}
+		}
+		if got := seeded.Value() - before; got != int64(len(sizes)) {
+			t.Errorf("step %d: %s rose by %d, want %d", step, MetricDeltaSeeded, got, len(sizes))
+		}
+		if step == killAfter {
+			if err := c.KillWorker(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := c.Router.reg.Counter(MetricDeltaDivergence).Value(); got != 0 {
+		t.Errorf("%s = %d, want 0", MetricDeltaDivergence, got)
+	}
+}
+
+// countJob runs a count job through c and returns its view.
+func countJob(t *testing.T, c *serve.Client, digest string, size int) serve.JobView {
+	t.Helper()
+	jv, _, err := c.SubmitJob(serve.JobSpec{Graph: digest, Pattern: fmt.Sprintf("clique:%d", size), Mode: serve.ModeCount})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jv, err = c.WaitJob(jv.ID, 30*time.Second); err != nil || jv.State != serve.StateDone || jv.Result.Count == nil {
+		t.Fatalf("clique:%d count on %.12s: state %s, err %v", size, digest, jv.State, err)
+	}
+	return jv
+}
+
+// TestClusterDeltaDropsClientCounts pins that the router carries only its
+// own counts: a client's ParentCounts never reach a worker, so nothing is
+// derived from them or seeded, and the child's count is the library's.
+func TestClusterDeltaDropsClientCounts(t *testing.T) {
+	c := startTestCluster(t, 2, serve.Config{Workers: 1}, Config{})
+	text, g := testEdgeList(t, 71)
+	up, err := c.Client.UploadGraph(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := findMissingEdge(t, g)
+	dv, status, err := c.Client.ApplyDelta(up.Digest, serve.DeltaRequest{
+		Insert:       [][2]int{ins},
+		ParentCounts: serve.CliqueCounts{3: 999, 4: 999},
+	})
+	if err != nil || status != http.StatusCreated {
+		t.Fatalf("delta: status %d, err %v", status, err)
+	}
+	if dv.Forwarded != 0 || len(dv.Counts) != 0 {
+		t.Fatalf("a client's carried counts reached the applier: forwarded %d, counts %v", dv.Forwarded, dv.Counts)
+	}
+	if got := c.Router.reg.Counter(MetricDeltaSeeded).Value(); got != 0 {
+		t.Errorf("%s = %d, want 0", MetricDeltaSeeded, got)
+	}
+	res, err := graph.ApplyDelta(g, graph.EdgeDelta{Insert: [][2]int{ins}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New(1)
+	defer k.Close()
+	want := k.Count(graph.NewBitAdjacency(res.Graph), 3)
+	if jv := countJob(t, c.Client, dv.Digest, 3); *jv.Result.Count != want {
+		t.Fatalf("child count = %d, want the library's %d", *jv.Result.Count, want)
+	}
+}
+
+// TestClusterDeltaCountMismatch pins the router's answer when its shared
+// cache and an applier's own cache disagree on a parent count: the worker
+// refuses the carried count with a typed 409, and the router turns it into
+// a 502 divergence with nothing mirrored, replicated or seeded.
+func TestClusterDeltaCountMismatch(t *testing.T) {
+	c := startTestCluster(t, 2, serve.Config{Workers: 1}, Config{})
+	text, g := testEdgeList(t, 81)
+	up, err := c.Client.UploadGraph(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every worker holds the parent's true count, whichever applies the
+	// delta; the router's shared cache holds a wrong one.
+	var k3 int64
+	for _, w := range c.Workers {
+		k3 = *countJob(t, &serve.Client{Base: w.BaseURL}, up.Digest, 3).Result.Count
+	}
+	pkey, err := serve.SpecCacheKey(serve.JobSpec{Graph: up.Digest, Pattern: "clique:3", Mode: serve.ModeCount})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Router.cache.Put(pkey, serve.CountResult(k3+1, graph.NewBitAdjacency(g).Mode()))
+	pushes := c.Router.reg.Counter(MetricGraphPushes).Value()
+
+	ins := findMissingEdge(t, g)
+	res, err := graph.ApplyDelta(g, graph.EdgeDelta{Insert: [][2]int{ins}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := res.Graph.Digest()
+	client := &serve.Client{Base: c.BaseURL, Retry: serve.NoRetry()}
+	if _, status, _ := client.ApplyDelta(up.Digest, serve.DeltaRequest{Insert: [][2]int{ins}}); status != http.StatusBadGateway {
+		t.Fatalf("status = %d, want 502", status)
+	}
+	for name, want := range map[string]int64{MetricDeltaDivergence: 1, MetricGraphDeltas: 0, MetricDeltaSeeded: 0, MetricGraphPushes: pushes} {
+		if got := c.Router.reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if _, ok := c.Router.store.Get(child); ok {
+		t.Error("the router mirrored the refused child")
+	}
+	for i, w := range c.Workers {
+		resp, err := http.Get(w.BaseURL + "/v1/graphs/" + child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("worker %d holds the refused child: status %d, want 404", i, resp.StatusCode)
+		}
 	}
 }

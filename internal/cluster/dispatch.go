@@ -158,9 +158,6 @@ func (r *Router) Drain(ctx context.Context) error {
 			}
 		}
 	}
-	// Deltas have been refused since BeginDrain; the recount pool can park
-	// permanently.
-	r.krn.Close()
 	r.logger.Info("router drain complete",
 		"jobs_completed", r.reg.Counter(MetricJobsCompleted).Value())
 	return nil
@@ -410,15 +407,18 @@ func terminal(v serve.JobView) bool {
 // feeding the shared cache, the router SLO guard, and the counters.
 func (r *Router) finalize(cj *cjob, m *member, view serve.JobView) serve.JobView {
 	cj.Root.Annotate("node", m.displayName())
-	v := r.conclude(cj, cj.translate(view, m.displayName()))
+	v := cj.translate(view, m.displayName())
+	// Complete results are reusable cluster-wide; partial (deadline-shaped)
+	// ones and traced runs are not. The result is cached before the job
+	// reads as terminal, so a client that sees it done finds it cached (a
+	// delta right after its parent's count job carries that count).
+	if v.State == serve.StateDone && v.Result != nil && !v.Result.Partial && !cj.Spec.Trace {
+		r.cache.Put(cj.key, v.Result)
+	}
+	v = r.conclude(cj, v)
 	latency := time.Since(cj.created)
 	if v.State == serve.StateDone {
 		r.reg.Counter(MetricJobsCompleted).Inc()
-		// Complete results are reusable cluster-wide; partial
-		// (deadline-shaped) ones and traced runs are not.
-		if v.Result != nil && !v.Result.Partial && !cj.Spec.Trace {
-			r.cache.Put(cj.key, v.Result)
-		}
 	} else {
 		r.reg.Counter(MetricJobsFailed).Inc()
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"subgraph/internal/obs"
@@ -41,29 +40,14 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, r.clusterMetrics(req.Context()))
 }
 
-// handleGraphUpload stores the graph in the router mirror and fans it
-// out to the digest's owners while the client waits — a job submitted
-// right after its upload must not eat a 404/push round-trip per owner.
-// Push failures are tolerated: the forward path re-pushes lazily.
+// handleGraphUpload stores the graph in the router mirror and pushes it
+// to the digest's owners before it answers.
 func (r *Router) handleGraphUpload(w http.ResponseWriter, req *http.Request) {
 	digest, deduped, ok := r.front.Upload(w, req)
 	if !ok {
 		return
 	}
-	var wg sync.WaitGroup
-	for _, m := range r.routeOrder(digest, "") {
-		wg.Add(1)
-		go func(m *member) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(req.Context(), forwardTimeout)
-			defer cancel()
-			if err := r.pushGraph(ctx, m, digest); err != nil {
-				r.logger.Warn("graph push failed",
-					"member", m.displayName(), "digest", digest, "err", err)
-			}
-		}(m)
-	}
-	wg.Wait()
+	r.pushToOwners(req.Context(), digest, "")
 	r.front.ReplyUpload(w, digest, deduped)
 }
 

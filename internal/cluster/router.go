@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"subgraph/internal/graph"
-	"subgraph/internal/kernel"
 	"subgraph/internal/obs"
 	"subgraph/internal/serve"
 )
@@ -39,8 +38,8 @@ const (
 	MetricGraphUploads     = "cluster_graphs_uploaded_total"
 	MetricGraphPushes      = "cluster_graph_pushes_total"     // router→worker replications
 	MetricGraphDeltas      = "cluster_graph_deltas_total"     // deltas applied through the router
-	MetricDeltaSeeded      = "cluster_delta_seeded_total"     // shared-cache entries seeded along lineage
-	MetricDeltaDivergence  = "cluster_delta_divergence_total" // 502: worker and mirror disagree on a delta's child
+	MetricDeltaSeeded      = "cluster_delta_seeded_total"     // child counts returned by a delta's applier, cached
+	MetricDeltaDivergence  = "cluster_delta_divergence_total" // 502: a worker and the router disagree on a delta
 	MetricProbes           = "cluster_probes_total"
 	GaugeMembers           = "cluster_members"
 	GaugeMembersUp         = "cluster_members_up"
@@ -175,7 +174,6 @@ type Router struct {
 	store   *serve.Store // graph mirror: the replica of last resort
 	cache   *serve.Cache // cluster-shared result cache
 	jobs    *serve.JobTable[*cjob]
-	krn     *kernel.Kernel // incremental recounts for lineage cache seeding
 	logger  *slog.Logger
 	start   time.Time
 	members []*member
@@ -209,7 +207,6 @@ func New(cfg Config) (*Router, error) {
 		store:  serve.NewStore(cfg.MaxGraphs),
 		cache:  serve.NewCache(cfg.CacheSize),
 		jobs:   serve.NewJobTable("c", maxRetainedJobs, func(cj *cjob, id string) { cj.id = id }),
-		krn:    kernel.New(0),
 		logger: cfg.Logger,
 		start:  time.Now(),
 		hc:     &http.Client{},
@@ -523,6 +520,26 @@ func (r *Router) pushGraph(ctx context.Context, m *member, digest string) error 
 	}
 	r.reg.Counter(MetricGraphPushes).Inc()
 	return nil
+}
+
+// pushToOwners pushes a mirrored graph to its digest's owners, skipping
+// the excluded base, while the caller waits: a job submitted right after
+// an upload or delta must not eat a 404/push round-trip per owner. Push
+// failures are tolerated; the job forward path re-pushes lazily.
+func (r *Router) pushToOwners(ctx context.Context, digest, exclude string) {
+	var wg sync.WaitGroup
+	for _, m := range r.routeOrder(digest, exclude) {
+		wg.Add(1)
+		go func(m *member) {
+			defer wg.Done()
+			pctx, cancel := context.WithTimeout(ctx, forwardTimeout)
+			defer cancel()
+			if err := r.pushGraph(pctx, m, digest); err != nil {
+				r.logger.Warn("graph push failed", "member", m.displayName(), "digest", digest, "err", err)
+			}
+		}(m)
+	}
+	wg.Wait()
 }
 
 // clusterMetrics aggregates the fleet into one serve.MetricsView: the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"subgraph"
+	"subgraph/internal/graph"
 	"subgraph/internal/kernel"
 )
 
@@ -136,7 +137,6 @@ func (s *Server) runKernelBatch(leader *job) {
 	// needing a clique size pays for the count inside its span; batchmates
 	// sharing the size get near-zero spans annotated shared=true.
 	counts := make(map[int]int64, len(batch))
-	statsJSON, _ := json.Marshal(subgraph.Stats{})
 	s.reg.Counter(MetricKernelRuns).Inc()
 	s.reg.Counter(MetricKernelJobs).Add(int64(len(batch)))
 	if len(batch) > 1 {
@@ -157,16 +157,7 @@ func (s *Server) runKernelBatch(leader *job) {
 		sp.Annotate("batch_size", strconv.Itoa(len(batch)))
 		sp.Finish()
 
-		c := cnt
-		res := &JobResult{
-			Detected:  cnt > 0,
-			Algorithm: algo,
-			// Rounds and BandwidthBits stay zero and Stats is the zero
-			// Stats envelope: no simulation ran, and the envelope shape
-			// must match detect-mode results byte-for-byte in structure.
-			Stats: statsJSON,
-			Count: &c,
-		}
+		res := CountResult(cnt, bits.Mode())
 		respSpan := j.rootSpan.StartChild("response")
 		s.reg.Counter(MetricJobsCompleted).Inc()
 		wall := time.Since(started)
@@ -197,5 +188,20 @@ func (s *Server) failKernelBatch(batch []*job, started time.Time, msg string) {
 		s.logger.Error("job failed",
 			"job_id", j.id, "trace_id", j.tl.TraceID(), "digest", j.digest,
 			"pattern", j.pattern, "mode", ModeCount, "err", msg)
+	}
+}
+
+// CountResult is the count-mode result envelope for a graph served in
+// mode: the one a kernel batch pass caches, and the one a derived count
+// must equal byte for byte. Rounds and BandwidthBits stay zero and Stats
+// is the zero Stats envelope: no simulation ran, and the envelope shape
+// must match detect-mode results byte for byte in structure.
+func CountResult(cnt int64, mode graph.BitAdjacencyMode) *JobResult {
+	statsJSON, _ := json.Marshal(subgraph.Stats{})
+	return &JobResult{
+		Detected:  cnt > 0,
+		Algorithm: kernel.AlgorithmName(mode),
+		Stats:     statsJSON,
+		Count:     &cnt,
 	}
 }

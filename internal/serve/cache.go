@@ -3,6 +3,8 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"subgraph/internal/kernel"
 )
 
 // Cache is the LRU result cache. Keys are the canonical job identity
@@ -78,4 +80,17 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// Counts lists the K_s counts cached for digest, by clique size: the
+// parent counts a worker derives a child's from, and the ones a router
+// carries with a delta.
+func (c *Cache) Counts(digest string) CliqueCounts {
+	out := make(CliqueCounts)
+	for size := 2; size <= kernel.MaxCliqueSize; size++ {
+		if res, ok := c.Get(countKey(digest, size)); ok && res.Count != nil {
+			out[size] = *res.Count
+		}
+	}
+	return out
 }

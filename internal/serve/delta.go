@@ -21,10 +21,11 @@ import (
 // Incremental result maintenance rides on the same request. When the
 // delta's churn ratio is at or under Config.DeltaChurnThreshold:
 //
-//   - every count-mode cache entry of the parent is forwarded to the
-//     child: the child's count is derived incrementally (CountDelta over
-//     the touched set) and cached under the child's key, byte-identical
-//     to what a from-scratch count job on the child would produce;
+//   - every parent count cached here or carried with the request is
+//     forwarded to the child: the child's count is derived incrementally
+//     (CountDelta over the touched set), byte-identical to what a
+//     from-scratch count job on the child would produce, and returned
+//     (cached too when the parent count was this node's own);
 //   - "watch" patterns in the request are answered incrementally —
 //     clique-family patterns by incremental counting, longer cycles by
 //     a dirty-region re-check around the changed edges.
@@ -47,7 +48,37 @@ type DeltaRequest struct {
 	// longer cycles (cycle:4..) are detected. Evaluation is incremental
 	// when the churn ratio permits.
 	Watch []string `json:"watch,omitempty"`
+	// ParentCounts carries parent counts for the applier to derive the
+	// child's from when it has none cached. A router fills it from its
+	// shared cache, replacing whatever a client sent. Carried counts are
+	// untrusted: a child count derived from one is returned but never
+	// cached, and one that disagrees with the applier's own cached count
+	// is a 409 (DeltaCountMismatch) before the child is stored.
+	ParentCounts CliqueCounts `json:"parent_counts,omitempty"`
 }
+
+// CliqueCounts maps a clique size to its K_s count. Decoding refuses a
+// size outside [2, kernel.MaxCliqueSize] and a negative count (a 400).
+type CliqueCounts map[int]int64
+
+// UnmarshalJSON decodes a count map, refusing out-of-range entries.
+func (c *CliqueCounts) UnmarshalJSON(b []byte) error {
+	var raw map[int]int64
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return err
+	}
+	for size, cnt := range raw {
+		if size < 2 || size > kernel.MaxCliqueSize || cnt < 0 {
+			return fmt.Errorf("count %d for clique size %d: want a size in [2, %d] and a count >= 0", cnt, size, kernel.MaxCliqueSize)
+		}
+	}
+	*c = raw
+	return nil
+}
+
+// DeltaCountMismatch is the typed 409 reason for a carried parent count
+// that disagrees with the applier's own cached one: one of them is wrong.
+const DeltaCountMismatch = "parent_count_mismatch"
 
 // Edges is a delta's edge list on the wire. Each edge is exactly two JSON
 // integers: encoding/json alone would zero-fill a short array and drop
@@ -100,9 +131,12 @@ type DeltaView struct {
 	// cache forwarding and incremental watch evaluation).
 	ChurnRatio  float64 `json:"churn_ratio"`
 	Incremental bool    `json:"incremental"`
-	// Forwarded counts parent count-cache entries re-derived for the
-	// child.
+	// Forwarded counts the child counts derived from parent counts, this
+	// node's cached ones and carried ones alike.
 	Forwarded int `json:"forwarded_cache_entries"`
+	// Counts holds those child counts by clique size, each as the exact
+	// envelope a count job on the child returns. A router caches them.
+	Counts map[int]*JobResult `json:"counts,omitempty"`
 	// Watch carries the watched patterns' evaluations, in request order.
 	Watch []WatchResult `json:"watch,omitempty"`
 }
@@ -152,6 +186,18 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 			"reason": graph.DeltaTooManyEdges,
 		})
 		return
+	}
+	// A carried count that disagrees with this node's own cached one means
+	// one of them is wrong: refuse the delta before anything is stored.
+	own := s.cache.Counts(parentDigest)
+	for size, cnt := range req.ParentCounts {
+		if mine, ok := own[size]; ok && mine != cnt {
+			writeJSON(w, http.StatusConflict, map[string]any{
+				"error":  fmt.Sprintf("carried clique:%d count %d disagrees with the cached parent count %d", size, cnt, mine),
+				"reason": DeltaCountMismatch,
+			})
+			return
+		}
 	}
 	res, err := graph.ApplyDelta(parent, d)
 	if err != nil {
@@ -243,12 +289,13 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if childDigest != parentDigest {
-		view.Forwarded = s.forwardCountEntries(parent, child, parentDigest, childDigest,
+		view.Counts = s.forwardCounts(own, req.ParentCounts, parent, child, childDigest,
 			res.Touched, incremental, parentBits, childBits)
+		view.Forwarded = len(view.Counts)
 	}
 	if len(req.Watch) > 0 {
 		watch, aerr := s.evaluateWatch(req.Watch, parent, child, parentDigest, childDigest,
-			d, res.Touched, incremental, parentBits, childBits)
+			d, res.Touched, incremental, view.Counts, parentBits, childBits)
 		if aerr != nil {
 			writeErr(w, aerr.status, "%s", aerr.msg)
 			return
@@ -268,73 +315,36 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, view)
 }
 
-// cliquePattern returns the parsed clique:s pattern graph (for cache-key
-// digests).
-func cliquePattern(s int) *subgraph.Graph {
-	h, err := subgraph.ParsePattern("clique:" + strconv.Itoa(s))
-	if err != nil {
-		panic(err) // clique:2..MaxCliqueSize always parses
-	}
-	return h
-}
-
-// countEnvelope builds the count-mode result envelope exactly as a
-// kernel batch pass would for this graph — the forwarding contract is
-// byte-identity with a from-scratch count job on the child.
-func countEnvelope(cnt int64, mode graph.BitAdjacencyMode) *JobResult {
-	statsJSON, _ := json.Marshal(subgraph.Stats{})
-	c := cnt
-	return &JobResult{
-		Detected:  cnt > 0,
-		Algorithm: kernel.AlgorithmName(mode),
-		Stats:     statsJSON,
-		Count:     &c,
-	}
-}
-
-// CountResult is the count-mode result envelope for a graph served in
-// mode — exported so the cluster router can seed its shared cache along
-// lineage with entries byte-identical to worker-computed ones.
-func CountResult(cnt int64, mode graph.BitAdjacencyMode) *JobResult {
-	return countEnvelope(cnt, mode)
-}
-
-// forwardCountEntries re-derives the parent's count-mode cache entries
-// for the child via incremental recounting. Over-threshold deltas
-// forward nothing and count one fallback (the child will recompute on
-// demand).
-func (s *Server) forwardCountEntries(parent, child *graph.Graph, parentDigest, childDigest string,
+// forwardCounts derives the child's count for every parent count, own
+// (cached here, and winning) or carried, by incremental recounting. Only
+// those derived from own counts are cached for the child. Over-threshold
+// deltas derive nothing and count one fallback.
+func (s *Server) forwardCounts(own, carried CliqueCounts, parent, child *graph.Graph, childDigest string,
 	touched []int32, incremental bool,
-	parentBits, childBits func() *graph.BitAdjacency) int {
-	// Find which sizes the parent has cached counts for.
-	type ent struct {
-		size int
-		h    *subgraph.Graph
-		cnt  int64
-	}
-	var ents []ent
-	for size := 2; size <= kernel.MaxCliqueSize; size++ {
-		h := cliquePattern(size)
-		res, ok := s.cache.Get(cacheKey(parentDigest, h, subgraph.OptionsSpec{}, true))
-		if ok && res.Count != nil {
-			ents = append(ents, ent{size: size, h: h, cnt: *res.Count})
-		}
-	}
-	if len(ents) == 0 {
-		return 0
+	parentBits, childBits func() *graph.BitAdjacency) map[int]*JobResult {
+	if len(own) == 0 && len(carried) == 0 {
+		return nil
 	}
 	if !incremental {
 		s.reg.Counter(MetricDeltaFallback).Inc()
-		return 0
+		return nil
 	}
 	pb, cb := parentBits(), childBits()
-	for _, e := range ents {
-		cnt := s.kernel.CountDelta(parent, pb, child, cb, e.size, touched, e.cnt)
-		s.cache.Put(cacheKey(childDigest, e.h, subgraph.OptionsSpec{}, true),
-			countEnvelope(cnt, cb.Mode()))
+	derive := func(size int, cnt int64) *JobResult {
+		return CountResult(s.kernel.CountDelta(parent, pb, child, cb, size, touched, cnt), cb.Mode())
 	}
-	s.reg.Counter(MetricDeltaForwarded).Add(int64(len(ents)))
-	return len(ents)
+	out := make(map[int]*JobResult, len(own)+len(carried))
+	for size, cnt := range own {
+		out[size] = derive(size, cnt)
+		s.cache.Put(countKey(childDigest, size), out[size])
+	}
+	for size, cnt := range carried {
+		if out[size] == nil {
+			out[size] = derive(size, cnt)
+		}
+	}
+	s.reg.Counter(MetricDeltaForwarded).Add(int64(len(out)))
+	return out
 }
 
 // watchKey keys dirty-region detection state (cycle watch booleans) in
@@ -350,7 +360,7 @@ func watchKey(digest string, h *subgraph.Graph) string {
 // incrementally when possible.
 func (s *Server) evaluateWatch(patterns []string, parent, child *graph.Graph,
 	parentDigest, childDigest string, d graph.EdgeDelta, touched []int32, incremental bool,
-	parentBits, childBits func() *graph.BitAdjacency) ([]WatchResult, *apiError) {
+	forwarded map[int]*JobResult, parentBits, childBits func() *graph.BitAdjacency) ([]WatchResult, *apiError) {
 	out := make([]WatchResult, 0, len(patterns))
 	for _, p := range patterns {
 		h, err := subgraph.ParsePattern(p)
@@ -358,8 +368,8 @@ func (s *Server) evaluateWatch(patterns []string, parent, child *graph.Graph,
 			return nil, badRequest(fmt.Sprintf("watch pattern %q: %v", p, err))
 		}
 		if size, ok := kernel.CliqueSize(h); ok {
-			out = append(out, s.watchClique(p, h, size, parent, child,
-				parentDigest, childDigest, touched, incremental, parentBits, childBits))
+			out = append(out, s.watchClique(p, size, parent, child,
+				parentDigest, childDigest, touched, incremental, forwarded, parentBits, childBits))
 			continue
 		}
 		if l, ok := cycleLength(p); ok {
@@ -387,19 +397,23 @@ func cycleLength(spec string) (int, bool) {
 	return l, true
 }
 
-func (s *Server) watchClique(p string, h *subgraph.Graph, size int, parent, child *graph.Graph,
+func (s *Server) watchClique(p string, size int, parent, child *graph.Graph,
 	parentDigest, childDigest string, touched []int32, incremental bool,
-	parentBits, childBits func() *graph.BitAdjacency) WatchResult {
+	forwarded map[int]*JobResult, parentBits, childBits func() *graph.BitAdjacency) WatchResult {
 	// The forwarding pass may have just derived this very count for the
-	// child (it scans every cached parent size); reuse it rather than
-	// running CountDelta a second time. The entry is byte-identical to
-	// what this function would cache below, so the answer is too.
-	if childRes, ok := s.cache.Get(cacheKey(childDigest, h, subgraph.OptionsSpec{}, true)); ok && childRes.Count != nil {
+	// child (from every parent size cached here or carried); reuse it
+	// rather than running CountDelta a second time. The answer is the
+	// same, and one derived from a carried count stays uncached.
+	childRes, ok := forwarded[size]
+	if !ok {
+		childRes, ok = s.cache.Get(countKey(childDigest, size))
+	}
+	if ok && childRes.Count != nil {
 		c := *childRes.Count
 		return WatchResult{Pattern: p, Detected: c > 0, Count: &c, Incremental: incremental || parentDigest == childDigest}
 	}
 	cb := childBits()
-	parentRes, pok := s.cache.Get(cacheKey(parentDigest, h, subgraph.OptionsSpec{}, true))
+	parentRes, pok := s.cache.Get(countKey(parentDigest, size))
 	parentKnown := pok && parentRes.Count != nil
 	var cnt int64
 	usedIncremental := false
@@ -421,7 +435,7 @@ func (s *Server) watchClique(p string, h *subgraph.Graph, size int, parent, chil
 	}
 	// Either way the child's count is now known exactly: cache it under
 	// the count-job key so subsequent count jobs (and future deltas) hit.
-	s.cache.Put(cacheKey(childDigest, h, subgraph.OptionsSpec{}, true), countEnvelope(cnt, cb.Mode()))
+	s.cache.Put(countKey(childDigest, size), CountResult(cnt, cb.Mode()))
 	c := cnt
 	return WatchResult{Pattern: p, Detected: cnt > 0, Count: &c, Incremental: usedIncremental}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"subgraph/internal/kernel"
 	"subgraph/internal/serve"
 )
 
@@ -20,8 +22,9 @@ import (
 // dropped unread. A generic decode of the same bytes must show every
 // insert and delete element as an array of exactly two integers equal to
 // the decoded pair — so no edge is zero-filled or truncated on the way
-// in — and the request must survive a re-encode and a second decode
-// unchanged.
+// in. Every carried parent count must name a clique size in
+// [2, kernel.MaxCliqueSize] and be non-negative, and the request must
+// survive a re-encode and a second decode unchanged.
 func FuzzDeltaRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"insert":[[5]]}`,
@@ -33,6 +36,9 @@ func FuzzDeltaRequest(f *testing.F) {
 		`{"insert":[[0,2],[0,3]],"delete":[[0,1]],"watch":["clique:3","cycle:4"]}`,
 		`{"insert":[[0,2]]} {"delete":[[0,1]]}`,
 		`{"insert":[[0,2]]}garbage`,
+		`{"insert":[[0,2]],"parent_counts":{"3":120,"4":7}}`,
+		`{"insert":[[0,2]],"parent_counts":{"9":1}}`,
+		`{"insert":[[0,2]],"parent_counts":{"3":-1}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -57,6 +63,11 @@ func FuzzDeltaRequest(f *testing.F) {
 		}
 		checkWireEdges(t, body, "insert", req.Insert, ins)
 		checkWireEdges(t, body, "delete", req.Delete, del)
+		for size, cnt := range req.ParentCounts {
+			if size < 2 || size > kernel.MaxCliqueSize || cnt < 0 {
+				t.Fatalf("Decode accepted %q with a carried count %d for clique size %d", body, cnt, size)
+			}
+		}
 
 		enc, err := json.Marshal(req)
 		if err != nil {
@@ -67,7 +78,7 @@ func FuzzDeltaRequest(f *testing.F) {
 			t.Fatalf("re-encoded %q does not decode", enc)
 		}
 		if !slices.Equal(req.Insert, again.Insert) || !slices.Equal(req.Delete, again.Delete) ||
-			!slices.Equal(req.Watch, again.Watch) {
+			!slices.Equal(req.Watch, again.Watch) || !maps.Equal(req.ParentCounts, again.ParentCounts) {
 			t.Fatalf("round trip of %q: %+v became %+v", body, req, again)
 		}
 	})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"testing"
@@ -451,4 +452,109 @@ func TestDeltaFallbackOverThreshold(t *testing.T) {
 	if got := counter(t, c, MetricDeltaFallback); got != before+1 {
 		t.Fatalf("fallback counter %d -> %d, want +1", before, got)
 	}
+}
+
+// TestDeltaCarriedCounts pins the trust rules for counts a delta carries
+// (DeltaRequest.ParentCounts) straight to a worker.
+func TestDeltaCarriedCounts(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	g := deltaTestGraph(t, 7)
+	up, err := c.UploadGraph(edgeListOf(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var absent [][2]int
+	for u := 0; u < g.N() && len(absent) < 2; u++ {
+		for v := u + 1; v < g.N() && len(absent) < 2; v++ {
+			if !g.HasEdge(u, v) {
+				absent = append(absent, [2]int{u, v})
+			}
+		}
+	}
+	parentK3 := s.kernel.Count(graph.NewBitAdjacency(g), 3)
+	// child returns the successor of inserting e, and its K3 count.
+	child := func(e [2]int) (string, *graph.BitAdjacency, int64) {
+		res, err := graph.ApplyDelta(g, graph.EdgeDelta{Insert: [][2]int{e}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := graph.NewBitAdjacency(res.Graph)
+		return res.Graph.Digest(), b, s.kernel.Count(b, 3)
+	}
+
+	t.Run("carried counts are answered, not cached", func(t *testing.T) {
+		// The worker has no count of the parent, and a wrong one rides
+		// along: the answer follows it, the cache must not.
+		const skew = 5
+		digest, bits, k3 := child(absent[0])
+		view, status, err := c.ApplyDelta(up.Digest, DeltaRequest{
+			Insert:       [][2]int{absent[0]},
+			Watch:        []string{"triangle"},
+			ParentCounts: CliqueCounts{3: parentK3 + skew},
+		})
+		if err != nil || status != http.StatusCreated {
+			t.Fatalf("delta: status %d, err %v", status, err)
+		}
+		got, _ := json.Marshal(view.Counts[3])
+		want, _ := json.Marshal(CountResult(k3+skew, bits.Mode()))
+		if view.Forwarded != 1 || len(view.Counts) != 1 || !bytes.Equal(got, want) {
+			t.Fatalf("forwarded %d, counts %s; want 1 entry, %s", view.Forwarded, got, want)
+		}
+		if len(view.Watch) != 1 || view.Watch[0].Count == nil || *view.Watch[0].Count != k3+skew {
+			t.Fatalf("watch = %+v, want the carried-derived count %d", view.Watch, k3+skew)
+		}
+		if _, ok := s.cache.Get(countKey(digest, 3)); ok {
+			t.Fatal("a count derived from a carried count was cached")
+		}
+		jv, _, err := c.SubmitJob(JobSpec{Graph: digest, Pattern: "clique:3", Mode: ModeCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jv, err = c.WaitJob(jv.ID, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if jv.Cached || jv.Result == nil || jv.Result.Count == nil || *jv.Result.Count != k3 {
+			t.Fatalf("child count job: cached %v, result %+v; want a fresh count of %d", jv.Cached, jv.Result, k3)
+		}
+	})
+
+	t.Run("a disagreeing carried count is a 409 and stores nothing", func(t *testing.T) {
+		jv, _, err := c.SubmitJob(JobSpec{Graph: up.Digest, Pattern: "triangle", Mode: ModeCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WaitJob(jv.ID, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		digest, _, k3 := child(absent[1])
+		deltas := counter(t, c, MetricGraphDeltas)
+		body, _ := json.Marshal(DeltaRequest{Insert: [][2]int{absent[1]}, ParentCounts: CliqueCounts{3: parentK3 + 1}})
+		resp, err := http.Post(c.Base+"/v1/graphs/"+up.Digest+"/delta", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refusal struct{ Error, Reason string }
+		err = json.NewDecoder(resp.Body).Decode(&refusal)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusConflict || refusal.Reason != DeltaCountMismatch {
+			t.Fatalf("disagreeing carried count: HTTP %d %+v (%v), want 409 with reason %s",
+				resp.StatusCode, refusal, err, DeltaCountMismatch)
+		}
+		if _, ok := s.store.Get(digest); ok {
+			t.Error("the refused delta stored its child")
+		}
+		if got := counter(t, c, MetricGraphDeltas); got != deltas {
+			t.Errorf("%s %d -> %d, want the refused delta uncounted", MetricGraphDeltas, deltas, got)
+		}
+
+		// An agreeing carried count is fine, and the worker's own count
+		// forwards into its cache.
+		view, status, err := c.ApplyDelta(up.Digest, DeltaRequest{Insert: [][2]int{absent[1]}, ParentCounts: CliqueCounts{3: parentK3}})
+		if err != nil || status != http.StatusCreated || view.Digest != digest {
+			t.Fatalf("agreeing carried count: status %d, view %+v, err %v", status, view, err)
+		}
+		if res, ok := s.cache.Get(countKey(digest, 3)); !ok || *res.Count != k3 {
+			t.Fatalf("child count from the worker's own parent count not cached as %d", k3)
+		}
+	})
 }

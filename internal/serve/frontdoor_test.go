@@ -124,10 +124,13 @@ func TestBadRequests(t *testing.T) {
 			}
 
 			// A body holds one JSON value: a second one, or garbage, after
-			// it must not be dropped without a word.
+			// it must not be dropped without a word. A carried parent count
+			// names a clique size in [2, 8] and is not negative.
 			for _, body := range []string{
 				`{"insert":[[0,2]]} {"delete":[[0,1]]}`,
 				`{"insert":[[0,2]]}garbage`,
+				`{"insert":[[0,2]],"parent_counts":{"9":1}}`,
+				`{"insert":[[0,2]],"parent_counts":{"3":-1}}`,
 			} {
 				if got := post(t, d.base+"/v1/graphs/"+up.Digest+"/delta", body); got != http.StatusBadRequest {
 					t.Errorf("delta %s: HTTP %d, want 400", body, got)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 
 	"subgraph"
 	"subgraph/internal/kernel"
@@ -35,6 +36,16 @@ func cacheKey(digest string, h *subgraph.Graph, effective subgraph.OptionsSpec, 
 	keySpec := effective
 	keySpec.DeadlineMs = 0
 	return digest + "|" + h.Digest() + "|" + keySpec.Canonical()
+}
+
+// countKey is the cache key of digest's K_size count, the key a count job
+// for clique:size (or an alias) on digest derives.
+func countKey(digest string, size int) string {
+	h, err := subgraph.ParsePattern("clique:" + strconv.Itoa(size))
+	if err != nil {
+		panic(err) // clique:2..MaxCliqueSize always parses
+	}
+	return cacheKey(digest, h, subgraph.OptionsSpec{}, true)
 }
 
 // SpecCacheKey computes the result-cache key for a digest-referencing

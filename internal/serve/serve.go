@@ -60,7 +60,7 @@ const (
 	MetricGraphUploads        = "serve_graphs_uploaded_total"
 	MetricGraphDedups         = "serve_graphs_deduped_total"
 	MetricGraphDeltas         = "serve_graph_deltas_total"    // applied delta batches
-	MetricDeltaForwarded      = "serve_delta_forwarded_total" // count-cache entries forwarded to children
+	MetricDeltaForwarded      = "serve_delta_forwarded_total" // child counts derived from cached or carried parent counts
 	MetricDeltaFallback       = "serve_delta_fallback_total"  // incremental paths that fell back to full runs
 	GaugeQueueDepth           = "serve_queue_depth"
 	GaugeSLODegraded          = "serve_slo_degraded"          // 0 healthy / 1 degraded / 2 critical

@@ -10,13 +10,20 @@
 #      digest cross-check, and a triangle job byte-identical to the
 #      library call — proving the proxied surface is indistinguishable
 #      from a single daemon;
-#   4. upload four seeded graphs, fire a 200-job burst at the router
-#      from 8 closed-loop curl clients (submit, then poll to a terminal
-#      state; curl retries transient statuses), put a slow job in flight
-#      on w1 and SIGKILL w1 mid-run: every job must still end done, and
-#      the router must have re-dispatched at least one job (the slow
-#      one) to the surviving replica;
-#   5. SIGTERM the router and the surviving worker and require clean
+#   4. upload four seeded graphs;
+#   5. upload a 60-cycle, prime its clique:3 count through the router,
+#      and POST a delta of two chords through the router: the router
+#      carries the primed count to whichever worker applies it, so the
+#      answer forwards one entry, a clique:3 count on the child answers
+#      from the router's cache (2 triangles), and the router counts a
+#      seeded entry and no divergence;
+#   6. fire a 200-job burst at the router from 8 closed-loop curl
+#      clients (submit, then poll to a terminal state; curl retries
+#      transient statuses), put a slow job in flight on w1 and SIGKILL
+#      w1 mid-run: every job must still end done, and the router must
+#      have re-dispatched at least one job (the slow one) to the
+#      surviving replica;
+#   7. SIGTERM the router and the surviving worker and require clean
 #      drains (exit 0) from both.
 set -euo pipefail
 
@@ -119,6 +126,44 @@ for i in 0 1 2 3; do
   up=$(curl -fsS --data-binary @"$workdir/g$i.txt" "$base/v1/graphs")
   digests+=("$(field digest "$up")")
 done
+
+echo "== delta through the router carries the primed count (C60 + two chords)"
+for i in $(seq 0 59); do echo "$i $(((i + 1) % 60))"; done >"$workdir/c60.txt"
+c60=$(field digest "$(curl -fsS --data-binary @"$workdir/c60.txt" "$base/v1/graphs")")
+count_spec() { echo "{\"graph\":\"$1\",\"pattern\":\"clique:3\",\"mode\":\"count\"}"; }
+primer=$(curl -fsS -H 'Content-Type: application/json' -d "$(count_spec "$c60")" "$base/v1/jobs")
+primer=$(curl -fsS "$base/v1/jobs/$(field id "$primer")?wait=5s")
+[ "$(field state "$primer")" = done ] || {
+  echo "the C60 clique:3 primer did not finish: $primer" >&2
+  exit 1
+}
+delta_status=$(curl -sS -o "$workdir/delta.json" -w '%{http_code}' -H 'Content-Type: application/json' \
+  -d '{"insert":[[0,2],[0,3]]}' "$base/v1/graphs/$c60/delta")
+child=$(field digest "$(cat "$workdir/delta.json")")
+curl -fsS -o "$workdir/child.json" -H 'Content-Type: application/json' -d "$(count_spec "$child")" "$base/v1/jobs"
+curl -fsS -o "$workdir/prom.txt" "$base/metrics?format=prom"
+python3 - "$delta_status" "$c60" "$workdir" <<'PY'
+import json, sys
+status, parent, wd = sys.argv[1:4]
+d = json.load(open(f"{wd}/delta.json"))
+j = json.load(open(f"{wd}/child.json"))
+prom = {}
+for line in open(f"{wd}/prom.txt"):
+    if line.startswith("cluster_delta_"):
+        name, value = line.split()
+        prom[name.split("{")[0]] = float(value)
+errs = []
+if status != "201" or d.get("parent") != parent or d.get("forwarded_cache_entries") != 1:
+    errs.append(f"delta: HTTP {status} {d}; want 201, parent {parent} and 1 forwarded entry")
+if not j.get("cached", False) or (j.get("result") or {}).get("count") != 2:
+    errs.append(f"clique:3 count on the child: {j}; want cached with count 2")
+if prom.get("cluster_delta_seeded_total", 0) < 1 or prom.get("cluster_delta_divergence_total", 1) != 0:
+    errs.append(f"router counters {prom}; want cluster_delta_seeded_total >= 1 and cluster_delta_divergence_total 0")
+for e in errs:
+    print(e, file=sys.stderr)
+sys.exit(1 if errs else 0)
+PY
+echo "   child ${child:0:12}: 1 entry forwarded, clique:3 count 2 cached at the router"
 
 # Job i runs pattern i%5 on graph (i/5)%4 with seed (i/20)%5, so jobs i
 # and i+100 are the same spec: half the burst can hit the shared cache.

@@ -286,6 +286,58 @@ func benchmarkEngine(b *testing.B, parallel bool) {
 	}
 }
 
+// --- Detect per detect-mix pattern, without the HTTP layers ---
+
+// detectMixGraphs are the inputs of bench/'s detect-mix workload for a
+// seed (its plantedGraphs): four GNP(150, 1.2/150) backgrounds with a
+// planted triangle, C4, K4 and triangle, drawn from one source.
+func detectMixGraphs(seed int64) []*graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	var gs []*graph.Graph
+	for i := 0; i < 4; i++ {
+		g := graph.GNP(150, 1.2/150, rng)
+		switch i % 3 {
+		case 0:
+			g, _ = graph.PlantClique(g, 3, rng)
+		case 1:
+			g, _ = graph.PlantCycle(g, 4, rng)
+		case 2:
+			g, _ = graph.PlantClique(g, 4, rng)
+		}
+		gs = append(gs, g)
+	}
+	return gs
+}
+
+// BenchmarkDetectMixPatterns times Detect for each detect-mix pattern on
+// the workload's four seed-1 graphs: one op is one detect on each graph,
+// and rounds/detect is the mean over the four.
+func BenchmarkDetectMixPatterns(b *testing.B) {
+	var nws []*Network
+	for _, g := range detectMixGraphs(1) {
+		nws = append(nws, NewNetwork(g))
+	}
+	for _, p := range []string{"triangle", "cycle:4", "clique:4", "path:4", "star:3"} {
+		h, err := ParsePattern(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(p, func(b *testing.B) {
+			rounds := 0
+			for i := 0; i < b.N; i++ {
+				for _, nw := range nws {
+					rep, err := Detect(nw, h, Options{Seed: int64(i)})
+					if err != nil {
+						b.Fatal(err)
+					}
+					rounds += rep.Rounds
+				}
+			}
+			b.ReportMetric(float64(rounds)/float64(len(nws)*b.N), "rounds/detect")
+		})
+	}
+}
+
 // Keep the experiments import live for the exponent-fit sanity bench.
 func BenchmarkE1ExponentFit(b *testing.B) {
 	rows := experiments.E1EvenCycleScaling(2, []int{100, 200, 400}, 1)

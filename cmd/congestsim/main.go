@@ -3,7 +3,8 @@
 //
 // Examples:
 //
-//	congestsim -graph gnp -n 100 -p 0.05 -pattern cycle:4 -reps 100
+//	congestsim -graph gnp -n 100 -p 0.05 -pattern cycle:4
+//	congestsim -graph gnp -n 100 -p 0.05 -pattern cycle:6 -reps 100
 //	congestsim -graph complete -n 30 -pattern clique:5
 //	congestsim -graph planted-cycle -n 200 -cycle 6 -pattern cycle:6 -model local
 //
@@ -44,7 +45,7 @@ func run() int {
 		cliqueSz  = flag.Int("clique", 4, "planted clique size (graph=planted-clique)")
 		pattern   = flag.String("pattern", "cycle:4", "pattern: triangle | cycle:L | clique:S | path:L | star:L")
 		model     = flag.String("model", "congest", "model: congest | local")
-		reps      = flag.Int("reps", 0, "color-coding repetitions for cycle patterns (0 = default; trees are exact and ignore it)")
+		reps      = flag.Int("reps", 0, "color-coding repetitions for cycle:L with L ≥ 5 (0 = default; trees, triangles, cliques and cycle:4 are exact and ignore it)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		parallel  = flag.Bool("parallel", false, "use the parallel simulator engine")
 		drop      = flag.Float64("drop", 0, "fault injection: per-message drop probability in [0,1]")

@@ -15,7 +15,7 @@ func ExampleDetect() {
 		panic(err)
 	}
 	fmt.Println(rep.Algorithm, rep.Detected)
-	// Output: clique-linear true
+	// Output: neighbor-exchange true
 }
 
 // ExampleDetect_triangle shows the Δ-round triangle detector rejecting a

@@ -48,7 +48,7 @@ func TestCliqueDetectorScrambledIDs(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g := graph.GNP(12, 0.45, rng)
 		nw := scrambledNetwork(g, rng)
-		rep, err := DetectClique(nw, CliqueConfig{S: 4})
+		rep, err := DetectNeighborExchange(nw, NeighborExchangeConfig{H: graph.Complete(4)})
 		if err != nil {
 			t.Fatal(err)
 		}

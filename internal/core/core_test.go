@@ -392,7 +392,7 @@ func TestCliqueDetect(t *testing.T) {
 	}
 	for i, c := range cases {
 		nw := congest.NewNetwork(c.g)
-		rep, err := DetectClique(nw, CliqueConfig{S: c.s})
+		rep, err := DetectNeighborExchange(nw, NeighborExchangeConfig{H: graph.Complete(c.s)})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -409,7 +409,7 @@ func TestQuickCliqueAgreement(t *testing.T) {
 		g := graph.GNP(14, 0.45, rng)
 		s := 3 + int(seed&1)
 		nw := congest.NewNetwork(g)
-		rep, err := DetectClique(nw, CliqueConfig{S: s})
+		rep, err := DetectNeighborExchange(nw, NeighborExchangeConfig{H: graph.Complete(s)})
 		if err != nil {
 			return false
 		}
@@ -420,14 +420,14 @@ func TestQuickCliqueAgreement(t *testing.T) {
 	}
 }
 
-func TestCliqueLinearRounds(t *testing.T) {
+func TestCliqueRounds(t *testing.T) {
 	nw := congest.NewNetwork(graph.Complete(25))
-	rep, err := DetectClique(nw, CliqueConfig{S: 4})
+	rep, err := DetectNeighborExchange(nw, NeighborExchangeConfig{H: graph.Complete(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rounds > nw.N()+3 {
-		t.Fatalf("rounds %d exceed linear budget", rep.Rounds)
+	if rep.Rounds != nw.G.MaxDegree()+1 {
+		t.Fatalf("%d rounds, want Δ+1 = %d", rep.Rounds, nw.G.MaxDegree()+1)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestExecContract(t *testing.T) {
 			return decided(DetectTree(nw, TreeConfig{Exec: x, Tree: graph.Path(4)}))
 		}},
 		{"clique", func(x Exec) (string, *congest.Stats, error) {
-			return decided(DetectClique(nw, CliqueConfig{Exec: x, S: 4}))
+			return decided(DetectNeighborExchange(nw, NeighborExchangeConfig{Exec: x, H: k4}))
 		}},
 		{"collect", func(x Exec) (string, *congest.Stats, error) {
 			return decided(DetectCollect(nw, CollectConfig{Exec: x, H: k4}))

@@ -9,27 +9,29 @@ import (
 	"subgraph/internal/graph"
 )
 
-// treeCase is FuzzDetectTree's input: a tree of 1–8 vertices given by its
-// Prüfer sequence, and a host of at most 40 vertices whose identifiers are
+// hostCase is a fuzzed host of at most 40 vertices whose identifiers are
 // scrambled by the bijection v ↦ (mul·v + add) mod 2^30 (mul odd).
 //
-// Layout: t-1, the t-2 Prüfer entries, n-1, mul and add (4 bytes each,
-// little endian), then one (u, v) byte pair per host edge.
-type treeCase struct {
-	prufer   []int
+// Layout: n-1, mul and add (4 bytes each, little endian), then one (u, v)
+// byte pair per edge.
+type hostCase struct {
 	n        int
 	mul, add uint32
 	edges    [][2]int
 }
 
-const treeFuzzMaxT, treeFuzzMaxN = 8, 40
+// treeCase is FuzzDetectTree's input: a tree of 1–8 vertices given by its
+// Prüfer sequence, and a host. Layout: t-1, the t-2 Prüfer entries, then
+// the host's.
+type treeCase struct {
+	prufer []int
+	hostCase
+}
 
-func (c treeCase) encode() []byte {
-	b := []byte{byte(len(c.prufer) + 1)}
-	for _, x := range c.prufer {
-		b = append(b, byte(x))
-	}
-	b = append(b, byte(c.n-1))
+const treeFuzzMaxT, hostFuzzMaxN = 8, 40
+
+func (c hostCase) encode() []byte {
+	b := []byte{byte(c.n - 1)}
 	b = binary.LittleEndian.AppendUint32(b, c.mul)
 	b = binary.LittleEndian.AppendUint32(b, c.add)
 	for _, e := range c.edges {
@@ -38,23 +40,22 @@ func (c treeCase) encode() []byte {
 	return b
 }
 
-// decodeTreeCase reads any byte string as a tree, a host and its
-// identifier assignment.
-func decodeTreeCase(data []byte) (tree *graph.Graph, nw *congest.Network) {
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		x := int(data[0])
+func (c treeCase) encode() []byte {
+	b := []byte{byte(len(c.prufer) + 1)}
+	for _, x := range c.prufer {
+		b = append(b, byte(x))
+	}
+	return append(b, c.hostCase.encode()...)
+}
+
+// decodeHost reads any byte string as a host and its identifier
+// assignment.
+func decodeHost(data []byte) *congest.Network {
+	n := 1
+	if len(data) > 0 {
+		n += int(data[0]) % hostFuzzMaxN
 		data = data[1:]
-		return x
 	}
-	t := 1 + next()%treeFuzzMaxT
-	prufer := make([]int, max(t-2, 0))
-	for i := range prufer {
-		prufer[i] = next() % t
-	}
-	n := 1 + next()%treeFuzzMaxN
 	var word [8]byte
 	copy(word[:], data)
 	data = data[min(len(data), 8):]
@@ -71,7 +72,25 @@ func decodeTreeCase(data []byte) (tree *graph.Graph, nw *congest.Network) {
 	for v := range ids {
 		ids[v] = congest.NodeID((mul*uint32(v) + add) & (1<<30 - 1))
 	}
-	return pruferTree(t, prufer), congest.NewNetworkWithIDs(b.Build(), ids)
+	return congest.NewNetworkWithIDs(b.Build(), ids)
+}
+
+// decodeTreeCase reads any byte string as a tree and a host.
+func decodeTreeCase(data []byte) (tree *graph.Graph, nw *congest.Network) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		x := int(data[0])
+		data = data[1:]
+		return x
+	}
+	t := 1 + next()%treeFuzzMaxT
+	prufer := make([]int, max(t-2, 0))
+	for i := range prufer {
+		prufer[i] = next() % t
+	}
+	return pruferTree(t, prufer), decodeHost(data)
 }
 
 // pruferTree decodes a Prüfer sequence of length t-2 over {0..t-1}: join
@@ -111,16 +130,16 @@ func pruferTree(t int, prufer []int) *graph.Graph {
 // equality of the two engines.
 func FuzzDetectTree(f *testing.F) {
 	p4, star4, p6 := []int{1, 2}, []int{0, 0, 0}, []int{1, 2, 3, 4}
-	f.Add(treeCase{prufer: p4, n: 10, mul: 0x2545f491, add: 7, edges: graph.Cycle(10).Edges()}.encode())
-	f.Add(treeCase{prufer: star4, n: 12, mul: 0x9e3779b9, add: 1 << 20, edges: graph.Cycle(12).Edges()}.encode())
-	f.Add(treeCase{prufer: star4, n: 7, mul: 0x7feb352d, add: 3, edges: graph.Star(6).Edges()}.encode())
+	f.Add(treeCase{p4, hostCase{n: 10, mul: 0x2545f491, add: 7, edges: graph.Cycle(10).Edges()}}.encode())
+	f.Add(treeCase{star4, hostCase{n: 12, mul: 0x9e3779b9, add: 1 << 20, edges: graph.Cycle(12).Edges()}}.encode())
+	f.Add(treeCase{star4, hostCase{n: 7, mul: 0x7feb352d, add: 3, edges: graph.Star(6).Edges()}}.encode())
 	rng := rand.New(rand.NewSource(6))
 	gnp := graph.GNP(30, 0.06, rng).Clone()
 	path := rng.Perm(30)[:6]
 	for i := 0; i+1 < len(path); i++ {
 		gnp.AddEdgeOK(path[i], path[i+1])
 	}
-	f.Add(treeCase{prufer: p6, n: 30, mul: 0x85ebca6b, add: 12345, edges: gnp.Build().Edges()}.encode())
+	f.Add(treeCase{p6, hostCase{n: 30, mul: 0x85ebca6b, add: 12345, edges: gnp.Build().Edges()}}.encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tree, nw := decodeTreeCase(data)

@@ -86,7 +86,7 @@ func (h *Harness) Close() {
 var exactAlgorithms = map[string]bool{
 	"triangle-neighbor-exchange":   true,
 	"triangle-degree-split":        true,
-	"clique-linear":                true,
+	"neighbor-exchange":            true,
 	"edge-collection":              true,
 	"local-ball-collection":        true,
 	"tree-representative-families": true,

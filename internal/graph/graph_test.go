@@ -224,6 +224,28 @@ func TestIsBipartite(t *testing.T) {
 	}
 }
 
+func TestIsCompleteMultipartite(t *testing.T) {
+	paw := NewBuilder(4)
+	paw.AddEdge(0, 1)
+	paw.AddEdge(1, 2)
+	paw.AddEdge(0, 2)
+	paw.AddEdge(0, 3)
+	twoTriangles, _ := DisjointUnion(Complete(3), Complete(3))
+	for _, c := range []struct {
+		g    *Graph
+		want bool
+	}{
+		{Complete(2), true}, {Complete(5), true}, {Cycle(4), true},
+		{CompleteBipartite(2, 3), true}, {Star(4), true},
+		{Complete(1), false}, {NewBuilder(3).Build(), false}, {Cycle(5), false},
+		{Path(4), false}, {paw.Build(), false}, {twoTriangles, false},
+	} {
+		if got := c.g.IsCompleteMultipartite(); got != c.want {
+			t.Errorf("%v (edges %v): complete multipartite %v, want %v", c.g, c.g.Edges(), got, c.want)
+		}
+	}
+}
+
 // --- subgraph isomorphism ---
 
 func TestFindSubgraphBasic(t *testing.T) {

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // BFS returns the distance from src to every vertex (-1 if unreachable).
 func (g *Graph) BFS(src int) []int {
 	dist := make([]int, g.n)
@@ -87,6 +89,21 @@ func (g *Graph) Diameter() int {
 // IsTree reports whether g is connected and acyclic.
 func (g *Graph) IsTree() bool {
 	return g.Connected() && g.m == g.n-1
+}
+
+// IsCompleteMultipartite reports whether g has an edge and its
+// non-adjacency is an equivalence relation, so its vertices split into
+// parts with every edge between two parts present (K_s, C4 = K_{2,2},
+// K_{a,b}, …): any two non-adjacent vertices have the same neighbours.
+func (g *Graph) IsCompleteMultipartite() bool {
+	for u := 0; u < g.n; u++ {
+		for w := u + 1; w < g.n; w++ {
+			if !g.HasEdge(u, w) && !slices.Equal(g.adj[u], g.adj[w]) {
+				return false
+			}
+		}
+	}
+	return g.m > 0
 }
 
 // IsBipartite reports whether g is 2-colorable, and returns a proper

@@ -9,8 +9,9 @@
 //     (sequential and parallel engines) and a Congested Clique simulator;
 //   - the paper's detection algorithms: the Theorem 1.1 sublinear
 //     even-cycle detector, the O(n) color-coded-BFS cycle baseline,
-//     constant-round tree detection, O(n)-round clique detection, generic
-//     edge-collection detection, and LOCAL-model detection;
+//     constant-round tree detection, (Δ+1)-round clique and complete
+//     multipartite detection, generic edge-collection detection, and
+//     LOCAL-model detection;
 //   - the paper's lower-bound machinery: the H_k / G_{k,n} family with
 //     the set-disjointness reduction (Theorem 1.2), its bipartite variant
 //     (Section 3.4), the deterministic triangle-vs-hexagon fooling
@@ -145,7 +146,8 @@ var (
 // Options tunes Detect.
 type Options struct {
 	// Reps is the number of color-coding repetitions for the randomized
-	// cycle detectors (0 = a sensible default for the pattern). Trees are
+	// cycle detectors (0 = a sensible default for the pattern). Trees,
+	// cliques, C4 and the other complete multipartite patterns are
 	// detected exactly and ignore it.
 	Reps int
 	// Seed drives all randomness.
@@ -193,15 +195,19 @@ type Report struct {
 //
 //   - trees → the exact representative-family detector, in a number of
 //     rounds set by the pattern alone;
-//   - triangles → the exact Δ-round neighbor-exchange detector;
-//   - even cycles C_{2k} → the Theorem 1.1 sublinear algorithm;
-//   - odd cycles → the O(n) pipelined color-BFS baseline;
-//   - cliques K_s → the O(n) neighborhood-exchange detector;
+//   - triangles → the exact Δ-round neighbor-exchange detector, or the
+//     √(2m)-round degree split when that budget is smaller;
+//   - other complete multipartite patterns (cliques K_s, C4 = K_{2,2},
+//     K_{a,b}, …) → the exact neighbor-exchange detector, in Δ+1 rounds;
+//   - even cycles C_{2k}, k ≥ 3 → the Theorem 1.1 sublinear algorithm;
+//   - odd cycles of length 5 or more → the O(n) pipelined color-BFS
+//     baseline;
 //   - anything else → the O(m+n) edge-collection detector (exact).
 //
-// The randomized detectors (even and odd cycles) are one-sided: a
+// The randomized detectors (cycles of length 5 or more) are one-sided: a
 // "detected" answer is always correct, a "not detected" answer is correct
-// with probability growing in Options.Reps.
+// with probability growing in Options.Reps. The other detectors are exact
+// on a fault-free network.
 func Detect(nw *Network, h *Graph, opts Options) (*Report, error) {
 	if h == nil || h.N() == 0 {
 		return nil, fmt.Errorf("subgraph: empty pattern")
@@ -237,6 +243,13 @@ func Detect(nw *Network, h *Graph, opts Options) (*Report, error) {
 		}
 		return report("triangle-degree-split", r.Outcome), err
 
+	case h.IsCompleteMultipartite():
+		r, err := core.DetectNeighborExchange(nw, core.NeighborExchangeConfig{Exec: x, H: h})
+		if r == nil {
+			return nil, err
+		}
+		return report("neighbor-exchange", r.Outcome), err
+
 	case isCycle(h):
 		L := h.N()
 		if L%2 == 0 {
@@ -261,13 +274,6 @@ func Detect(nw *Network, h *Graph, opts Options) (*Report, error) {
 			return nil, err
 		}
 		return report("cycle-linear", r.Outcome), err
-
-	case isClique(h):
-		r, err := core.DetectClique(nw, core.CliqueConfig{Exec: x, S: h.N()})
-		if r == nil {
-			return nil, err
-		}
-		return report("clique-linear", r.Outcome), err
 
 	default:
 		r, err := core.DetectCollect(nw, core.CollectConfig{Exec: x, H: h})

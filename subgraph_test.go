@@ -21,10 +21,8 @@ func TestDetectDispatchTree(t *testing.T) {
 }
 
 func TestDetectDispatchEvenCycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g, _ := PlantCycle(GNP(40, 0.03, rng), 4, rng)
-	nw := NewNetwork(g)
-	rep, err := Detect(nw, Cycle(4), Options{Seed: 2, Reps: 40})
+	nw := NewNetwork(Complete(8))
+	rep, err := Detect(nw, Cycle(6), Options{Seed: 2, Reps: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +30,54 @@ func TestDetectDispatchEvenCycle(t *testing.T) {
 		t.Fatalf("algorithm %s", rep.Algorithm)
 	}
 	if !rep.Detected {
-		t.Fatal("planted C4 undetected with 40 reps")
+		t.Fatal("C6 in K8 undetected with 40 reps")
+	}
+}
+
+func TestDetectDispatchC4(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	g, _ := PlantCycle(GNP(40, 0.03, rng), 4, rng)
+	for _, c := range []struct {
+		g    *Graph
+		want bool
+	}{{g, true}, {Cycle(40), false}} {
+		rep, err := Detect(NewNetwork(c.g), Cycle(4), Options{Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Algorithm != "neighbor-exchange" {
+			t.Fatalf("algorithm %s", rep.Algorithm)
+		}
+		if rep.Detected != c.want {
+			t.Fatalf("C4 detected %v, want %v", rep.Detected, c.want)
+		}
+		if limit := c.g.MaxDegree() + 1; rep.Rounds > limit {
+			t.Fatalf("%d rounds, over Δ+1 = %d", rep.Rounds, limit)
+		}
+	}
+}
+
+// TestDetectC4ResilientUnderDrops checks that cycle:4 keeps resilient
+// mode: wrapped in the ack/retransmit decorator, the exact detector still
+// answers exactly with 5% of messages dropped.
+func TestDetectC4ResilientUnderDrops(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := GNP(30, 0.06, rng)
+		if seed%2 == 1 {
+			g, _ = PlantCycle(g, 4, rng)
+		}
+		opts := Options{Seed: seed, Resilient: true, Faults: &FaultPlan{Seed: seed, DropRate: 0.05}}
+		rep, err := Detect(NewNetwork(g), Cycle(4), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Algorithm != "neighbor-exchange" || rep.Stats.DroppedMessages == 0 {
+			t.Fatalf("seed %d: %s with %d drops", seed, rep.Algorithm, rep.Stats.DroppedMessages)
+		}
+		if want := ContainsSubgraph(Cycle(4), g); rep.Detected != want {
+			t.Fatalf("seed %d: detected %v, VF2 containment %v", seed, rep.Detected, want)
+		}
 	}
 }
 
@@ -91,7 +136,7 @@ func TestDetectDispatchClique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Algorithm != "clique-linear" {
+	if rep.Algorithm != "neighbor-exchange" {
 		t.Fatalf("algorithm %s", rep.Algorithm)
 	}
 	if !rep.Detected {

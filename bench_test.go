@@ -18,6 +18,7 @@ import (
 	"subgraph/internal/experiments"
 	"subgraph/internal/graph"
 	"subgraph/internal/lower"
+	"subgraph/internal/obs"
 )
 
 // --- E1: Theorem 1.1, sublinear even-cycle detection ---
@@ -311,7 +312,11 @@ func detectMixGraphs(seed int64) []*graph.Graph {
 
 // BenchmarkDetectMixPatterns times Detect for each detect-mix pattern on
 // the workload's four seed-1 graphs: one op is one detect on each graph,
-// and rounds/detect is the mean over the four.
+// and rounds/detect is the mean over the four. Each served/<pattern>
+// sub-benchmark runs the detects as subgraphd runs an untraced job: on
+// Networks kept across jobs, as the graph store keeps them, with one
+// SpanTracer under a live timeline root as the only tracer. They time
+// the served engine path without HTTP.
 func BenchmarkDetectMixPatterns(b *testing.B) {
 	var nws []*Network
 	for _, g := range detectMixGraphs(1) {
@@ -334,6 +339,18 @@ func BenchmarkDetectMixPatterns(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(rounds)/float64(len(nws)*b.N), "rounds/detect")
+		})
+		b.Run("served/"+p, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, nw := range nws {
+					root := obs.NewTimeline("bench").StartSpan("job")
+					if _, err := Detect(nw, h, Options{Seed: int64(i), Trace: obs.NewSpanTracer(root)}); err != nil {
+						b.Fatal(err)
+					}
+					root.Finish()
+				}
+			}
 		})
 	}
 }

@@ -177,8 +177,18 @@ func (w *Writer) WriteUint(v uint64, width int) {
 	if width < 64 && v>>uint(width) != 0 {
 		panic(fmt.Sprintf("bitio: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(byte((v >> uint(i)) & 1))
+	// A byte at a time: each step fills the rest of the current byte (or
+	// a fresh one) with the field's next most significant bits.
+	for width > 0 {
+		off := w.n & 7
+		if off == 0 {
+			w.data = append(w.data, 0)
+		}
+		take := min(8-off, width)
+		width -= take
+		chunk := byte(v>>uint(width)) & (0xFF >> uint(8-take))
+		w.data[w.n>>3] |= chunk << uint(8-off-take)
+		w.n += take
 	}
 }
 
@@ -234,9 +244,15 @@ func (r *Reader) ReadUint(width int) (v uint64, ok bool) {
 	if width < 0 || width > 64 || r.Remaining() < width {
 		return 0, false
 	}
-	for i := 0; i < width; i++ {
-		b, _ := r.ReadBit()
-		v = v<<1 | uint64(b)
+	// A byte at a time: each step takes the rest of the current byte, or
+	// as much of it as the field still needs.
+	for width > 0 {
+		off := r.pos & 7
+		take := min(8-off, width)
+		b := r.s.data[r.pos>>3] >> uint(8-off-take) & (0xFF >> uint(8-take))
+		v = v<<uint(take) | uint64(b)
+		r.pos += take
+		width -= take
 	}
 	return v, true
 }

@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -317,3 +318,56 @@ func TestWriteBitsUnaligned(t *testing.T) {
 		}
 	}
 }
+
+// uintBenchWidths are the field widths the Uint benchmarks move: an
+// identifier on a 2,000-vertex network (11 bits), a byte, and a full word.
+var uintBenchWidths = []int{11, 8, 64}
+
+// BenchmarkReadUint reads 64 fields of each width from one payload that
+// starts one bit off a byte boundary, as a payload after a flag bit does.
+func BenchmarkReadUint(b *testing.B) {
+	for _, width := range uintBenchWidths {
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			const fields = 64
+			w := NewWriter()
+			w.WriteBit(1)
+			for i := 0; i < fields; i++ {
+				w.WriteUint(uint64(i*0x9E3779B9)&(1<<uint(width)-1), width)
+			}
+			s := w.BitString()
+			b.ReportAllocs()
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				r := NewReader(s)
+				r.ReadBit()
+				for j := 0; j < fields; j++ {
+					v, _ := r.ReadUint(width)
+					sum += v
+				}
+			}
+			benchSink = sum
+		})
+	}
+}
+
+// BenchmarkWriteUint writes 64 fields of each width after one flag bit,
+// into a writer whose buffer is reused across iterations.
+func BenchmarkWriteUint(b *testing.B) {
+	for _, width := range uintBenchWidths {
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			const fields = 64
+			w := NewWriter()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.data, w.n = w.data[:0], 0
+				w.WriteBit(1)
+				for j := 0; j < fields; j++ {
+					w.WriteUint(uint64(j*0x9E3779B9)&(1<<uint(width)-1), width)
+				}
+			}
+			benchSink = uint64(w.n)
+		})
+	}
+}
+
+var benchSink uint64

@@ -131,6 +131,27 @@ func newInboxArena(idx *deliveryIndex) *inboxArena {
 	}
 }
 
+// reset readies the arena for a new run however the last one ended. It
+// withdraws the inboxes the last round published, so round 1 of the next
+// run starts with empty inboxes, and zeroes the counts a round that
+// failed mid-scan left behind.
+func (a *inboxArena) reset() {
+	for _, u := range a.prev {
+		a.inboxes[u] = nil
+	}
+	a.prev = a.prev[:0]
+	for _, u := range a.recips {
+		a.recipLen[u] = 0
+		for s := a.idx.edgeOff[u]; s < a.idx.edgeOff[u+1]; s++ {
+			a.slotCnt[s] = 0
+		}
+	}
+	a.recips = a.recips[:0]
+	a.total = 0
+	a.pending = a.pending[:0]
+	a.pendSlot = a.pendSlot[:0]
+}
+
 // count registers one delivered message for the counting sort without
 // copying it — the fast path used when the sender's outbox can be walked a
 // second time at placement. e is the sender's out-edge index

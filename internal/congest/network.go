@@ -24,6 +24,15 @@ import (
 type NodeID int64
 
 // Network is a topology together with an identifier assignment.
+//
+// Its topology and identifiers never change once built, and any number
+// of Runs, on either engine, may execute on one Network at the same time.
+// Runs on a Network also reuse their working memory (environments and
+// their out-queues, the node slice, the inbox arena and the bandwidth
+// accumulators) through a pool the Network holds, so a service that keeps
+// one Network per stored graph pays for that memory once, not per run.
+// The pool is a sync.Pool, which the garbage collector may still empty,
+// and reuse changes no run's decisions or Stats.
 type Network struct {
 	G   *graph.Graph
 	ids []NodeID
@@ -37,6 +46,9 @@ type Network struct {
 	// share it too.
 	delivOnce sync.Once
 	deliv     *deliveryIndex
+
+	// scratch pools Run's per-run working memory (see runScratch).
+	scratch sync.Pool
 }
 
 // deliveryIndex returns the cached per-network delivery index, building it

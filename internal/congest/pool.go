@@ -25,6 +25,7 @@ type workerPool struct {
 	lo, hi []int32    // chunk bounds: worker w owns vertices [lo[w], hi[w])
 	start  []chan int // per-worker round signal; closed to retire the pool
 	wg     sync.WaitGroup
+	exited sync.WaitGroup // released as each worker returns; close waits on it
 
 	// slots, when non-nil, receives per-worker busy nanoseconds for the
 	// round being executed (the tracer's utilization metric). Written by
@@ -63,6 +64,7 @@ func newWorkerPool(nw *Network, workers int, step func(v, round int)) *workerPoo
 	}
 	p.hi[len(p.hi)-1] = int32(n)
 	p.start = make([]chan int, len(p.lo))
+	p.exited.Add(len(p.start))
 	for w := range p.start {
 		p.start[w] = make(chan int, 1)
 		go p.work(w)
@@ -77,6 +79,7 @@ func (p *workerPool) active() int { return len(p.lo) }
 // work is the persistent worker loop: park on the round signal, step the
 // chunk, hit the barrier.
 func (p *workerPool) work(w int) {
+	defer p.exited.Done()
 	lo, hi := p.lo[w], p.hi[w]
 	for round := range p.start[w] {
 		if s := p.slots; s != nil {
@@ -105,9 +108,13 @@ func (p *workerPool) run(round int, slots []int64) {
 	p.wg.Wait()
 }
 
-// close retires the workers. The pool must be idle (no run in flight).
+// close retires the workers and returns once all of them have. The
+// pool must be idle (no run in flight). Waiting means no worker outlives
+// its run, so what a run allocates does not depend on when its workers
+// get scheduled to exit (the alloc guard compares exact counts).
 func (p *workerPool) close() {
 	for _, ch := range p.start {
 		close(ch)
 	}
+	p.exited.Wait()
 }

@@ -182,13 +182,16 @@ func Run(nw *Network, factory func() Node, cfg Config) (*Result, error) {
 	rt := newRunTrace(cfg.Tracer, n)
 	rt.onRunStart(nw, cfg, workers)
 
+	// The run's working memory comes from the Network's pool and goes
+	// back when the run ends, on every path (see runScratch).
 	idx := nw.deliveryIndex()
-	envs := make([]*Env, n)
-	envArr := make([]Env, n)
-	nodes := make([]Node, n)
+	sc := nw.getScratch(idx)
+	defer nw.putScratch(sc)
+	envs, nodes := sc.envs, sc.nodes
 	for v := 0; v < n; v++ {
 		ids, vs := idx.neighborsOf(v)
-		envArr[v] = Env{
+		env := envs[v]
+		*env = Env{
 			id:        nw.ids[v],
 			n:         n,
 			b:         cfg.B,
@@ -196,8 +199,14 @@ func Run(nw *Network, factory func() Node, cfg Config) (*Result, error) {
 			nbrVs:     vs,
 			rngSrc:    splitMix64{s: uint64(mixSeed(cfg.Seed, int64(v)))},
 			broadcast: cfg.Broadcast,
+			out:       env.out[:0],
+			rng:       env.rng,
 		}
-		envs[v] = &envArr[v]
+		if env.rng != nil {
+			// Reseeding resets the wrapper's state too, so the stream is
+			// the one a freshly built source would give.
+			env.rng.Seed(int64(env.rngSrc.s))
+		}
 		nodes[v] = factory()
 	}
 
@@ -232,14 +241,16 @@ func Run(nw *Network, factory func() Node, cfg Config) (*Result, error) {
 	// port is the position in v's ID-sorted neighbor list (recorded by Env
 	// at send time); flat slices reset via a touched list. Nothing in the
 	// per-round delivery path allocates once the arena has warmed up.
-	arena := newInboxArena(idx)
+	arena := sc.arena
 	edgeOff := idx.edgeOff
-	edgeSent := make([]int, edgeOff[n])
+	edgeSent := sc.edgeSent
 	var edgeDelivered []int
 	if adv != nil {
-		edgeDelivered = make([]int, edgeOff[n])
+		if sc.edgeDelivered == nil {
+			sc.edgeDelivered = make([]int, edgeOff[n])
+		}
+		edgeDelivered = sc.edgeDelivered
 	}
-	touched := make([]int32, 0, 64)
 
 	step := func(v, round int) {
 		env := envs[v]
@@ -320,7 +331,7 @@ func Run(nw *Network, factory func() Node, cfg Config) (*Result, error) {
 			for _, m := range env.out {
 				e := edgeOff[v] + m.port
 				bits := m.msg.Payload.Len()
-				touched = append(touched, e)
+				sc.touched = append(sc.touched, e)
 				edgeSent[e] += bits
 				if cfg.B > 0 && edgeSent[e] > cfg.B {
 					return nil, fmt.Errorf(
@@ -369,13 +380,13 @@ func Run(nw *Network, factory func() Node, cfg Config) (*Result, error) {
 			}
 			rt.onNodeScan(round, v, env)
 		}
-		for _, e := range touched {
+		for _, e := range sc.touched {
 			edgeSent[e] = 0
 			if adv != nil {
 				edgeDelivered[e] = 0
 			}
 		}
-		touched = touched[:0]
+		sc.touched = sc.touched[:0]
 		stats.TotalBits += roundBits
 		stats.PerRoundBits = append(stats.PerRoundBits, roundBits)
 		if transcript != nil {
@@ -402,6 +413,62 @@ func Run(nw *Network, factory func() Node, cfg Config) (*Result, error) {
 	}
 
 	return finishRun(envs, stats, transcript, rt, "completed", ""), nil
+}
+
+// runScratch is Run's per-run working memory: the environments with
+// their out-queues, the node programs, the inbox arena and the
+// directed-edge bandwidth accumulators. Its size depends only on the
+// Network, so a Run takes it from the Network's pool and puts it back
+// when it ends, and repeated runs on one stored Network stop
+// reallocating it. A run's result never points into it.
+type runScratch struct {
+	envArr        []Env
+	envs          []*Env // envs[v] = &envArr[v]
+	nodes         []Node
+	arena         *inboxArena
+	edgeSent      []int
+	edgeDelivered []int // built by the first run with an adversary
+	touched       []int32
+}
+
+// getScratch takes a run's scratch from the Network's pool, or builds it
+// when the pool has none: on the first run, beside a concurrent run, or
+// after the garbage collector emptied the pool.
+func (nw *Network) getScratch(idx *deliveryIndex) *runScratch {
+	if sc, ok := nw.scratch.Get().(*runScratch); ok {
+		return sc
+	}
+	n := idx.n
+	sc := &runScratch{
+		envArr:   make([]Env, n),
+		envs:     make([]*Env, n),
+		nodes:    make([]Node, n),
+		arena:    newInboxArena(idx),
+		edgeSent: make([]int, idx.edgeOff[n]),
+		touched:  make([]int32, 0, 64),
+	}
+	for v := range sc.envs {
+		sc.envs[v] = &sc.envArr[v]
+	}
+	return sc
+}
+
+// putScratch returns a run's scratch to the pool in the state the next
+// run expects, however this one ended (completed, aborted between
+// rounds, or failed in the middle of one): the node programs are
+// dropped, the bandwidth accumulators are zero, and the arena publishes
+// no inbox. Run rebuilds every Env field itself.
+func (nw *Network) putScratch(sc *runScratch) {
+	clear(sc.nodes)
+	for _, e := range sc.touched {
+		sc.edgeSent[e] = 0
+		if sc.edgeDelivered != nil {
+			sc.edgeDelivered[e] = 0
+		}
+	}
+	sc.touched = sc.touched[:0]
+	sc.arena.reset()
+	nw.scratch.Put(sc)
 }
 
 // callNode invokes Init (init=true) or Round with panic containment: a

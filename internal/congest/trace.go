@@ -18,6 +18,7 @@ import (
 // workerBusy slots and are read only after wg.Wait().
 type runTrace struct {
 	t         obs.Tracer
+	messages  bool // whether t reads Message events (obs.ReadsMessages)
 	runStart  time.Time
 	setupDone time.Time // end of the setup phase = start of the round loop
 	loopDone  time.Time // end of the round loop = start of teardown
@@ -44,6 +45,7 @@ func newRunTrace(t obs.Tracer, n int) *runTrace {
 	}
 	return &runTrace{
 		t:        t,
+		messages: obs.ReadsMessages(t),
 		runStart: time.Now(),
 		halted:   make([]bool, n),
 		rejected: make([]bool, n),
@@ -155,10 +157,11 @@ func (rt *runTrace) onCrash(round, v int, id NodeID) {
 }
 
 // onMessage observes one sent message in delivery order. bits is the
-// payload length as sent; payload is the payload as delivered.
+// payload length as sent; payload is the payload as delivered. Nothing
+// is built for a tracer that ignores messages.
 func (rt *runTrace) onMessage(round, fromV, toV int, fromID, toID NodeID,
 	bits int, payload bitio.BitString, tag FaultTag, flipped int) {
-	if rt == nil {
+	if rt == nil || !rt.messages {
 		return
 	}
 	ev := obs.MessageEvent{

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"testing"
 	"time"
 )
@@ -66,5 +67,51 @@ func TestMultiFailingSink(t *testing.T) {
 	}
 	if len(healthy.events) != 8 {
 		t.Fatalf("healthy sink saw %v, want all 8 events", healthy.events)
+	}
+}
+
+// nopTracer does nothing with any event.
+type nopTracer struct{}
+
+func (nopTracer) RunStart(RunInfo)            {}
+func (nopTracer) RoundStart(int)              {}
+func (nopTracer) Message(MessageEvent)        {}
+func (nopTracer) Fault(FaultEvent)            {}
+func (nopTracer) Node(NodeEvent)              {}
+func (nopTracer) RoundEnd(RoundStats)         {}
+func (nopTracer) Phase(string, time.Duration) {}
+func (nopTracer) RunEnd(RunSummary)           {}
+
+// quietSink ignores messages; loudSink reads them (it has no
+// IgnoresMessages method).
+type quietSink struct{ nopTracer }
+
+func (quietSink) IgnoresMessages() bool { return true }
+
+type loudSink struct{ nopTracer }
+
+// The runner asks ReadsMessages before building a message event: the
+// collector and the span tracer ignore messages, and a Multi reads them
+// as soon as one of its sinks does.
+func TestReadsMessages(t *testing.T) {
+	col, spans := NewCollector(), NewSpanTracer(nil)
+	jsonl := NewJSONLTracer(io.Discard)
+	cases := []struct {
+		name string
+		t    Tracer
+		want bool
+	}{
+		{"collector", col, false},
+		{"span tracer", spans, false},
+		{"jsonl", jsonl, true},
+		{"plain tracer", loudSink{}, true},
+		{"multi of ignorers", Multi(col, spans, quietSink{}), false},
+		{"multi with one reader", Multi(col, jsonl, spans), true},
+		{"multi with a plain tracer", Multi(spans, loudSink{}), true},
+	}
+	for _, tc := range cases {
+		if got := ReadsMessages(tc.t); got != tc.want {
+			t.Errorf("%s: ReadsMessages = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -124,7 +124,8 @@ type Tracer interface {
 	// RoundStart begins round `round` (1-based).
 	RoundStart(round int)
 	// Message observes one sent message, annotated with the adversary's
-	// action on it.
+	// action on it. A tracer that ignores messages (MessageIgnorer) is
+	// not called.
 	Message(ev MessageEvent)
 	// Fault observes a non-message adversary action (crash-stop).
 	Fault(ev FaultEvent)
@@ -138,6 +139,22 @@ type Tracer interface {
 	// RunEnd closes the run with its final aggregates. It is not called
 	// on model-violation errors (those runs return no result at all).
 	RunEnd(sum RunSummary)
+}
+
+// MessageIgnorer is implemented by a Tracer that may say its Message
+// method does nothing. For such a tracer the runner builds no
+// MessageEvent and renders no payload, so a run costs it nothing per
+// message. Collector and SpanTracer ignore messages; see ReadsMessages.
+type MessageIgnorer interface {
+	IgnoresMessages() bool
+}
+
+// ReadsMessages reports whether t reads Message events: true unless t is
+// a MessageIgnorer that ignores them. A Multi reads them when any of its
+// sinks does.
+func ReadsMessages(t Tracer) bool {
+	mi, ok := t.(MessageIgnorer)
+	return !ok || !mi.IgnoresMessages()
 }
 
 // Multi fans events out to several tracers in order. Nil entries are
@@ -215,6 +232,18 @@ func (m multiTracer) RoundStart(round int) {
 		safeRoundStart(t, round)
 	}
 }
+
+// IgnoresMessages implements MessageIgnorer: the fan-out ignores
+// messages only when every sink does.
+func (m multiTracer) IgnoresMessages() bool {
+	for _, t := range m {
+		if ReadsMessages(t) {
+			return false
+		}
+	}
+	return true
+}
+
 func (m multiTracer) Message(ev MessageEvent) {
 	for _, t := range m {
 		safeMessage(t, ev)

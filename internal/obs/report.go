@@ -102,6 +102,11 @@ func (c *Collector) RoundStart(round int) {}
 // RoundEnd; nothing to do here.
 func (c *Collector) Message(ev MessageEvent) {}
 
+// IgnoresMessages implements MessageIgnorer: the collector counts
+// messages from RoundEnd, so the runner need not build message events
+// for it.
+func (c *Collector) IgnoresMessages() bool { return true }
+
 // Fault implements Tracer.
 func (c *Collector) Fault(ev FaultEvent) {
 	if ev.Kind == "crash" {

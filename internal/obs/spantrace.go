@@ -45,7 +45,8 @@ func NewSpanTracer(parent *Span) *SpanTracer {
 // zero-alloc, pinned by TestNilParentSpanTracerZeroAlloc).
 func (t *SpanTracer) disabled() bool { return t.parent == nil }
 
-// RunStart opens an engine_run span annotated with the topology.
+// RunStart opens an engine_run span annotated with the topology, the
+// seed and the round cap.
 func (t *SpanTracer) RunStart(info RunInfo) {
 	if t.disabled() {
 		return
@@ -60,6 +61,8 @@ func (t *SpanTracer) RunStart(info RunInfo) {
 	if info.Bandwidth > 0 {
 		t.run.Annotate("bandwidth_bits", strconv.Itoa(info.Bandwidth))
 	}
+	t.run.Annotate("seed", strconv.FormatInt(info.Seed, 10))
+	t.run.Annotate("max_rounds", strconv.Itoa(info.MaxRounds))
 }
 
 // RoundStart opens the live rounds span on the first round of a run.
@@ -76,6 +79,10 @@ func (t *SpanTracer) RoundStart(round int) {
 func (t *SpanTracer) Message(MessageEvent) {}
 func (t *SpanTracer) Fault(FaultEvent)     {}
 func (t *SpanTracer) Node(NodeEvent)       {}
+
+// IgnoresMessages implements MessageIgnorer: spans carry per-window and
+// per-run totals, never single messages.
+func (t *SpanTracer) IgnoresMessages() bool { return true }
 
 // RoundEnd folds the round into the current bandwidth window, flushing
 // an annotation each time the window fills.
@@ -124,7 +131,8 @@ func (t *SpanTracer) Phase(name string, elapsed time.Duration) {
 }
 
 // RunEnd flushes the last partial window and closes the engine_run span
-// with its outcome and totals.
+// with its outcome and totals; the fault counts appear only when the
+// adversary acted.
 func (t *SpanTracer) RunEnd(sum RunSummary) {
 	if t.disabled() {
 		return
@@ -137,6 +145,18 @@ func (t *SpanTracer) RunEnd(sum RunSummary) {
 	t.run.Annotate("outcome", sum.Outcome)
 	t.run.Annotate("rounds_total", strconv.Itoa(sum.Rounds))
 	t.run.Annotate("total_bits", strconv.FormatInt(sum.TotalBits, 10))
+	t.run.Annotate("total_messages", strconv.FormatInt(sum.TotalMessages, 10))
+	t.run.Annotate("max_edge_bits_round", strconv.Itoa(sum.MaxEdgeBitsRound))
+	t.run.Annotate("rejects", strconv.Itoa(sum.Rejects))
+	if sum.Dropped > 0 {
+		t.run.Annotate("dropped", strconv.FormatInt(sum.Dropped, 10))
+	}
+	if sum.Corrupted > 0 {
+		t.run.Annotate("corrupted", strconv.FormatInt(sum.Corrupted, 10))
+	}
+	if sum.CrashedNodes > 0 {
+		t.run.Annotate("crashed", strconv.Itoa(sum.CrashedNodes))
+	}
 	if sum.Error != "" {
 		t.run.Annotate("error", sum.Error)
 	}

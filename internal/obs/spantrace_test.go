@@ -183,3 +183,46 @@ func TestSpanTracerLongRunCoversEveryRound(t *testing.T) {
 		t.Fatalf("windows end at round %d, want %d", next-1, maxRounds)
 	}
 }
+
+// The engine_run span keeps the run summary that an untraced job's answer
+// no longer carries as a report: seed and round cap from RunStart, the
+// totals and rejects from RunEnd, and the fault counts only when the
+// adversary acted.
+func TestSpanTracerRunSummaryAnnotations(t *testing.T) {
+	run := func(sum RunSummary) *SpanView {
+		tl := NewTimeline("sum")
+		job := tl.StartSpan("job")
+		st := NewSpanTracer(job)
+		st.RunStart(RunInfo{Engine: "sequential", Nodes: 4, Edges: 3, MaxRounds: 9, Seed: -7})
+		st.RoundStart(1)
+		st.RoundEnd(RoundStats{Round: 1, Bits: 8, Messages: 1})
+		st.Phase("rounds", 0)
+		st.RunEnd(sum)
+		job.Finish()
+		v := tl.View()
+		return v.SpanByName("engine_run")
+	}
+	want := map[string]string{
+		"seed": "-7", "max_rounds": "9", "rounds_total": "1", "total_bits": "8",
+		"total_messages": "1", "max_edge_bits_round": "8", "rejects": "2",
+	}
+	clean := run(RunSummary{Outcome: "completed", Rounds: 1, TotalBits: 8, TotalMessages: 1,
+		MaxEdgeBitsRound: 8, Rejects: 2, Accepts: 2})
+	for k, v := range want {
+		if got, ok := clean.Annotation(k); !ok || got != v {
+			t.Errorf("clean run: %s = %q (present %v), want %q", k, got, ok, v)
+		}
+	}
+	for _, k := range []string{"dropped", "corrupted", "crashed"} {
+		if got, ok := clean.Annotation(k); ok {
+			t.Errorf("clean run carries %s = %q; fault counts appear only when non-zero", k, got)
+		}
+	}
+	faulty := run(RunSummary{Outcome: "completed", Rounds: 1, TotalBits: 8, TotalMessages: 1,
+		MaxEdgeBitsRound: 8, Dropped: 3, Corrupted: 4, CrashedNodes: 5})
+	for k, v := range map[string]string{"dropped": "3", "corrupted": "4", "crashed": "5"} {
+		if got, ok := faulty.Annotation(k); !ok || got != v {
+			t.Errorf("faulty run: %s = %q (present %v), want %q", k, got, ok, v)
+		}
+	}
+}

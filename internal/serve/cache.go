@@ -9,10 +9,9 @@ import (
 
 // Cache is the LRU result cache. Keys are the canonical job identity
 // (graph digest, pattern digest, canonicalized options — seed included),
-// values the finished *JobResult. The simulator is deterministic in the
-// key, so serving a cached result is indistinguishable from re-running
-// the engine, except for the wall-clock fields inside the attached
-// RunReport, which describe the original execution.
+// values the finished *JobResult without a run report. The simulator is
+// deterministic in the key, so serving a cached result is
+// indistinguishable from re-running the engine untraced.
 //
 // Cached results are shared pointers and must be treated as immutable by
 // every reader.

@@ -14,6 +14,7 @@ import (
 	"subgraph"
 	"subgraph/internal/cluster"
 	"subgraph/internal/graph"
+	"subgraph/internal/obs"
 	"subgraph/internal/serve"
 )
 
@@ -28,12 +29,18 @@ type door struct {
 // cfg. The router's upload limits are the worker defaults.
 func startDoors(t *testing.T, cfg serve.Config) []door {
 	t.Helper()
+	return startDoorsRouted(t, cfg, cluster.Config{})
+}
+
+// startDoorsRouted is startDoors with the router's own config.
+func startDoorsRouted(t *testing.T, cfg serve.Config, rcfg cluster.Config) []door {
+	t.Helper()
 	w, err := serve.StartInProcess(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = w.Close(20 * time.Second) })
-	c, err := cluster.StartInProcess(2, cfg, cluster.Config{})
+	c, err := cluster.StartInProcess(2, cfg, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,6 +280,112 @@ func TestJobWait(t *testing.T) {
 			}
 			if _, err := c.DebugJob(jv.ID); err != nil {
 				t.Errorf("woken to a terminal view before the timeline was recorded: %v", err)
+			}
+		})
+	}
+}
+
+// TestReportOnlyOnTracedJobs pins what a detect answer carries on both
+// front doors. An untraced view and every cache hit carry no run report,
+// and their stats bytes equal json.Marshal of the library's Stats. A
+// traced view carries a report whose counters equal its Stats. After a
+// traced job, the same spec untraced is a cache hit without a report:
+// the worker caches the traced job's answer alone. The router owns each
+// graph on one worker here, so that hit does not depend on which of two
+// owners the router picks.
+func TestReportOnlyOnTracedJobs(t *testing.T) {
+	for _, d := range startDoorsRouted(t, serve.Config{}, cluster.Config{Replication: 1}) {
+		t.Run(d.name, func(t *testing.T) {
+			c := &serve.Client{Base: d.base, Retry: serve.NoRetry()}
+			text := edgeList(t, 21)
+			up, err := c.UploadGraph(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := graph.ReadEdgeList(strings.NewReader(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := subgraph.ParsePattern("triangle")
+			if err != nil {
+				t.Fatal(err)
+			}
+			library := func(seed int64) subgraph.Stats {
+				rep, err := subgraph.Detect(subgraph.NewNetwork(g), h, subgraph.Options{Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep.Stats
+			}
+			type wireView struct {
+				State  string                     `json:"state"`
+				Cached bool                       `json:"cached"`
+				Result map[string]json.RawMessage `json:"result"`
+			}
+			// run submits spec, waits for its end and returns the raw
+			// terminal view, checking its stats bytes against the library.
+			run := func(spec serve.JobSpec) (wireView, int) {
+				t.Helper()
+				jv, status, err := c.SubmitJob(spec)
+				if err != nil {
+					t.Fatalf("submit %+v: HTTP %d: %v", spec, status, err)
+				}
+				resp, err := http.Get(d.base + "/v1/jobs/" + jv.ID + "?wait=5s")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var body bytes.Buffer
+				if _, err := body.ReadFrom(resp.Body); err != nil {
+					t.Fatal(err)
+				}
+				var v wireView
+				if err := json.Unmarshal(body.Bytes(), &v); err != nil || v.State != serve.StateDone {
+					t.Fatalf("job %s: state %q, %v: %s", jv.ID, v.State, err, body.Bytes())
+				}
+				want, _ := json.Marshal(library(spec.Options.Seed))
+				if got := v.Result["stats"]; !bytes.Equal(got, want) {
+					t.Errorf("seed %d: stats %s, library %s", spec.Options.Seed, got, want)
+				}
+				return v, body.Len()
+			}
+			spec := serve.JobSpec{Graph: up.Digest, Pattern: "triangle", Options: subgraph.OptionsSpec{Seed: 5}}
+
+			v, size := run(spec)
+			if _, ok := v.Result["report"]; ok || v.Cached {
+				t.Errorf("untraced run: cached %v, report present %v", v.Cached, ok)
+			}
+			if size > 1024 {
+				t.Errorf("untraced view is %d bytes, want at most 1 KiB", size)
+			}
+			if v, _ = run(spec); !v.Cached {
+				t.Error("repeated untraced spec was not a cache hit")
+			} else if _, ok := v.Result["report"]; ok {
+				t.Error("cache hit carries a report")
+			}
+
+			traced := spec
+			traced.Options.Seed, traced.Trace = 6, true
+			v, _ = run(traced)
+			var rep obs.RunReport
+			if err := json.Unmarshal(v.Result["report"], &rep); err != nil || v.Cached {
+				t.Fatalf("traced run: cached %v, report %s: %v", v.Cached, v.Result["report"], err)
+			}
+			st := library(6)
+			for name, want := range map[string]int64{
+				obs.MetricRounds: int64(st.Rounds), obs.MetricBits: st.TotalBits, obs.MetricMessages: st.TotalMessages,
+			} {
+				if got := rep.Metrics.Counters[name]; got != want {
+					t.Errorf("traced report %s = %d, Stats say %d", name, got, want)
+				}
+			}
+
+			untraced := traced
+			untraced.Trace = false
+			if v, _ = run(untraced); !v.Cached {
+				t.Error("untraced spec after its traced run was not a cache hit")
+			} else if _, ok := v.Result["report"]; ok {
+				t.Error("cache hit after a traced run carries the traced run's report")
 			}
 		})
 	}

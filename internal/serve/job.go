@@ -60,9 +60,9 @@ type JobResult struct {
 	// byte-identical to json.Marshal of the Stats an equivalent library
 	// call returns (EXPERIMENTS.md pins this equivalence).
 	Stats json.RawMessage `json:"stats"`
-	// Report is the obs.Collector run report for the execution that
-	// produced this result (wall-clock fields describe that original run,
-	// also when the result is served from cache).
+	// Report is the obs.Collector run report of a traced job's own run.
+	// Untraced jobs and cache hits carry none: their run summary is on the
+	// engine_run span of the job's timeline (/debug/jobs/{id}).
 	Report *obs.RunReport `json:"report,omitempty"`
 	// Partial marks a deadline-expired run returning partial Stats;
 	// AbortReason carries the abort error. Partial results are not cached.
@@ -260,21 +260,21 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 
 	started := time.Now()
-	collector := obs.NewCollector()
 	// The span tracer hangs engine_run/setup/rounds/teardown spans (with
-	// round-window bandwidth annotations) under the job's root span.
-	tracers := []obs.Tracer{collector, obs.NewSpanTracer(j.rootSpan)}
+	// round-window bandwidth annotations and the run summary) under the
+	// job's root span; only a traced job pays for a report and JSONL.
+	opts := j.opts
+	opts.Trace = obs.NewSpanTracer(j.rootSpan)
+	var collector *obs.Collector
 	var traceBuf *cappedWriter
 	var jsonl *obs.JSONLTracer
 	if j.trace {
-		traceBuf = &cappedWriter{max: s.cfg.MaxTraceBytes}
+		collector, traceBuf = obs.NewCollector(), &cappedWriter{max: s.cfg.MaxTraceBytes}
 		// OmitTimings keeps the trace deterministic in (graph, pattern,
 		// options, seed) — the same property the result cache relies on.
 		jsonl = obs.NewJSONLTracerOptions(traceBuf, obs.JSONLOptions{OmitTimings: true})
-		tracers = append(tracers, jsonl)
+		opts.Trace = obs.Multi(collector, opts.Trace, jsonl)
 	}
-	opts := j.opts
-	opts.Trace = obs.Multi(tracers...)
 
 	s.reg.Counter(MetricDetectRuns).Inc()
 	rep, err := subgraph.Detect(j.g, j.h, opts)
@@ -305,7 +305,6 @@ func (s *Server) runJob(j *job) {
 			Rounds:        rep.Rounds,
 			BandwidthBits: rep.BandwidthBits,
 			Stats:         statsJSON,
-			Report:        collector.Report(),
 		}
 		if err != nil {
 			res.Partial = true
@@ -317,9 +316,14 @@ func (s *Server) runJob(j *job) {
 			Observe(float64(wall.Nanoseconds()))
 		s.slo.observeLatency(wall)
 		// Complete, fault-of-nothing runs are reusable; partial
-		// (deadline-shaped) results are not.
+		// (deadline-shaped) results are not. No report is cached.
 		if !res.Partial {
 			s.cache.Put(j.key, res)
+		}
+		if collector != nil {
+			traced := *res
+			traced.Report = collector.Report()
+			res = &traced
 		}
 	}
 	if state == StateDone {

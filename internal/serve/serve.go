@@ -1,7 +1,7 @@
 // Package serve is the detection-as-a-service layer: a long-running job
 // daemon that accepts subgraph-detection jobs over HTTP/JSON, executes
 // them on a bounded shared worker budget, and returns results with the
-// full Stats / RunReport payloads the library produces.
+// Stats the library produces (and, for a traced job, its RunReport).
 //
 // Building blocks:
 //

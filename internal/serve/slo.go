@@ -71,9 +71,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	return c
 }
 
-// Enabled reports whether any budget is configured.
-func (c SLOConfig) Enabled() bool { return c.LatencyBudget > 0 || c.QueueWaitBudget > 0 }
-
 // sloBuckets spans 0.25ms .. ~3min in ×√2 steps — fine enough that the
 // p99 estimate is within ~41% of the true value, which keeps the
 // hysteresis bands (enter at 1×, leave at 0.75×, critical at 2×)

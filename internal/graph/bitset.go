@@ -194,7 +194,7 @@ func (b *BitAdjacency) Successor(child *Graph, touched []int32) *BitAdjacency {
 	fwd := make([]int32, child.m)
 	patchRows(fwdOff, fwd, b.fwdOff, b.fwd, tr, func(t int32, row []int32) int32 {
 		k := 0
-		for _, w := range child.adj[b.order[t]] {
+		for _, w := range child.Neighbors(int(b.order[t])) {
 			if q := b.rank[w]; q > t {
 				row[k] = q
 				k++

@@ -144,3 +144,15 @@ func TestBitAdjacencyForwardOrdering(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNewBitAdjacency builds the churn shape's dense adjacency, rows
+// included: it walks every CSR row, so it is where a slower Neighbors
+// shows.
+func BenchmarkNewBitAdjacency(b *testing.B) {
+	g := churnShape()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		NewBitAdjacency(g)
+	}
+}

@@ -53,7 +53,7 @@ func (g *Graph) ForEachClique(s int, visit func(clique []int) bool) {
 	// later[v] = neighbors of v with higher rank.
 	later := make([][]int, g.n)
 	for v := 0; v < g.n; v++ {
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if rank[w] > rank[v] {
 				later[v] = append(later[v], int(w))
 			}

@@ -45,10 +45,11 @@ func (g *Graph) peel(forward bool) (order, rank []int32, degeneracy int, fwdOff,
 		fwdOff = make([]int32, n+1)
 		fwd = make([]int32, g.m)
 	}
-	deg := make([]int32, n) // current degree; -1 once peeled
+	off, csr := g.off, g.csr // in locals, the loop's stores do not reload them
+	deg := make([]int32, n)  // current degree; -1 once peeled
 	maxDeg := int32(0)
 	for v := range deg {
-		deg[v] = int32(len(g.adj[v]))
+		deg[v] = off[v+1] - off[v]
 		maxDeg = max(maxDeg, deg[v])
 	}
 	// Bucket d is a stack of the live vertices of current degree d,
@@ -92,7 +93,7 @@ func (g *Graph) peel(forward bool) (order, rank []int32, degeneracy int, fwdOff,
 			fwdOff[r+1] = fwdOff[r] + cur
 			next[v] = fwdOff[r]
 		}
-		for _, w := range g.adj[v] {
+		for _, w := range csr[off[v]:off[v+1]] {
 			d := deg[w]
 			if d < 0 {
 				if forward {

@@ -165,7 +165,9 @@ type DeltaResult struct {
 // O(changes · deg) of merging — an order of magnitude cheaper than
 // re-inserting every edge through a Builder. The result is byte-identical
 // to a from-scratch Build of the same edge set (sorted rows, same digest);
-// the delta-vs-scratch oracle pins that equivalence.
+// the delta-vs-scratch oracle pins that equivalence. A child of a digested
+// base copies its block sums (it keeps no reference to base), and its
+// first Digest rehashes only the blocks that hold changed edges.
 func ApplyDelta(base *Graph, d EdgeDelta) (*DeltaResult, error) {
 	del, ins, err := d.check(base)
 	if err != nil {
@@ -197,17 +199,14 @@ func ApplyDelta(base *Graph, d EdgeDelta) (*DeltaResult, error) {
 		m:   m2,
 		off: make([]int32, base.n+1),
 		csr: make([]int32, 2*m2),
-		adj: make([][]int32, base.n),
 	}
 	patchRows(ng.off, ng.csr, base.off, base.csr, tv, func(t int32, row []int32) int32 {
-		dels, insv := delNbr[t], insNbr[t]
-		k := len(base.adj[t]) + len(insv) - len(dels)
-		mergeRow(row[:k], base.adj[t], dels, insv)
+		dels, insv, src := delNbr[t], insNbr[t], base.Neighbors(int(t))
+		k := len(src) + len(insv) - len(dels)
+		mergeRow(row[:k], src, dels, insv)
 		return int32(k)
 	})
-	for v := range ng.adj {
-		ng.adj[v] = ng.csr[ng.off[v]:ng.off[v+1]:ng.off[v+1]]
-	}
+	ng.dig.sums, ng.dig.dirty = base.patchedSums(del, ins)
 	return &DeltaResult{
 		Graph:    ng,
 		Touched:  tv,

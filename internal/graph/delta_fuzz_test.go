@@ -12,48 +12,52 @@ import (
 	"subgraph/internal/lower"
 )
 
-// decodeRawDelta reads a base graph and a raw delta against it from fuzz
-// bytes. data[0] is n, so the base has at most 255 vertices. Each 3-byte
-// record (op, a, b) is then, by op mod 3, a base edge {a mod n, b mod n}
-// (self-loops and repeats skipped), a delete entry, or an insert entry.
-// Delta entries are (a-1, b-1) as they stand, so the delta may be
-// invalid: a self-loop, an endpoint out of range (-1, or n and up), a
-// repeat within a half, a delete of a missing edge or an insert of a
-// present one.
-func decodeRawDelta(data []byte) (*graph.Graph, graph.EdgeDelta) {
+// decodeRawDelta reads a base graph and two raw deltas from fuzz bytes:
+// the first against the base, the second against the first's child.
+// data[0] is n, so the base has at most 255 vertices. Each 3-byte record
+// (op, a, b) is then, by op mod 5, a base edge {a mod n, b mod n}
+// (self-loops and repeats skipped), a delete or an insert entry of the
+// first delta, or a delete or an insert entry of the second. Delta
+// entries are (a-1, b-1) as they stand, so a delta may be invalid: a
+// self-loop, an endpoint out of range (-1, or n and up), a repeat within
+// a half, a delete of a missing edge or an insert of a present one.
+func decodeRawDelta(data []byte) (*graph.Graph, [2]graph.EdgeDelta) {
 	n := 0
 	if len(data) > 0 {
 		n, data = int(data[0]), data[1:]
 	}
 	b := graph.NewBuilder(n)
-	var d graph.EdgeDelta
+	var ds [2]graph.EdgeDelta
 	for ; len(data) >= 3; data = data[3:] {
 		e := [2]int{int(data[1]) - 1, int(data[2]) - 1}
-		switch data[0] % 3 {
+		switch op := data[0] % 5; op {
 		case 0:
 			if n > 0 {
 				b.AddEdgeOK(int(data[1])%n, int(data[2])%n)
 			}
-		case 1:
-			d.Delete = append(d.Delete, e)
+		case 1, 3:
+			ds[op/3].Delete = append(ds[op/3].Delete, e)
 		default:
-			d.Insert = append(d.Insert, e)
+			ds[op/3].Insert = append(ds[op/3].Insert, e)
 		}
 	}
-	return b.Build(), d
+	return b.Build(), ds
 }
 
-// encodeRawDelta is decodeRawDelta's inverse, for seeding the corpus.
-func encodeRawDelta(g *graph.Graph, d graph.EdgeDelta) []byte {
+// encodeRawDelta is decodeRawDelta's inverse, for seeding the corpus: ds
+// holds the first delta and, optionally, the second.
+func encodeRawDelta(g *graph.Graph, ds ...graph.EdgeDelta) []byte {
 	out := []byte{byte(g.N())}
 	for _, e := range g.Edges() {
 		out = append(out, 0, byte(e[0]), byte(e[1]))
 	}
-	for _, e := range d.Delete {
-		out = append(out, 1, byte(e[0]+1), byte(e[1]+1))
-	}
-	for _, e := range d.Insert {
-		out = append(out, 2, byte(e[0]+1), byte(e[1]+1))
+	for i, d := range ds {
+		for _, e := range d.Delete {
+			out = append(out, byte(1+2*i), byte(e[0]+1), byte(e[1]+1))
+		}
+		for _, e := range d.Insert {
+			out = append(out, byte(2+2*i), byte(e[0]+1), byte(e[1]+1))
+		}
 	}
 	return out
 }
@@ -125,10 +129,16 @@ func firstRowDiff(got, want *graph.Graph) string {
 // raw, possibly invalid deltas. It must reject exactly when the reference
 // does, with the same reason. An accepted child must equal a scratch
 // Builder rebuild, by digest and then CSR row by row; Touched must be the
-// sorted endpoints of the changes; and the base graph must not move. The
-// seeds are the extremal shapes: a planted K_5, the C4-free
-// projective-plane incidence graph, and the paper's gadgets H_2 and
-// G_{2,2}.
+// sorted endpoints of the changes; and the base graph must not move.
+//
+// Each input runs the first delta twice: on a base that was never
+// digested, whose child hashes its digest from scratch, and on a digested
+// base, whose child patches the base's block sums. The second delta then
+// runs on that patched child, so a child of a patched child is covered
+// too. The seeds are the extremal shapes: a planted K_5, the C4-free
+// projective-plane incidence graph, the paper's gadgets H_2 and G_{2,2},
+// and a 60-vertex host of four digest blocks, two of which a chain of
+// two deltas leaves untouched.
 func FuzzApplyDelta(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	planted, k5 := graph.PlantClique(graph.GNP(24, 0.2, rng), 5, rng)
@@ -156,46 +166,68 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add(encodeRawDelta(gkn, graph.EdgeDelta{Delete: gkn.Edges()[:5], Insert: [][2]int{{1, gkn.N() - 2}}}))
 	f.Add(encodeRawDelta(gkn, graph.EdgeDelta{Delete: [][2]int{e, {e[1], e[0]}}}))
 	f.Add(encodeRawDelta(gkn, graph.EdgeDelta{Delete: [][2]int{{0, gkn.N() - 1}}}))
+	host := graph.GNP(60, 0.1, rng) // blocks 0-15, 16-31, 32-47, 48-59
+	hostEdge := host.Edges()[0]
+	f.Add(encodeRawDelta(host,
+		graph.EdgeDelta{Insert: [][2]int{{1, 2}, {2, 50}}},
+		graph.EdgeDelta{Delete: [][2]int{{1, 2}}, Insert: [][2]int{{3, 55}}}))
+	f.Add(encodeRawDelta(host,
+		graph.EdgeDelta{Delete: [][2]int{hostEdge}},
+		graph.EdgeDelta{Insert: [][2]int{hostEdge, {59, 59}}})) // the second is rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, d := decodeRawDelta(data)
-		baseDigest := g.Digest()
-		want, reason := referenceDelta(g, d)
-		res, err := graph.ApplyDelta(g, d)
-		if g.Digest() != baseDigest {
-			t.Fatalf("ApplyDelta(%v, %+v) moved the base graph's digest", g, d)
-		}
-		if reason != "" {
-			var de *graph.DeltaError
-			if !errors.As(err, &de) || de.Reason != reason || res != nil {
-				t.Fatalf("ApplyDelta(%v, %+v) = %v, want a %s rejection", g, d, err, reason)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("ApplyDelta(%v, %+v) rejected a valid delta: %v", g, d, err)
-		}
-		b := graph.NewBuilder(g.N())
-		for e := range want {
-			b.AddEdge(e[0], e[1])
-		}
-		scratch := b.Build()
-		if res.Graph.Digest() != scratch.Digest() {
-			t.Fatalf("ApplyDelta(%v, %+v): child digest differs from a scratch rebuild's: %s",
-				g, d, firstRowDiff(res.Graph, scratch))
-		}
-		if diff := firstRowDiff(res.Graph, scratch); diff != "" {
-			t.Fatalf("ApplyDelta(%v, %+v): child matches a scratch rebuild's digest but not its rows: %s", g, d, diff)
-		}
-		var touched []int32
-		for _, e := range slices.Concat(d.Delete, d.Insert) {
-			touched = append(touched, int32(e[0]), int32(e[1]))
-		}
-		slices.Sort(touched)
-		if touched = slices.Compact(touched); !slices.Equal(res.Touched, touched) {
-			t.Fatalf("ApplyDelta(%v, %+v): Touched = %v, want %v", g, d, res.Touched, touched)
-		}
-		if res.Deleted != len(d.Delete) || res.Inserted != len(d.Insert) {
-			t.Fatalf("ApplyDelta(%v, %+v): %d deleted, %d inserted", g, d, res.Deleted, res.Inserted)
+		cold, ds := decodeRawDelta(data)
+		applyChecked(t, cold, ds[0])
+		g, _ := decodeRawDelta(data)
+		g.Digest()
+		if child := applyChecked(t, g, ds[0]); child != nil {
+			applyChecked(t, child, ds[1])
 		}
 	})
+}
+
+// applyChecked applies d to g and checks the outcome as FuzzApplyDelta
+// describes, digesting the child. It returns the child, or nil when d is
+// rightly rejected.
+func applyChecked(t *testing.T, g *graph.Graph, d graph.EdgeDelta) *graph.Graph {
+	t.Helper()
+	baseEdges := g.Edges()
+	want, reason := referenceDelta(g, d)
+	res, err := graph.ApplyDelta(g, d)
+	if !slices.Equal(g.Edges(), baseEdges) {
+		t.Fatalf("ApplyDelta(%v, %+v) moved the base graph", g, d)
+	}
+	if reason != "" {
+		var de *graph.DeltaError
+		if !errors.As(err, &de) || de.Reason != reason || res != nil {
+			t.Fatalf("ApplyDelta(%v, %+v) = %v, want a %s rejection", g, d, err, reason)
+		}
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("ApplyDelta(%v, %+v) rejected a valid delta: %v", g, d, err)
+	}
+	b := graph.NewBuilder(g.N())
+	for e := range want {
+		b.AddEdge(e[0], e[1])
+	}
+	scratch := b.Build()
+	if res.Graph.Digest() != scratch.Digest() {
+		t.Fatalf("ApplyDelta(%v, %+v): child digest differs from a scratch rebuild's: %s",
+			g, d, firstRowDiff(res.Graph, scratch))
+	}
+	if diff := firstRowDiff(res.Graph, scratch); diff != "" {
+		t.Fatalf("ApplyDelta(%v, %+v): child matches a scratch rebuild's digest but not its rows: %s", g, d, diff)
+	}
+	var touched []int32
+	for _, e := range slices.Concat(d.Delete, d.Insert) {
+		touched = append(touched, int32(e[0]), int32(e[1]))
+	}
+	slices.Sort(touched)
+	if touched = slices.Compact(touched); !slices.Equal(res.Touched, touched) {
+		t.Fatalf("ApplyDelta(%v, %+v): Touched = %v, want %v", g, d, res.Touched, touched)
+	}
+	if res.Deleted != len(d.Delete) || res.Inserted != len(d.Insert) {
+		t.Fatalf("ApplyDelta(%v, %+v): %d deleted, %d inserted", g, d, res.Deleted, res.Inserted)
+	}
+	return res.Graph
 }

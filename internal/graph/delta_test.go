@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -252,6 +253,44 @@ func TestCycleDirtyCheckMatchesTruth(t *testing.T) {
 				t.Fatalf("trial %d L=%d: CycleDirtyCheck = %v, want %v (parentHas=%v, delta=%+v)",
 					trial, L, has, wantHas, parentHas, d)
 			}
+		}
+	}
+}
+
+// TestApplyDeltaAllocBytes bounds what an 8-change delta on the churn
+// shape allocates: the child's CSR arrays, 4·(2m + n + 1) bytes, plus at
+// most 32 KiB for the change maps, the touched list and the copied block
+// sums. A per-vertex array of row views (24 bytes a vertex, 48 KB here)
+// does not fit in that slack.
+func TestApplyDeltaAllocBytes(t *testing.T) {
+	g := churnShape()
+	g.Digest()
+	d := churnStep(rand.New(rand.NewSource(2)), g, 8)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := ApplyDelta(g, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	floor := uint64(4 * (2*g.M() + g.N() + 1))
+	if perOp > floor+32<<10 {
+		t.Fatalf("ApplyDelta allocated %d bytes per delta, want at most %d (CSR) + %d", perOp, floor, 32<<10)
+	}
+}
+
+func BenchmarkApplyDelta(b *testing.B) {
+	g := churnShape()
+	g.Digest()
+	d := churnStep(rand.New(rand.NewSource(2)), g, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := ApplyDelta(g, d); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

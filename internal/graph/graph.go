@@ -4,7 +4,8 @@
 //
 // Vertices are dense integers 0..N-1. Graphs are immutable after
 // construction via Builder, which makes them safe to share across the
-// concurrent simulator engines without locking.
+// concurrent simulator engines without locking; the one thing a graph
+// computes later, its digest, it computes once under its own lock.
 package graph
 
 import (
@@ -15,18 +16,18 @@ import (
 
 // Graph is an immutable undirected simple graph on vertices 0..N-1.
 //
-// Neighbor lists are stored in compressed-sparse-row (CSR) form: one flat
-// array of neighbor entries plus per-vertex offsets. adj[v] is a view into
-// the flat array, so iterating consecutive vertices walks contiguous
-// memory — the simulator's per-round scans and the traversal/clique
-// kernels are cache-line friendly, and building a graph performs O(1)
-// neighbor-storage allocations instead of O(n).
+// Neighbor lists are stored in compressed-sparse-row (CSR) form alone: one
+// flat array of neighbor entries plus per-vertex offsets, which
+// Neighbors(v) slices. Iterating consecutive vertices walks contiguous
+// memory, so the simulator's per-round scans and the traversal/clique
+// kernels are cache-line friendly, and the two arrays hold no pointers
+// for the garbage collector to scan, whatever the graph's size.
 type Graph struct {
 	n   int
 	m   int
-	off []int32   // off[v]..off[v+1] bounds v's segment of csr
-	csr []int32   // all neighbor lists, concatenated, each sorted
-	adj [][]int32 // adj[v] = csr[off[v]:off[v+1]] (views, not copies)
+	off []int32 // off[v]..off[v+1] bounds v's segment of csr
+	csr []int32 // all neighbor lists, concatenated, each sorted
+	dig digestMemo
 }
 
 // Builder accumulates edges for a Graph. Duplicate edges and self-loops are
@@ -117,7 +118,6 @@ func fromEdges(n int, ends []int32) (g *Graph, dup bool) {
 		m:   len(ends) / 2,
 		off: make([]int32, n+1),
 		csr: make([]int32, len(ends)),
-		adj: make([][]int32, n),
 	}
 	for _, v := range ends {
 		g.off[v+1]++
@@ -135,12 +135,11 @@ func fromEdges(n int, ends []int32) (g *Graph, dup bool) {
 		next[w]++
 	}
 	for v := 0; v < n; v++ {
-		row := g.csr[g.off[v]:g.off[v+1]:g.off[v+1]]
+		row := g.Neighbors(v)
 		slices.Sort(row)
 		for i := 1; i < len(row) && !dup; i++ {
 			dup = row[i] == row[i-1]
 		}
-		g.adj[v] = row
 	}
 	return g, dup
 }
@@ -158,28 +157,29 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 
 // MaxDegree returns the maximum degree, or 0 on the empty graph.
 func (g *Graph) MaxDegree() int {
-	max := 0
+	d := int32(0)
 	for v := 0; v < g.n; v++ {
-		if d := len(g.adj[v]); d > max {
-			max = d
-		}
+		d = max(d, g.off[v+1]-g.off[v])
 	}
-	return max
+	return int(d)
 }
 
 // Neighbors returns v's sorted neighbor list. The caller must not modify it.
-func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
+func (g *Graph) Neighbors(v int) []int32 {
+	lo, hi := g.off[v], g.off[v+1]
+	return g.csr[lo:hi:hi]
+}
 
 // HasEdge reports whether {u,v} is an edge, in O(log deg(u)).
 func (g *Graph) HasEdge(u, v int) bool {
 	if u == v || u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	a := g.adj[u]
+	a := g.Neighbors(u)
 	t := int32(v)
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= t })
 	return i < len(a) && a[i] == t
@@ -189,7 +189,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.m)
 	for u := 0; u < g.n; u++ {
-		for _, w := range g.adj[u] {
+		for _, w := range g.Neighbors(u) {
 			if int(w) > u {
 				out = append(out, [2]int{u, int(w)})
 			}
@@ -225,7 +225,7 @@ func (g *Graph) InducedSubgraph(keep func(v int) bool) (*Graph, []int) {
 		if oldToNew[u] < 0 {
 			continue
 		}
-		for _, w := range g.adj[u] {
+		for _, w := range g.Neighbors(u) {
 			if int(w) > u && oldToNew[w] >= 0 {
 				b.AddEdge(oldToNew[u], oldToNew[int(w)])
 			}

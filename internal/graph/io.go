@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -63,17 +64,28 @@ type Limits struct {
 	MaxLineBytes int
 }
 
-// WriteEdgeList writes g in edge-list format with an "n" header.
+// WriteEdgeList writes g in edge-list format with an "n" header, each
+// edge (u, v) with u < v on its own line in ascending order. The lines are
+// formatted into one reused 32 KiB buffer, written whenever it fills.
 func WriteEdgeList(w io.Writer, g *Graph) error {
-	if _, err := fmt.Fprintf(w, "n %d\n", g.N()); err != nil {
-		return err
-	}
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(w, "%d %d\n", e[0], e[1]); err != nil {
-			return err
+	buf := strconv.AppendInt(append(make([]byte, 0, 32<<10), "n "...), int64(g.n), 10)
+	buf = append(buf, '\n')
+	for u := 0; u < g.n; u++ {
+		row := g.Neighbors(u)
+		i, _ := slices.BinarySearch(row, int32(u)+1) // the first w > u
+		for _, v := range row[i:] {
+			if len(buf) > cap(buf)-len("2147483647 2147483647\n") {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+			buf = strconv.AppendInt(append(strconv.AppendInt(buf, int64(u), 10), ' '), int64(v), 10)
+			buf = append(buf, '\n')
 		}
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadEdgeList parses the format written by WriteEdgeList (duplicate

@@ -126,7 +126,6 @@ func referenceBuild(b *Builder) *Graph {
 		m:   len(b.edges),
 		off: make([]int32, b.n+1),
 		csr: make([]int32, 2*len(b.edges)),
-		adj: make([][]int32, b.n),
 	}
 	for e := range b.edges {
 		g.off[e[0]+1]++
@@ -144,8 +143,8 @@ func referenceBuild(b *Builder) *Graph {
 		cursor[w]++
 	}
 	for v := 0; v < b.n; v++ {
-		g.adj[v] = g.csr[g.off[v]:g.off[v+1]:g.off[v+1]]
-		sort.Slice(g.adj[v], func(i, j int) bool { return g.adj[v][i] < g.adj[v][j] })
+		row := g.Neighbors(v)
+		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
 	}
 	return g
 }
@@ -283,5 +282,92 @@ func TestReadEdgeListAllocs(t *testing.T) {
 	})
 	if allocs >= 64 {
 		t.Fatalf("parsing %d edges made %.0f allocations, want < 64", g.M(), allocs)
+	}
+}
+
+// writeEdgeListRef is WriteEdgeList as it was before it formatted into
+// one buffer: an fmt.Fprintf per line. It is the reference the buffered
+// writer must match byte for byte.
+func writeEdgeListRef(w io.Writer, g *Graph) error {
+	if _, err := fmt.Fprintf(w, "n %d\n", g.N()); err != nil {
+		return err
+	}
+	for _, e := range g.Edges() {
+		if _, err := fmt.Fprintf(w, "%d %d\n", e[0], e[1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestWriteEdgeListMatchesReference: WriteEdgeList writes the bytes
+// writeEdgeListRef writes, on the digest golden family, on random graphs
+// of 0–300 vertices (some spanning several of its buffer's fills) and on
+// the churn shape, and ReadEdgeList reads them back to the same graph.
+func TestWriteEdgeListMatchesReference(t *testing.T) {
+	graphs := map[string]*Graph{"churn-shape": churnShape()}
+	for name, build := range goldenFamily {
+		graphs[name] = build()
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		n := rng.Intn(301)
+		graphs[fmt.Sprintf("gnp-%d-%d", i, n)] = GNP(n, rng.Float64(), rng)
+	}
+	for name, g := range graphs {
+		var got, want bytes.Buffer
+		if err := WriteEdgeList(&got, g); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := writeEdgeListRef(&want, g); err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s (%v): WriteEdgeList wrote %d bytes that differ from the reference's %d", name, g, got.Len(), want.Len())
+		}
+		back, err := ReadEdgeList(&got)
+		if err != nil {
+			t.Fatalf("%s: reading back: %v", name, err)
+		}
+		sameParse(t, name, back, nil, g, nil)
+	}
+}
+
+// failingWriter accepts limit bytes and then fails every write.
+type failingWriter struct{ limit int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errors.New("writer full")
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestWriteEdgeListWriterError: a failing writer's error comes back,
+// whether it fails on the first buffer fill, a middle one or the last.
+func TestWriteEdgeListWriterError(t *testing.T) {
+	g := churnShape()
+	var all bytes.Buffer
+	if err := writeEdgeListRef(&all, g); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{0, 100 << 10, all.Len() - 1} {
+		if err := WriteEdgeList(&failingWriter{limit}, g); err == nil || err.Error() != "writer full" {
+			t.Errorf("limit %d: WriteEdgeList = %v, want the writer's error", limit, err)
+		}
+	}
+}
+
+func BenchmarkWriteEdgeList(b *testing.B) {
+	g := churnShape()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := WriteEdgeList(io.Discard, g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

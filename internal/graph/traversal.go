@@ -13,7 +13,7 @@ func (g *Graph) BFS(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, w := range g.adj[u] {
+		for _, w := range g.Neighbors(u) {
 			if dist[w] < 0 {
 				dist[w] = dist[u] + 1
 				queue = append(queue, int(w))
@@ -53,7 +53,7 @@ func (g *Graph) Components() (comp []int, count int) {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, w := range g.adj[u] {
+			for _, w := range g.Neighbors(u) {
 				if comp[w] < 0 {
 					comp[w] = count
 					queue = append(queue, int(w))
@@ -98,7 +98,7 @@ func (g *Graph) IsTree() bool {
 func (g *Graph) IsCompleteMultipartite() bool {
 	for u := 0; u < g.n; u++ {
 		for w := u + 1; w < g.n; w++ {
-			if !g.HasEdge(u, w) && !slices.Equal(g.adj[u], g.adj[w]) {
+			if !g.HasEdge(u, w) && !slices.Equal(g.Neighbors(u), g.Neighbors(w)) {
 				return false
 			}
 		}
@@ -122,7 +122,7 @@ func (g *Graph) IsBipartite() (bool, []int) {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, w := range g.adj[u] {
+			for _, w := range g.Neighbors(u) {
 				if color[w] < 0 {
 					color[w] = 1 - color[u]
 					queue = append(queue, int(w))
@@ -151,7 +151,7 @@ func (g *Graph) Girth() int {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, wi := range g.adj[u] {
+			for _, wi := range g.Neighbors(u) {
 				w := int(wi)
 				if dist[w] < 0 {
 					dist[w] = dist[u] + 1

@@ -260,7 +260,7 @@ func TestDeltaCountForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forwarded, ok := s.cache.Get(cacheKey(view.Digest, h, subgraph.OptionsSpec{}, true))
+	forwarded, ok := s.cache.Get(cacheKey(view.Digest, h.Digest(), subgraph.OptionsSpec{}, true))
 	if !ok {
 		t.Fatal("no forwarded cache entry for the child")
 	}

@@ -309,7 +309,7 @@ func (f *FrontEnd) accept(spec *JobSpec) (accepted, *apiError) {
 		spec.GraphInline = ""
 		f.reg.Counter(f.names.Uploads).Inc()
 	}
-	a.key = cacheKey(spec.Graph, a.h, subgraph.OptionsSpecOf(a.opts), a.count)
+	a.key = cacheKey(spec.Graph, a.h.Digest(), subgraph.OptionsSpecOf(a.opts), a.count)
 	return a, nil
 }
 

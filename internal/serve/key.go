@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"subgraph"
 	"subgraph/internal/kernel"
@@ -14,7 +15,8 @@ import (
 // "hit on any node is a hit everywhere" silently stops being true
 // (pinned by TestSpecCacheKeyMatchesPrepare).
 
-// cacheKey computes the result-cache key for a prepared job.
+// cacheKey computes the result-cache key for a prepared job on the graph
+// digest, given its pattern graph's digest hDigest.
 //
 // The key uses the *pattern graph's* digest, so aliases like "triangle"
 // and "cycle:3" share entries. The deadline is stripped: only complete
@@ -29,24 +31,35 @@ import (
 // of (graph, clique size) — seeds, reps and engine selection never
 // change it — so requests differing only there share one entry (and
 // coalesce onto one in-flight kernel pass).
-func cacheKey(digest string, h *subgraph.Graph, effective subgraph.OptionsSpec, count bool) string {
+func cacheKey(digest, hDigest string, effective subgraph.OptionsSpec, count bool) string {
 	if count {
-		return digest + "|" + h.Digest() + "|" + ModeCount
+		return digest + "|" + hDigest + "|" + ModeCount
 	}
 	keySpec := effective
 	keySpec.DeadlineMs = 0
-	return digest + "|" + h.Digest() + "|" + keySpec.Canonical()
+	return digest + "|" + hDigest + "|" + keySpec.Canonical()
 }
 
 // countKey is the cache key of digest's K_size count, the key a count job
-// for clique:size (or an alias) on digest derives.
+// for clique:size (or an alias) on digest derives. A delta derives about
+// a dozen, so the K_s pattern digests are computed once, by cliqueDigests.
 func countKey(digest string, size int) string {
-	h, err := subgraph.ParsePattern("clique:" + strconv.Itoa(size))
-	if err != nil {
-		panic(err) // clique:2..MaxCliqueSize always parses
-	}
-	return cacheKey(digest, h, subgraph.OptionsSpec{}, true)
+	return cacheKey(digest, cliqueDigests()[size], subgraph.OptionsSpec{}, true)
 }
+
+// cliqueDigests holds the pattern digest of K_s at index s, for s in
+// 2..MaxCliqueSize.
+var cliqueDigests = sync.OnceValue(func() []string {
+	digests := make([]string, kernel.MaxCliqueSize+1)
+	for s := 2; s <= kernel.MaxCliqueSize; s++ {
+		h, err := subgraph.ParsePattern("clique:" + strconv.Itoa(s))
+		if err != nil {
+			panic(err) // clique:2..MaxCliqueSize always parses
+		}
+		digests[s] = h.Digest()
+	}
+	return digests
+})
 
 // SpecCacheKey computes the result-cache key for a digest-referencing
 // spec without access to the stored graph — the router-side half of the
@@ -76,5 +89,5 @@ func SpecCacheKey(spec JobSpec) (string, error) {
 	default:
 		return "", fmt.Errorf("serve: unknown mode %q", spec.Mode)
 	}
-	return cacheKey(spec.Graph, h, subgraph.OptionsSpecOf(opts), count), nil
+	return cacheKey(spec.Graph, h.Digest(), subgraph.OptionsSpecOf(opts), count), nil
 }

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
 	"subgraph"
+	"subgraph/internal/kernel"
 )
 
 // keySpecs are the spec shapes the cache-key tests cover, over one graph
@@ -189,4 +191,27 @@ func keyMode(spec JobSpec) string {
 		return ModeDetect
 	}
 	return spec.Mode
+}
+
+// TestCountKeyMatchesSpecCacheKey: the key countKey derives from its
+// table of clique digests is the key SpecCacheKey derives for a count job
+// on clique:s, for every size the kernels serve, and for size 3 also the
+// key of its aliases triangle and cycle:3.
+func TestCountKeyMatchesSpecCacheKey(t *testing.T) {
+	const digest = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	for s := 2; s <= kernel.MaxCliqueSize; s++ {
+		patterns := []string{"clique:" + strconv.Itoa(s)}
+		if s == 3 {
+			patterns = append(patterns, "triangle", "cycle:3")
+		}
+		for _, p := range patterns {
+			want, err := SpecCacheKey(JobSpec{Graph: digest, Pattern: p, Mode: ModeCount})
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			if got := countKey(digest, s); got != want {
+				t.Errorf("countKey(d, %d) = %q, SpecCacheKey of a %s count = %q", s, got, p, want)
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Bitset adjacency: the word-parallel layout behind internal/kernel.
@@ -26,6 +27,12 @@ import (
 //
 // Both forms describe the same graph; kernel results are pinned equal
 // across them by tests and by the diffcheck kernel oracles.
+//
+// Once a kernel's first triangle count has recorded them, either form also
+// carries its start edges (StartEdges), m bits in forward-CSR order: the
+// forward edges (u, v) whose ends share at least two forward neighbours
+// above v. The other s−2 vertices of a K_s (s ≥ 4) whose two lowest ranks
+// are u < v lie in that set, so larger counts visit start edges alone.
 //
 // A delta successor's adjacency (Successor) keeps its parent's order
 // instead of peeling again, and its dense rows wait for the first dense
@@ -84,6 +91,8 @@ type BitAdjacency struct {
 	// it too — edge iteration walks it instead of scanning row words).
 	fwdOff []int32
 	fwd    []int32
+
+	starts atomic.Pointer[[]uint64] // nil until SetStartEdges
 }
 
 // NewBitAdjacency builds the bitset adjacency for g, choosing dense rows
@@ -270,4 +279,25 @@ func (b *BitAdjacency) UpperRow(r int32) []uint64 {
 // neighbors (at most Degeneracy() of them). Callers must not modify it.
 func (b *BitAdjacency) Forward(r int32) []int32 {
 	return b.fwd[b.fwdOff[r]:b.fwdOff[r+1]]
+}
+
+// ForwardIndex returns the forward-CSR position of Forward(r)[0]: the
+// edge numbering StartEdges uses. ForwardIndex(N()) is M().
+func (b *BitAdjacency) ForwardIndex(r int32) int { return int(b.fwdOff[r]) }
+
+// StartEdges returns the published start-edge set, if there is one: bit
+// ForwardIndex(u)+i is set iff u and v = Forward(u)[i] share at least two
+// forward neighbours above v. Callers must not modify it.
+func (b *BitAdjacency) StartEdges() ([]uint64, bool) {
+	if p := b.starts.Load(); p != nil {
+		return *p, true
+	}
+	return nil, false
+}
+
+// SetStartEdges publishes set, (M()+63)/64 words, as the start-edge set
+// unless one was published first, and reports whether it was. It is safe
+// for concurrent use: the first caller wins.
+func (b *BitAdjacency) SetStartEdges(set []uint64) bool {
+	return b.starts.CompareAndSwap(nil, &set)
 }

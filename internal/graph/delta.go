@@ -243,8 +243,8 @@ func patchRows(off, dst, srcOff, src, rows []int32, fill func(t int32, row []int
 // dst. Validation guarantees dels ⊆ src and insv ∩ (src∖dels) = ∅; a
 // delete+re-insert pair may put the same neighbor in both lists.
 func mergeRow(dst, src, dels, insv []int32) {
-	sortInt32(dels)
-	sortInt32(insv)
+	slices.Sort(dels)
+	slices.Sort(insv)
 	k, di, ii := 0, 0, 0
 	for _, w := range src {
 		if di < len(dels) && dels[di] == w {
@@ -265,15 +265,6 @@ func mergeRow(dst, src, dels, insv []int32) {
 	}
 	if k != len(dst) {
 		panic(fmt.Sprintf("graph: delta row merge wrote %d of %d entries", k, len(dst)))
-	}
-}
-
-// sortInt32 insertion-sorts a change list (lists are delta-sized: tiny).
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
 	}
 }
 

@@ -10,7 +10,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -108,10 +107,11 @@ func (b *Builder) Build() *Graph {
 
 // fromEdges is the package's one CSR constructor. ends lists the edges
 // flat — ends[2i], ends[2i+1] is edge i — with endpoints in [0,n) and no
-// self-loops. It counts degrees, prefix-sums them into offsets, scatters
-// both directions of every edge into its rows and sorts each row. dup
-// reports whether some edge is listed twice: a sorted row then holds two
-// equal adjacent entries (the graph is not simple and must be discarded).
+// self-loops. After a degree count it fills the rows without a sort: a
+// scatter in input order, which leaves every row ascending for input in
+// WriteEdgeList's order, else a transpose of the scattered rows taken in
+// ascending order. dup reports whether some edge is listed twice: its row
+// then holds two equal adjacent entries (the graph is not simple).
 func fromEdges(n int, ends []int32) (g *Graph, dup bool) {
 	g = &Graph{
 		n:   n,
@@ -134,14 +134,32 @@ func fromEdges(n int, ends []int32) (g *Graph, dup bool) {
 		next[u]++
 		next[w]++
 	}
-	for v := 0; v < n; v++ {
-		row := g.Neighbors(v)
-		slices.Sort(row)
-		for i := 1; i < len(row) && !dup; i++ {
-			dup = row[i] == row[i-1]
+	if ascendingRows(g) {
+		return g, false
+	}
+	rows := g.csr
+	g.csr = make([]int32, len(ends))
+	copy(next, g.off[:n])
+	for w := int32(0); int(w) < n; w++ {
+		for _, u := range rows[g.off[w]:g.off[w+1]] {
+			g.csr[next[u]] = w
+			next[u]++
 		}
 	}
-	return g, dup
+	return g, !ascendingRows(g)
+}
+
+// ascendingRows reports whether every row of g is strictly ascending.
+func ascendingRows(g *Graph) bool {
+	for v := 0; v < g.n; v++ {
+		row := g.Neighbors(v)
+		for i := 1; i < len(row); i++ {
+			if row[i] <= row[i-1] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // CSR exposes the compressed-sparse-row neighbor storage: off has n+1

@@ -101,10 +101,12 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 // indices must fit the int32 CSR whatever the limits: a vertex count above
 // math.MaxInt32 is a *LimitError even when MaxVertices is unset.
 //
-// The parse is a single pass over the scanner's line bytes that appends
-// endpoints to one flat buffer; the CSR is then built from it directly
+// The parse is one pass over runs of whole lines (scanLines). A "digits
+// SP digits" line is parsed where it lies (parsePair), any other through
+// the general field split. Endpoints go to one flat buffer that doubles,
+// never beyond MaxEdges, and the CSR is built from it directly
 // (fromEdges). A well-formed input allocates the scanner buffer, the
-// growing endpoint buffer and the graph, and nothing per line.
+// endpoint buffer and the graph, nothing per line.
 func ReadEdgeListLimits(r io.Reader, lim Limits) (*Graph, error) {
 	maxLine := lim.MaxLineBytes
 	if maxLine <= 0 {
@@ -122,64 +124,68 @@ func ReadEdgeListLimits(r io.Reader, lim Limits) (*Graph, error) {
 		bufSize = maxLine
 	}
 	sc.Buffer(make([]byte, bufSize), maxLine)
+	sc.Split(scanLines)
+	maxEnds := math.MaxInt
+	if lim.MaxEdges > 0 && lim.MaxEdges <= math.MaxInt/2 {
+		maxEnds = 2 * lim.MaxEdges
+	}
+	// Endpoints in input order, two per edge, in a buffer that doubles.
+	ends := make([]int32, 0, min(maxEnds, 1<<12))
 	n := -1
-	var ends []int32 // edge endpoints in input order, two per edge
 	maxV := -1
 	line := 0
 	var fields [3][]byte
 	for sc.Scan() {
-		line++
-		nf := splitFields(sc.Bytes(), &fields)
-		if nf == 0 || fields[0][0] == '#' {
-			continue
-		}
-		if len(fields[0]) == 1 && fields[0][0] == 'n' {
-			if n >= 0 {
-				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("duplicate header %q", lineText(sc.Bytes()))}
+		for run := sc.Bytes(); len(run) > 0; {
+			line++
+			u, v, rest, ok := parsePair(run)
+			run = rest
+			if !ok {
+				var text []byte
+				text, run, _ = bytes.Cut(run, []byte{'\n'})
+				text = bytes.TrimSuffix(text, []byte{'\r'})
+				nf := splitFields(text, &fields)
+				if nf == 0 || fields[0][0] == '#' {
+					continue
+				}
+				if len(fields[0]) == 1 && fields[0][0] == 'n' {
+					if n >= 0 {
+						return nil, &ParseError{Line: line, Msg: fmt.Sprintf("duplicate header %q", lineText(text))}
+					}
+					h, ok := atoi(fields[1]) // a stale field when nf != 2, refused below
+					if nf != 2 || !ok || h < 0 {
+						return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad header %q", lineText(text))}
+					}
+					if h > maxVerts {
+						return nil, &LimitError{What: "vertices", Got: h, Max: maxVerts}
+					}
+					n = h
+					continue
+				}
+				var ok1, ok2 bool
+				u, ok1 = atoi(fields[0])
+				v, ok2 = atoi(fields[1]) // as in the header
+				if nf != 2 || !ok1 || !ok2 {
+					return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad edge %q", lineText(text))}
+				}
+				if u < 0 || v < 0 {
+					return nil, &ParseError{Line: line, Msg: "negative vertex"}
+				}
 			}
-			if nf != 2 {
-				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad header %q", lineText(sc.Bytes()))}
+			if u == v {
+				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("self-loop %d", u)}
 			}
-			v, ok := atoi(fields[1])
-			if !ok || v < 0 {
-				return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad header %q", lineText(sc.Bytes()))}
+			if len(ends) == maxEnds {
+				return nil, &LimitError{What: "edges", Got: lim.MaxEdges + 1, Max: lim.MaxEdges}
 			}
-			if v > maxVerts {
-				return nil, &LimitError{What: "vertices", Got: v, Max: maxVerts}
+			if u >= maxVerts || v >= maxVerts {
+				return nil, &LimitError{What: "vertices", Got: max(u, v) + 1, Max: maxVerts}
 			}
-			n = v
-			continue
-		}
-		if nf != 2 {
-			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad edge %q", lineText(sc.Bytes()))}
-		}
-		u, ok1 := atoi(fields[0])
-		v, ok2 := atoi(fields[1])
-		if !ok1 || !ok2 {
-			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("bad edge %q", lineText(sc.Bytes()))}
-		}
-		if u < 0 || v < 0 {
-			return nil, &ParseError{Line: line, Msg: "negative vertex"}
-		}
-		if u == v {
-			return nil, &ParseError{Line: line, Msg: fmt.Sprintf("self-loop %d", u)}
-		}
-		if lim.MaxEdges > 0 && len(ends) == 2*lim.MaxEdges {
-			return nil, &LimitError{What: "edges", Got: lim.MaxEdges + 1, Max: lim.MaxEdges}
-		}
-		if u >= maxVerts || v >= maxVerts {
-			m := u
-			if v > m {
-				m = v
+			if len(ends) == cap(ends) {
+				ends = slices.Grow(ends, min(len(ends), maxEnds-len(ends)))
 			}
-			return nil, &LimitError{What: "vertices", Got: m + 1, Max: maxVerts}
-		}
-		ends = append(ends, int32(u), int32(v))
-		if u > maxV {
-			maxV = u
-		}
-		if v > maxV {
-			maxV = v
+			ends = append(ends, int32(u), int32(v))
+			maxV = max(maxV, u, v)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -200,6 +206,19 @@ func ReadEdgeListLimits(r io.Reader, lim Limits) (*Graph, error) {
 		return nil, &ParseError{Line: 0, Msg: fmt.Sprintf("duplicate edge (%d,%d)", u, v)}
 	}
 	return g, nil
+}
+
+// scanLines is the parser's bufio.SplitFunc: a token is every whole line
+// the buffer holds, or at end of input what is left. It asks for more data
+// exactly when bufio.ScanLines would, so ErrTooLong fires on the same inputs.
+func scanLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
@@ -236,19 +255,8 @@ func splitFields(line []byte, f *[3][]byte) int {
 // place; anything else — a sign, a longer number, a stray byte — goes
 // through strconv.Atoi itself.
 func atoi(b []byte) (int, bool) {
-	if len(b) > 0 && len(b) <= 9 {
-		v := 0
-		for _, c := range b {
-			d := c - '0'
-			if d > 9 {
-				v = -1
-				break
-			}
-			v = v*10 + int(d)
-		}
-		if v >= 0 {
-			return v, true
-		}
+	if v, n := leadingDigits(b); n == len(b) && n > 0 && n <= 9 {
+		return v, true
 	}
 	v, err := strconv.Atoi(string(b))
 	return v, err == nil
@@ -275,4 +283,42 @@ func firstDuplicate(ends []int32) (u, v int32) {
 		seen[key] = struct{}{}
 	}
 	panic("graph: firstDuplicate on an edge list without duplicates")
+}
+
+// parsePair parses the line run starts with if it is "digits SP digits",
+// each field one to nine digits, ended by '\n', "\r\n", '\r' or the end
+// of run, and returns what follows it; otherwise ok is false.
+func parsePair(run []byte) (u, v int, rest []byte, ok bool) {
+	u, i := leadingDigits(run)
+	if i == 0 || i > 9 || i == len(run) || run[i] != ' ' {
+		return 0, 0, run, false
+	}
+	v, j := leadingDigits(run[i+1:])
+	if j == 0 || j > 9 {
+		return 0, 0, run, false
+	}
+	rest = run[i+1+j:]
+	if len(rest) > 0 && rest[0] == '\r' {
+		rest = rest[1:]
+	}
+	switch {
+	case len(rest) == 0:
+		return u, v, nil, true
+	case rest[0] == '\n':
+		return u, v, rest[1:], true
+	}
+	return 0, 0, run, false
+}
+
+// leadingDigits returns the length of the run of ASCII digits b starts
+// with and, when that is at most nine digits, their value.
+func leadingDigits(b []byte) (v, n int) {
+	for ; n < len(b); n++ {
+		d := b[n] - '0'
+		if d > 9 {
+			break
+		}
+		v = v*10 + int(d)
+	}
+	return v, n
 }

@@ -180,12 +180,41 @@ func starEdgeList() string {
 	return b.String()
 }
 
+// paddedEdge is the line "0 1" padded with spaces to width bytes, its
+// '\n' not counted.
+func paddedEdge(width int) string {
+	return "0" + strings.Repeat(" ", width-2) + "1"
+}
+
+// lineBoundSeeds are inputs at the scanner's line bound: under each fuzz
+// Limits' MaxLineBytes, a line one byte shorter than the bound (it fits
+// with its '\n'), one as long as the bound and one a byte longer (too
+// long), each alone and as the last line without a '\n', plus a line at
+// the bound behind 30 short lines, so that it starts partway into the
+// scanner's buffer.
+func lineBoundSeeds() []string {
+	var seeds []string
+	for _, bound := range []int{fuzzTight.MaxLineBytes, 1 << 20} {
+		for _, w := range []int{bound - 1, bound, bound + 1} {
+			seeds = append(seeds, paddedEdge(w)+"\n", "2 3\n"+paddedEdge(w))
+		}
+		var b strings.Builder
+		for i := 0; i < 30; i++ {
+			fmt.Fprintf(&b, "%d %d\n", i, i+1)
+		}
+		seeds = append(seeds, b.String()+paddedEdge(bound)+"\n")
+	}
+	return seeds
+}
+
 // FuzzReadEdgeListReference: the byte-scanning parser and the map-backed
 // reference it replaced agree on every input under both fuzz Limits — the
 // same accept/reject decision, the same error type and text, and
-// identical CSR arrays.
+// identical CSR arrays. Beyond the general seeds, some sit at the edges
+// of the parser's "digits SP digits" fast path (field widths, separators,
+// line ends) and some at the scanner's line bound (lineBoundSeeds).
 func FuzzReadEdgeListReference(f *testing.F) {
-	for _, s := range []string{
+	for _, s := range append([]string{
 		"n 5\n0 1\n1 2\n",
 		"0 1\n# comment\n\n2 3\n",
 		"3 1\n1 3\n", // duplicate, reported as its second occurrence
@@ -212,7 +241,27 @@ func FuzzReadEdgeListReference(f *testing.F) {
 		"0 x\n",
 		"#\n",
 		starEdgeList(),
-	} {
+		// The fast path's edges: nine- and ten-digit fields, leading
+		// zeros, two spaces or a tab between the fields, CRLF line ends,
+		// a last line without '\n'.
+		"123456789 1\n",
+		"1234567890 1\n",
+		"1 123456789\n",
+		"1 1234567890\n",
+		"000000001 000000002\n",
+		"0000000001 2\n",
+		"1 0000000002\n",
+		"00 01\n",
+		"0  1\n",
+		"0\t1\n",
+		" 0 1\n",
+		"0 1 \n",
+		"0 1\r\n1 2\r\n",
+		"0 1\n1 2",
+		"0 1\r",
+		"0 1\r\r\n",
+		"0 1\n\r\n2 3",
+	}, lineBoundSeeds()...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

@@ -117,6 +117,18 @@ func TestEdgeListLimits(t *testing.T) {
 	}
 }
 
+// TestEdgeListHugeEdgeBound: an edge bound too large to double in an int
+// bounds nothing rather than overflowing: the parse still grows its
+// endpoint buffer and accepts the input.
+func TestEdgeListHugeEdgeBound(t *testing.T) {
+	for _, bound := range []int{math.MaxInt, math.MaxInt/2 + 1} {
+		g, err := ReadEdgeListLimits(strings.NewReader("0 1\n1 2\n"), Limits{MaxEdges: bound})
+		if err != nil || g.M() != 2 {
+			t.Errorf("MaxEdges %d: parsed %v, %v; want 2 edges", bound, g, err)
+		}
+	}
+}
+
 // TestEdgeListIndexBeyondInt32: the CSR stores vertices as int32, so an
 // index of 2^31-1 or more is rejected as a vertex limit whatever Limits
 // say, before any array is sized from it.

@@ -49,4 +49,31 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 			k.Close()
 		}
 	}
+
+	// The filtered case. On a fresh adjacency the first K_3 pass records
+	// the start edges: beyond building the adjacency it allocates the set
+	// and the pointer that publishes it, once. The K_4 and K_5 passes
+	// after it visit the start edges alone and allocate nothing.
+	for _, build := range []func(*graph.Graph) *graph.BitAdjacency{
+		graph.NewBitAdjacencyDense, graph.NewBitAdjacencyHybrid,
+	} {
+		k := New(3)
+		warm := build(g)
+		for s := 3; s <= 5; s++ {
+			k.Count(warm, s) // size the scratch, the recording words included
+		}
+		built := testing.AllocsPerRun(5, func() { build(g) })
+		if got := testing.AllocsPerRun(5, func() { k.Count(build(g), 3) }) - built; got < 1 || got > 2 {
+			t.Errorf("%s: the recording K_3 pass allocates %.1f objects, want the start-edge set and its pointer", warm.Mode(), got)
+		}
+		b := build(g)
+		k.Count(b, 3)
+		if _, ok := b.StartEdges(); !ok {
+			t.Fatalf("%s: a full K_3 pass published no start edges", b.Mode())
+		}
+		if got := testing.AllocsPerRun(20, func() { k.Count(b, 4); k.Count(b, 5) }); got != 0 {
+			t.Errorf("%s: filtered K_4 and K_5 passes allocate %.1f objects, want 0", b.Mode(), got)
+		}
+		k.Close()
+	}
 }

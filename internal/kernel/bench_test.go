@@ -83,3 +83,60 @@ func BenchmarkKernelHybridTriangleN600(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkFreshK345 counts K3, K4 and K5 on one fresh adjacency of the
+// count-fresh shape (GNP(2000, 40/1999) with a planted K5) per op, as a
+// count-fresh upload's three count jobs do: the K3 pass sweeps every
+// forward edge and records the start edges, and the K4 and K5 passes
+// visit those alone. Each op's adjacency is built with the timer stopped.
+func BenchmarkFreshK345(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, _ := graph.PlantClique(graph.GNP(2000, 40.0/1999, rng), 5, rng)
+	k := New(0)
+	defer k.Close()
+	b.ResetTimer()
+	var sink int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bits := graph.NewBitAdjacency(g)
+		b.StartTimer()
+		for s := 3; s <= 5; s++ {
+			sink += k.Count(bits, s)
+		}
+	}
+	_ = sink
+}
+
+// BenchmarkCountDeltaK4 is one K4 CountDelta on the churn shape: a
+// GNP(2000, 40/1999) parent and a child four deletes and four inserts
+// away, both adjacencies built outside the timer. Its cost should follow
+// the delta's footprint, not n.
+func BenchmarkCountDeltaK4(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	parent := graph.GNP(2000, 40.0/1999, rng)
+	var d graph.EdgeDelta
+	edges := parent.Edges()
+	for _, i := range rng.Perm(len(edges))[:4] {
+		d.Delete = append(d.Delete, edges[i])
+	}
+	for len(d.Insert) < 4 {
+		if u, v := rng.Intn(2000), rng.Intn(2000); u != v && !parent.HasEdge(u, v) {
+			d.Insert = append(d.Insert, [2]int{u, v})
+		}
+	}
+	res, err := graph.ApplyDelta(parent, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pb, cb := graph.NewBitAdjacency(parent), graph.NewBitAdjacency(res.Graph)
+	k := New(0)
+	defer k.Close()
+	pc := k.Count(pb, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink int64
+	for i := 0; i < b.N; i++ {
+		sink += k.CountDelta(parent, pb, res.Graph, cb, 4, res.Touched, pc)
+	}
+	_ = sink
+}

@@ -165,42 +165,72 @@ func encodeDeltaCase(g *graph.Graph, d graph.EdgeDelta) []byte {
 	return out
 }
 
+// cliqueOrders are the orders FuzzCountDelta's fresh leg counts K_3..K_5
+// in; the last byte of the fuzz input picks one.
+var cliqueOrders = [][]int{{3, 4, 5}, {3, 5, 4}, {4, 3, 5}, {4, 5, 3}, {5, 3, 4}, {5, 4, 3}}
+
 // FuzzCountDelta pins the incremental count churn runs to a full count:
 // for a decoded graph and delta, CountDelta from the parent's count must
-// equal Count on the child, for K_3..K_5 on both adjacency forms. A second
-// leg builds the child's adjacency as the parent's Successor, and a
-// grandchild's as the child's, as the server does along a chain: the
-// grandchild's delta flips each of the first delta's pairs with the
+// equal Count on the child, for K_3..K_5 on both adjacency forms. A fresh
+// leg counts K_3..K_5 on one new adjacency of each form, in the order the
+// input's last byte picks, so that K_4 and K_5 run before or after the K_3
+// pass that records the start edges, and checks each count against
+// enumeration. A
+// successor leg builds the child's adjacency as the parent's Successor,
+// and a grandchild's as the child's, as the server does along a chain:
+// the grandchild's delta flips each of the first delta's pairs with the
 // second endpoint moved up by one. CountDelta into each successor, and
-// Count on it (which fills its deferred rows), must equal Count on a
-// scratch build. The seeds are the extremal shapes for clique counting: a
-// planted K_5, the C4-free projective-plane incidence graph, whose deltas
-// create the first triangles, and the paper's gadgets H_2 and G_{2,2},
-// each with one delete and one insert.
+// Count on it (which fills its deferred rows and records its own start
+// edges), must equal Count on a scratch build and enumeration. The seeds
+// are the extremal shapes for clique counting: a planted K_5, the C4-free
+// projective-plane incidence graph, whose deltas create the first
+// triangles, and the paper's gadgets H_2 and G_{2,2}, each with one delete
+// and one insert; each comes once more with a trailing byte, which no
+// record reads, that puts K_5 first.
 func FuzzCountDelta(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	planted, k5 := graph.PlantClique(graph.GNP(24, 0.2, rng), 5, rng)
-	f.Add(encodeDeltaCase(planted, graph.EdgeDelta{
+	seeds := [][]byte{encodeDeltaCase(planted, graph.EdgeDelta{
 		Delete: [][2]int{{k5[0], k5[1]}},
 		Insert: [][2]int{{0, 23}, {5, 17}},
-	}))
+	})}
 	plane := graph.ProjectivePlaneIncidence(3) // points 0..12, lines 13..25
-	f.Add(encodeDeltaCase(plane, graph.EdgeDelta{
+	seeds = append(seeds, encodeDeltaCase(plane, graph.EdgeDelta{
 		Delete: [][2]int{plane.Edges()[0]},
 		Insert: [][2]int{{0, 1}, {1, 2}, {0, 2}, {13, 14}},
 	}))
 	inst := &comm.DisjointnessInstance{N: 2,
 		X: map[[2]int]bool{{0, 1}: true}, Y: map[[2]int]bool{{0, 1}: true, {1, 0}: true}}
 	for _, g := range []*graph.Graph{lower.BuildHk(2).G, lower.BuildGkn(2, inst).G} {
-		f.Add(encodeDeltaCase(g, graph.EdgeDelta{
+		seeds = append(seeds, encodeDeltaCase(g, graph.EdgeDelta{
 			Delete: [][2]int{g.Edges()[0]},
 			Insert: [][2]int{{0, g.N() - 1}},
 		}))
+	}
+	for _, seed := range seeds {
+		f.Add(seed)
+		f.Add(append(seed, 4)) // cliqueOrders[4] is K_5, K_3, K_4
 	}
 	k := New(2)
 	defer k.Close()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, d := decodeDeltaCase(data)
+		order := cliqueOrders[0]
+		if len(data) > 0 {
+			order = cliqueOrders[int(data[len(data)-1])%len(cliqueOrders)]
+		}
+		for _, build := range []func(*graph.Graph) *graph.BitAdjacency{
+			graph.NewBitAdjacencyDense, graph.NewBitAdjacencyHybrid,
+		} {
+			b := build(g)
+			for _, s := range order {
+				if got, want := k.Count(b, s), g.CountCliques(s); got != want {
+					t.Fatalf("%s K_%d on %v counted in the order %v: Count = %d, enumeration = %d",
+						b.Mode(), s, g, order, got, want)
+				}
+			}
+		}
+
 		res, err := graph.ApplyDelta(g, d)
 		if err != nil {
 			t.Fatalf("decoded delta rejected: %v", err)
@@ -233,6 +263,10 @@ func FuzzCountDelta(f *testing.F) {
 			scratch2 := build(res2.Graph)
 			for s := 3; s <= 5; s++ {
 				want, want2 := k.Count(cb, s), k.Count(scratch2, s)
+				if truth, truth2 := res.Graph.CountCliques(s), res2.Graph.CountCliques(s); want != truth || want2 != truth2 {
+					t.Fatalf("K_%d on %v with deltas %+v then %+v: Count(%s child, grandchild) = %d, %d, enumeration = %d, %d",
+						s, g, d, d2, cb.Mode(), want, want2, truth, truth2)
+				}
 				if got := k.CountDelta(g, pb, res.Graph, sb, s, res.Touched, k.Count(pb, s)); got != want {
 					t.Fatalf("K_%d on %v with delta %+v: CountDelta into the successor = %d, Count(%s child) = %d",
 						s, g, d, got, cb.Mode(), want)

@@ -2,7 +2,8 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"subgraph/internal/graph"
 )
@@ -24,10 +25,10 @@ import (
 // The implementation filters forward (degeneracy-ordered) adjacency
 // lists through per-level mark rows — the Chiba–Nishizeki shape the
 // hybrid kernel uses — which works unchanged on both BitAdjacency
-// forms. It allocates its own scratch per call: the delta path runs at
-// graph-mutation rate, not the count hot path, and per-call scratch
-// keeps it safe under concurrent delta requests without touching the
-// pool's serialization.
+// forms. Its rank-indexed rows come from a sync.Pool and go back
+// all-zero, each call clearing only the bits it set, so a call does no
+// O(n) work, and concurrent delta requests never share scratch or touch
+// the worker pool's serialization.
 
 // CountIncident returns the number of K_s copies of g that contain at
 // least one vertex of touched (original vertex ids; duplicates and
@@ -41,15 +42,14 @@ func (k *Kernel) CountIncident(g *graph.Graph, b *graph.BitAdjacency, s int, tou
 		panic(fmt.Sprintf("kernel: graph (n=%d) and adjacency (n=%d) disagree", n, b.N()))
 	}
 	// Dedupe and bound the touched set.
-	seen := make([]bool, n)
 	ts := make([]int32, 0, len(touched))
 	for _, t := range touched {
-		if t >= 0 && int(t) < n && !seen[t] {
-			seen[t] = true
+		if t >= 0 && int(t) < n {
 			ts = append(ts, t)
 		}
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
+	ts = slices.Compact(ts)
 	if len(ts) == 0 {
 		return 0
 	}
@@ -58,18 +58,25 @@ func (k *Kernel) CountIncident(g *graph.Graph, b *graph.BitAdjacency, s int, tou
 	}
 
 	rank := b.Rank()
-	sc := newIncScratch(b.Words(), s)
+	deg := 0
+	for _, t := range ts {
+		deg = max(deg, g.Degree(int(t)))
+	}
+	sc := incPool.Get().(*incScratch)
+	sc.grow(b.Words(), s)
+	sc.earlier = fitRow(sc.earlier, b.Words())
+	if cap(sc.cands) < deg {
+		sc.cands = make([]int32, 0, deg)
+	}
 	// earlier marks the ranks of already-processed touched vertices:
 	// each clique is counted exactly once, by its first touched member
 	// in ts order.
-	earlier := make([]uint64, b.Words())
 	var cnt int64
-	cands := make([]int32, 0, g.MaxDegree())
 	for _, t := range ts {
-		cands = cands[:0]
+		cands := sc.cands[:0]
 		for _, w := range g.Neighbors(int(t)) {
 			r := rank[w]
-			if earlier[r>>6]>>(uint(r)&63)&1 == 0 {
+			if sc.earlier[r>>6]>>(uint(r)&63)&1 == 0 {
 				cands = append(cands, r)
 			}
 		}
@@ -77,8 +84,12 @@ func (k *Kernel) CountIncident(g *graph.Graph, b *graph.BitAdjacency, s int, tou
 			cnt += sc.cliquesWithin(b, cands, s-1, 0)
 		}
 		tr := rank[t]
-		earlier[tr>>6] |= 1 << (uint(tr) & 63)
+		sc.earlier[tr>>6] |= 1 << (uint(tr) & 63)
 	}
+	for _, t := range ts {
+		sc.earlier[rank[t]>>6] = 0 // every set bit is a touched rank
+	}
+	incPool.Put(sc)
 	return cnt
 }
 
@@ -98,57 +109,12 @@ func (k *Kernel) CountDelta(parent *graph.Graph, pb *graph.BitAdjacency,
 		k.CountIncident(child, cb, s, touched)
 }
 
-// incScratch is the per-call scratch of an incident count: one mark row
-// and one candidate list per recursion level.
+// incScratch is an incident count's pooled scratch: the earlier row, all
+// zero in incPool like the marks, and the touched vertex's candidates.
 type incScratch struct {
-	marks [][]uint64
-	lists [][]int32
+	cliqueScratch
+	earlier []uint64
+	cands   []int32
 }
 
-func newIncScratch(words, s int) *incScratch {
-	sc := &incScratch{
-		marks: make([][]uint64, s),
-		lists: make([][]int32, s),
-	}
-	for i := range sc.marks {
-		sc.marks[i] = make([]uint64, words)
-	}
-	return sc
-}
-
-// cliquesWithin counts the `need`-cliques inside cands (distinct ranks,
-// any order). It marks cands in the level's row, filters forward lists
-// through the marks, and unmarks before returning — each clique is
-// found once, from its lowest-rank member.
-func (sc *incScratch) cliquesWithin(b *graph.BitAdjacency, cands []int32, need, level int) int64 {
-	if need == 1 {
-		return int64(len(cands))
-	}
-	mark := sc.marks[level]
-	for _, v := range cands {
-		mark[v>>6] |= 1 << (uint(v) & 63)
-	}
-	var cnt int64
-	for _, v := range cands {
-		if need == 2 {
-			for _, w := range b.Forward(v) {
-				cnt += int64(mark[w>>6] >> (uint(w) & 63) & 1)
-			}
-			continue
-		}
-		next := sc.lists[level][:0]
-		for _, w := range b.Forward(v) {
-			if mark[w>>6]>>(uint(w)&63)&1 == 1 {
-				next = append(next, w)
-			}
-		}
-		if len(next) >= need-1 {
-			sc.lists[level] = next
-			cnt += sc.cliquesWithin(b, next, need-1, level+1)
-		}
-	}
-	for _, v := range cands {
-		mark[v>>6] &^= 1 << (uint(v) & 63)
-	}
-	return cnt
-}
+var incPool = sync.Pool{New: func() any { return new(incScratch) }}

@@ -95,13 +95,16 @@ func (k *Kernel) Close() {
 }
 
 // Count returns the number of K_s copies in the graph b encodes.
-// s must be in [1, MaxCliqueSize].
+// s must be in [1, MaxCliqueSize]. The first triangle count over b also
+// records its start edges (StartEdges), which later passes of size 4 and
+// up visit alone.
 func (k *Kernel) Count(b *graph.BitAdjacency, s int) int64 {
 	return k.pass(b, s, false)
 }
 
 // Detect reports whether the graph contains K_s, with early exit across
-// the pool on the first witness.
+// the pool on the first witness. It uses recorded start edges but, ending
+// early, never records them.
 func (k *Kernel) Detect(b *graph.BitAdjacency, s int) bool {
 	return k.pass(b, s, true) > 0
 }
@@ -131,16 +134,24 @@ func (k *Kernel) pass(b *graph.BitAdjacency, s int, detect bool) int64 {
 	r.bits = b
 	r.s = s
 	r.detect = detect
+	starts, recorded := b.StartEdges()
+	r.record, r.starts = s == 3 && !detect && !recorded, nil
+	if s >= 4 {
+		r.starts = starts // nil until recorded
+	}
 	r.stop.Store(false)
 	if cap(r.counts) < k.workers*countStride {
 		r.counts = make([]int64, k.workers*countStride)
 	}
 	r.counts = r.counts[:k.workers*countStride]
-	for i := range r.counts {
-		r.counts[i] = 0
-	}
+	clear(r.counts)
+	setWords := (b.M() + 63) / 64
 	for _, ws := range k.ws {
 		ws.ensure(b.Words(), b.Degeneracy(), s)
+		if r.record {
+			ws.rec = fitRow(ws.rec, setWords)
+			clear(ws.rec)
+		}
 	}
 
 	// Degree-weighted contiguous rank chunks, one per worker.
@@ -163,6 +174,16 @@ func (k *Kernel) pass(b *graph.BitAdjacency, s int, detect bool) int64 {
 		lo = hi
 	}
 	k.wg.Wait()
+	if r.record {
+		// Workers record apart, as their ranges can share a word.
+		set := make([]uint64, setWords)
+		for _, ws := range k.ws {
+			for i, x := range ws.rec {
+				set[i] |= x
+			}
+		}
+		b.SetStartEdges(set)
+	}
 
 	var count int64
 	for w := 0; w < k.workers; w++ {
@@ -182,35 +203,28 @@ type runState struct {
 	bits   *graph.BitAdjacency
 	s      int
 	detect bool
+	record bool     // the pass records b's start edges
+	starts []uint64 // non-nil: the pass visits only these forward edges
 	stop   atomic.Bool
 	counts []int64 // worker w accumulates into counts[w*countStride]
 }
 
-// workerScratch is one worker's reusable buffers: dense candidate rows,
-// hybrid mark rows (kept all-zero between uses), and hybrid candidate
-// lists — one of each per recursion level.
+// workerScratch is one worker's reusable buffers: dense candidate rows
+// and the hybrid form's cliqueScratch, one of each per recursion level,
+// plus the start-edge words a recording pass sets.
 type workerScratch struct {
-	rows  [][]uint64
-	marks [][]uint64
-	lists [][]int32
+	cliqueScratch
+	rows [][]uint64
+	rec  []uint64
 }
 
 func (ws *workerScratch) ensure(words, degen, s int) {
-	levels := s // ≥ every level index used below; cheap to over-provision
-	for len(ws.rows) < levels {
+	ws.grow(words, s) // s levels: at least every level index a pass uses
+	for len(ws.rows) < s {
 		ws.rows = append(ws.rows, nil)
-		ws.marks = append(ws.marks, nil)
-		ws.lists = append(ws.lists, nil)
 	}
-	for i := 0; i < levels; i++ {
-		if cap(ws.rows[i]) < words {
-			ws.rows[i] = make([]uint64, words)
-		}
-		ws.rows[i] = ws.rows[i][:words]
-		if cap(ws.marks[i]) < words {
-			ws.marks[i] = make([]uint64, words)
-		}
-		ws.marks[i] = ws.marks[i][:words]
+	for i := range ws.rows[:s] {
+		ws.rows[i] = fitRow(ws.rows[i], words)
 		if cap(ws.lists[i]) < degen {
 			ws.lists[i] = make([]int32, 0, degen)
 		}
@@ -233,7 +247,7 @@ func (r *runState) runChunk(ws *workerScratch, w int, lo, hi int32) {
 		if dense {
 			cnt += r.denseFrom(ws, u, fu)
 		} else {
-			cnt += r.hybridExtend(ws, fu, r.s-1, 0)
+			cnt += r.hybridFrom(ws, u, fu)
 		}
 		if r.detect && cnt > 0 {
 			r.stop.Store(true)
@@ -243,20 +257,34 @@ func (r *runState) runChunk(ws *workerScratch, w int, lo, hi int32) {
 	r.counts[w*countStride] = cnt
 }
 
+// visits reports whether the pass visits forward edge e: any edge, or on
+// a filtered pass a start edge.
+func (r *runState) visits(e int) bool {
+	return r.starts == nil || r.starts[e>>6]>>(uint(e)&63)&1 == 1
+}
+
 // denseFrom counts K_s copies whose lowest-rank vertex is u, using the
-// upper bitset rows: each forward edge (u,v) contributes the (s-2)-cliques
-// in row(u) ∩ row(v) above v, found 64 candidates per word. Both rows are
-// read from v's word on, where row(v) starts.
+// upper bitset rows: each visited forward edge (u,v) contributes the
+// (s-2)-cliques in row(u) ∩ row(v) above v, found 64 candidates per word.
+// Both rows are read from v's word on, where row(v) starts.
 func (r *runState) denseFrom(ws *workerScratch, u int32, fu []int32) int64 {
 	b := r.bits
 	ru := b.UpperRow(u)
 	ubase := int(u) >> 6
+	e0 := b.ForwardIndex(u)
 	var cnt int64
-	for _, v := range fu {
+	for i, v := range fu {
+		if !r.visits(e0 + i) {
+			continue
+		}
 		wi := int(v) >> 6
 		a, rv := ru[wi-ubase:], b.UpperRow(v)
 		if r.s == 3 {
-			cnt += intersectCountAbove(a, rv, uint(v)&63)
+			c := intersectCountAbove(a, rv, uint(v)&63)
+			if r.record && c >= 2 {
+				ws.rec[(e0+i)>>6] |= 1 << (uint(e0+i) & 63)
+			}
+			cnt += c
 			continue
 		}
 		if c := intersectAboveInto(ws.rows[0][wi:], a, rv, uint(v)&63); c >= int64(r.s-2) {
@@ -290,17 +318,85 @@ func (r *runState) denseExtend(ws *workerScratch, cand []uint64, wi, need, level
 	return cnt
 }
 
-// hybridExtend counts the `need`-cliques inside cands (ascending ranks,
-// each list a subset of some forward neighborhood, so |cands| ≤ the
-// degeneracy). It marks cands in the level's scratch row, intersects by
-// filtering forward lists through the marks, and unmarks before
-// returning — the marks invariant is "all-zero between uses".
-func (r *runState) hybridExtend(ws *workerScratch, cands []int32, need, level int) int64 {
+// hybridFrom is denseFrom on the hybrid form: it marks u's forward list
+// in the level-0 scratch row and filters each visited v's forward list
+// through the marks, which leaves row(u) ∩ row(v) above v.
+func (r *runState) hybridFrom(ws *workerScratch, u int32, fu []int32) int64 {
+	b := r.bits
+	mark := ws.marks[0]
+	for _, v := range fu {
+		mark[v>>6] |= 1 << (uint(v) & 63)
+	}
+	e0 := b.ForwardIndex(u)
+	var cnt int64
+	for i, v := range fu {
+		if !r.visits(e0 + i) {
+			continue
+		}
+		if r.s == 3 {
+			var c int64
+			for _, w := range b.Forward(v) {
+				c += int64(mark[w>>6] >> (uint(w) & 63) & 1)
+			}
+			if r.record && c >= 2 {
+				ws.rec[(e0+i)>>6] |= 1 << (uint(e0+i) & 63)
+			}
+			cnt += c
+			continue
+		}
+		next := ws.lists[0][:0]
+		for _, w := range b.Forward(v) {
+			if mark[w>>6]>>(uint(w)&63)&1 == 1 {
+				next = append(next, w)
+			}
+		}
+		if len(next) >= r.s-2 {
+			cnt += ws.cliquesWithin(b, next, r.s-2, 1)
+		}
+	}
+	for _, v := range fu {
+		mark[v>>6] &^= 1 << (uint(v) & 63)
+	}
+	return cnt
+}
+
+// cliqueScratch is the scratch of cliquesWithin: a rank-indexed mark
+// row, all zero between uses, and a candidate list per recursion level.
+type cliqueScratch struct {
+	marks [][]uint64
+	lists [][]int32
+}
+
+// grow sizes the scratch for levels recursion levels over rows of words
+// words. A mark row wide enough is resliced, being all zero.
+func (sc *cliqueScratch) grow(words, levels int) {
+	for len(sc.marks) < levels {
+		sc.marks = append(sc.marks, nil)
+		sc.lists = append(sc.lists, nil)
+	}
+	for i := range sc.marks[:levels] {
+		sc.marks[i] = fitRow(sc.marks[i], words)
+	}
+}
+
+// fitRow returns row resliced to words words, or a new zero row if short.
+func fitRow(row []uint64, words int) []uint64 {
+	if cap(row) < words {
+		return make([]uint64, words)
+	}
+	return row[:words]
+}
+
+// cliquesWithin counts the `need`-cliques inside cands (distinct ranks,
+// any order), using the scratch of recursion level level and up. It
+// marks cands in the level's row, filters forward lists through the
+// marks, and unmarks before returning — each clique is found once, from
+// its lowest-rank member — which works unchanged on both forms.
+func (sc *cliqueScratch) cliquesWithin(b *graph.BitAdjacency, cands []int32, need, level int) int64 {
 	if need == 1 {
 		return int64(len(cands))
 	}
-	b := r.bits
-	mark := ws.marks[level]
+	mark := sc.marks[level]
 	for _, v := range cands {
 		mark[v>>6] |= 1 << (uint(v) & 63)
 	}
@@ -312,14 +408,15 @@ func (r *runState) hybridExtend(ws *workerScratch, cands []int32, need, level in
 			}
 			continue
 		}
-		next := ws.lists[level][:0]
+		next := sc.lists[level][:0]
 		for _, w := range b.Forward(v) {
 			if mark[w>>6]>>(uint(w)&63)&1 == 1 {
 				next = append(next, w)
 			}
 		}
 		if len(next) >= need-1 {
-			cnt += r.hybridExtend(ws, next, need-1, level+1)
+			sc.lists[level] = next
+			cnt += sc.cliquesWithin(b, next, need-1, level+1)
 		}
 	}
 	for _, v := range cands {

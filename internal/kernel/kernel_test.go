@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"subgraph/internal/graph"
@@ -119,5 +121,59 @@ func TestIntersectCount(t *testing.T) {
 			t.Fatalf("case %d: intersectCountAbove = %d, want %d", i, got, c.want)
 		}
 		checkAbove(t, c.a, c.b, c.off)
+	}
+}
+
+// TestFirstPassRace: two Kernels race their first K_3 passes on one
+// shared adjacency of each form. Both record its start edges, exactly one
+// set is published, and it is the set a lone first pass records. Every
+// count, the filtered K_4 and K_5 passes after the race included, equals
+// enumeration. CI repeats it under -race.
+func TestFirstPassRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g, _ := graph.PlantClique(graph.GNP(300, 0.08, rng), 5, rng)
+	want := map[int]int64{3: g.CountCliques(3), 4: g.CountCliques(4), 5: g.CountCliques(5)}
+	ks := []*Kernel{New(2), New(2)}
+	defer ks[0].Close()
+	defer ks[1].Close()
+	for _, build := range []func(*graph.Graph) *graph.BitAdjacency{
+		graph.NewBitAdjacencyDense, graph.NewBitAdjacencyHybrid,
+	} {
+		lone := build(g)
+		ks[0].Count(lone, 3)
+		ref, _ := lone.StartEdges()
+
+		b := build(g)
+		race := func(s int) {
+			var wg sync.WaitGroup
+			got := make([]int64, len(ks))
+			for i, k := range ks {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = k.Count(b, s)
+				}()
+			}
+			wg.Wait()
+			for i, c := range got {
+				if c != want[s] {
+					t.Fatalf("%s: kernel %d counts %d copies of K_%d, enumeration %d", b.Mode(), i, c, s, want[s])
+				}
+			}
+		}
+		race(3)
+		set, ok := b.StartEdges()
+		if !ok || !slices.Equal(set, ref) {
+			t.Fatalf("%s: after the race the published start edges are %v (published %v), want the lone pass's", b.Mode(), set, ok)
+		}
+		if b.SetStartEdges(make([]uint64, len(set))) {
+			t.Fatalf("%s: a second start-edge set was published", b.Mode())
+		}
+		race(4)
+		race(5)
+		race(3)
+		if again, _ := b.StartEdges(); &again[0] != &set[0] {
+			t.Fatalf("%s: later passes replaced the published start edges", b.Mode())
+		}
 	}
 }

@@ -301,7 +301,7 @@ func (f *FrontEnd) accept(spec *JobSpec) (accepted, *apiError) {
 		return a, badRequest(fmt.Sprintf("unknown mode %q (want \"detect\" or \"count\")", spec.Mode))
 	}
 	if spec.GraphInline != "" {
-		g, aerr := f.parseUpload(spec.GraphInline)
+		g, aerr := f.parseUpload(strings.NewReader(spec.GraphInline))
 		if aerr != nil {
 			return a, aerr
 		}
@@ -445,30 +445,41 @@ type UploadView struct {
 	Deduped bool `json:"deduped,omitempty"`
 }
 
-// parseUpload parses untrusted edge-list text under the upload limits,
-// mapping parse errors to 400 and limit errors to 413.
-func (f *FrontEnd) parseUpload(text string) (*graph.Graph, *apiError) {
-	g, err := graph.ReadEdgeListLimits(strings.NewReader(text), f.limits)
-	if err != nil {
-		var le *graph.LimitError
-		if errors.As(err, &le) {
-			return nil, &apiError{status: http.StatusRequestEntityTooLarge, msg: le.Error()}
-		}
+// parseUpload parses an untrusted edge list from r under the upload
+// limits, mapping parse errors to 400, limit errors to 413, and an error
+// reading r to 413.
+func (f *FrontEnd) parseUpload(r io.Reader) (*graph.Graph, *apiError) {
+	g, err := graph.ReadEdgeListLimits(r, f.limits)
+	var le *graph.LimitError
+	var pe *graph.ParseError
+	switch {
+	case err == nil:
+		return g, nil
+	case errors.As(err, &le):
+		return nil, &apiError{status: http.StatusRequestEntityTooLarge, msg: le.Error()}
+	case errors.As(err, &pe):
 		return nil, badRequest(err.Error())
 	}
-	return g, nil
+	return nil, readUploadError(err)
 }
 
-// Upload reads, parses and stores a POST /v1/graphs body, answering
-// 413/400 itself unless it returns ok.
+// readUploadError is the 413 an error reading an upload body answers.
+func readUploadError(err error) *apiError {
+	return &apiError{status: http.StatusRequestEntityTooLarge, msg: "reading upload: " + err.Error()}
+}
+
+// Upload parses a POST /v1/graphs body as it streams in and stores it,
+// answering 413/400 itself unless it returns ok.
 func (f *FrontEnd) Upload(w http.ResponseWriter, r *http.Request) (digest string, deduped, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.maxBody))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "reading upload: %v", err)
-		return "", false, false
-	}
-	g, aerr := f.parseUpload(string(body))
+	body := http.MaxBytesReader(w, r.Body, f.maxBody)
+	g, aerr := f.parseUpload(body)
 	if aerr != nil {
+		// An error reading the body, one over the size bound included,
+		// outranks a parse error in an earlier line: read what the parse
+		// left, and answer that error if there is one.
+		if _, err := io.Copy(io.Discard, body); err != nil {
+			aerr = readUploadError(err)
+		}
 		writeErr(w, aerr.status, "%s", aerr.msg)
 		return "", false, false
 	}

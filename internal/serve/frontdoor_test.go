@@ -169,6 +169,40 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUploadStreamErrors: an upload is parsed as its body streams in, and
+// still answers as it did when the body was read whole first. On both
+// doors a malformed body within the bound is a 400 naming the line, and a
+// body over the bound is a 413 naming the read, even when its first line
+// is malformed.
+func TestUploadStreamErrors(t *testing.T) {
+	// Just over the default 32 MiB body bound.
+	oversized := strings.Repeat("0 1\n", 8<<20) + "\n"
+	for _, d := range startDoors(t, serve.Config{}) {
+		for _, tc := range []struct {
+			name, body string
+			status     int
+			msg        string
+		}{
+			{"malformed", "0 1\n0 x\n", http.StatusBadRequest, `graph: line 2: bad edge "0 x"`},
+			{"oversized", oversized, http.StatusRequestEntityTooLarge, "reading upload: http: request body too large"},
+			{"malformed and oversized", "0 x\n" + oversized, http.StatusRequestEntityTooLarge, "reading upload: http: request body too large"},
+		} {
+			resp, err := http.Post(d.base+"/v1/graphs", "text/plain", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply struct {
+				Error string `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != tc.status || reply.Error != tc.msg {
+				t.Errorf("%s, %s upload: HTTP %d %q (%v), want %d %q", d.name, tc.name, resp.StatusCode, reply.Error, err, tc.status, tc.msg)
+			}
+		}
+	}
+}
+
 // TestTimelineRecordedBeforeTerminal pins the publication order: a job's
 // timeline is in the flight recorder before the job reads as terminal.
 // Pollers read GET /v1/jobs/{id} with no sleep and, the moment it reports

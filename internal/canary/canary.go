@@ -18,7 +18,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"os"
@@ -91,7 +90,7 @@ func (c Config) withDefaults() Config {
 		c.Registry = obs.NewRegistry()
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = obs.DiscardLogger
 	}
 	return c
 }

@@ -138,7 +138,7 @@ func (c Config) withDefaults() Config {
 		c.FlightRecorderSize = 256
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = obs.DiscardLogger
 	}
 	return c
 }

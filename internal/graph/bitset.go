@@ -2,8 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -33,11 +31,6 @@ import (
 // forward edges (u, v) whose ends share at least two forward neighbours
 // above v. The other s−2 vertices of a K_s (s ≥ 4) whose two lowest ranks
 // are u < v lie in that set, so larger counts visit start edges alone.
-//
-// A delta successor's adjacency (Successor) keeps its parent's order
-// instead of peeling again, and its dense rows wait for the first dense
-// count (FillRows). Clique counts are exact under any acyclic orientation;
-// the order only bounds the forward lists, and with them the work.
 
 // BitAdjacencyMode names the storage form a BitAdjacency chose.
 type BitAdjacencyMode string
@@ -56,16 +49,10 @@ const (
 // with it every kernel's algorithm label) does not depend on the layout.
 const denseWordBudget = 1 << 21
 
-// repeelFactor bounds how far a successor's inherited order may drift:
-// once its longest forward list exceeds repeelFactor times the degeneracy
-// of the last full peel in its lineage, Successor peels the child afresh.
-const repeelFactor = 2
-
 // BitAdjacency is an immutable rank-relabeled adjacency in bitset form.
-// Build one per graph with NewBitAdjacency (or, for a delta successor,
-// with its parent's Successor) and share it freely: like Graph, it is
-// never mutated after construction, except that a successor's dense rows
-// are filled once, by FillRows.
+// Build one per graph with NewBitAdjacency and share it freely: like
+// Graph, it is never mutated after construction, except that a kernel
+// publishes its start edges once.
 type BitAdjacency struct {
 	n     int
 	m     int
@@ -74,17 +61,13 @@ type BitAdjacency struct {
 
 	order []int32 // order[r] = original vertex at rank r
 	rank  []int32 // rank[v] = r
-	degen int     // the longest forward list
-	// peelDegen is the degeneracy of the last full peel in the lineage:
-	// degen itself for a scratch build, inherited by each successor.
-	peelDegen int
+	degen int     // the degeneracy: the longest forward list
 
 	// Dense form: rows[upperOffset(r, words):] starts the upper row of
 	// rank r, words [r/64, words) of its neighborhood; bit q of the row
-	// (q > r) is set iff {order[r], order[q]} is an edge. Nil until
-	// FillRows, and always nil in the hybrid form.
-	rowsOnce sync.Once
-	rows     []uint64
+	// (q > r) is set iff {order[r], order[q]} is an edge. Nil in the
+	// hybrid form.
+	rows []uint64
 
 	// Hybrid form: forward (higher-rank) neighbor ranks in CSR form,
 	// ascending within each list. fwd always exists (the dense form keeps
@@ -95,18 +78,18 @@ type BitAdjacency struct {
 	starts atomic.Pointer[[]uint64] // nil until SetStartEdges
 }
 
-// NewBitAdjacency builds the bitset adjacency for g, choosing dense rows
-// when they fit the memory budget and the hybrid form otherwise.
+// NewBitAdjacency builds the bitset adjacency for g in the form ModeFor
+// picks for its size.
 func NewBitAdjacency(g *Graph) *BitAdjacency {
-	if modeFor(g.n) == BitDense {
+	if ModeFor(g.n) == BitDense {
 		return NewBitAdjacencyDense(g)
 	}
 	return NewBitAdjacencyHybrid(g)
 }
 
-// modeFor is the storage form NewBitAdjacency and Successor choose for n
-// vertices: dense while n × ceil(n/64) words fit the budget.
-func modeFor(n int) BitAdjacencyMode {
+// ModeFor is the storage form NewBitAdjacency chooses for n vertices:
+// dense while n × ceil(n/64) words fit the memory budget, else hybrid.
+func ModeFor(n int) BitAdjacencyMode {
 	if n == 0 || n*((n+63)/64) <= denseWordBudget {
 		return BitDense
 	}
@@ -118,30 +101,15 @@ func modeFor(n int) BitAdjacencyMode {
 // dense ≡ hybrid.
 func NewBitAdjacencyDense(g *Graph) *BitAdjacency {
 	b := newBitAdjacency(g, BitDense)
-	b.FillRows()
-	return b
-}
-
-// FillRows fills a dense adjacency's rows from its forward lists, once;
-// on the hybrid form it does nothing. Scratch builds fill them at
-// construction, while a Successor leaves them to its first dense count:
-// every reader of UpperRow calls FillRows first (kernel passes do). It is
-// safe for concurrent use.
-func (b *BitAdjacency) FillRows() {
-	if b.mode != BitDense {
-		return
-	}
-	b.rowsOnce.Do(func() {
-		rows := make([]uint64, upperOffset(b.n, b.words))
-		for r := int32(0); int(r) < b.n; r++ {
-			row := rows[upperOffset(int(r), b.words):]
-			base := int(r) >> 6
-			for _, q := range b.Forward(r) {
-				row[int(q)>>6-base] |= 1 << (uint(q) & 63)
-			}
+	b.rows = make([]uint64, upperOffset(b.n, b.words))
+	for r := int32(0); int(r) < b.n; r++ {
+		row := b.rows[upperOffset(int(r), b.words):]
+		base := int(r) >> 6
+		for _, q := range b.Forward(r) {
+			row[int(q)>>6-base] |= 1 << (uint(q) & 63)
 		}
-		b.rows = rows
-	})
+	}
+	return b
 }
 
 // upperOffset returns where rank r's upper row starts in the dense
@@ -161,79 +129,15 @@ func NewBitAdjacencyHybrid(g *Graph) *BitAdjacency {
 func newBitAdjacency(g *Graph, mode BitAdjacencyMode) *BitAdjacency {
 	order, rank, degen, fwdOff, fwd := g.peel(true)
 	return &BitAdjacency{
-		n:         g.n,
-		m:         g.m,
-		words:     (g.n + 63) / 64,
-		mode:      mode,
-		order:     order,
-		rank:      rank,
-		degen:     degen,
-		peelDegen: degen,
-		fwdOff:    fwdOff,
-		fwd:       fwd,
-	}
-}
-
-// Successor returns the bitset adjacency of child, the graph an edge
-// delta derived from b's graph, where touched holds every endpoint of a
-// changed edge (DeltaResult.Touched). It keeps b's order and rank rather
-// than peeling child: an untouched vertex has the same neighbors and the
-// same ranks in child, so its forward list is block-copied, and only the
-// touched vertices' lists are rebuilt from child's rows. Degeneracy() is
-// then the longest forward list under the inherited order, which can
-// exceed child's degeneracy; once it exceeds repeelFactor times the
-// degeneracy of the last full peel in the lineage, Successor returns
-// NewBitAdjacency(child) instead.
-//
-// The mode is chosen from n as NewBitAdjacency chooses it. A dense
-// successor's rows wait for FillRows. The result shares b's order and
-// rank slices, which neither ever modifies.
-func (b *BitAdjacency) Successor(child *Graph, touched []int32) *BitAdjacency {
-	if child.n != b.n {
-		panic(fmt.Sprintf("graph: Successor of an n=%d adjacency given an n=%d graph", b.n, child.n))
-	}
-	tr := make([]int32, len(touched))
-	for i, v := range touched {
-		tr[i] = b.rank[v]
-	}
-	slices.Sort(tr)
-	tr = slices.Compact(tr)
-
-	fwdOff := make([]int32, b.n+1)
-	fwd := make([]int32, child.m)
-	patchRows(fwdOff, fwd, b.fwdOff, b.fwd, tr, func(t int32, row []int32) int32 {
-		k := 0
-		for _, w := range child.Neighbors(int(b.order[t])) {
-			if q := b.rank[w]; q > t {
-				row[k] = q
-				k++
-			}
-		}
-		slices.Sort(row[:k])
-		return int32(k)
-	})
-	if int(fwdOff[b.n]) != child.m {
-		panic(fmt.Sprintf("graph: Successor placed %d of %d edges: touched misses a changed edge", fwdOff[b.n], child.m))
-	}
-
-	degen := 0
-	for r := 0; r < b.n; r++ {
-		degen = max(degen, int(fwdOff[r+1]-fwdOff[r]))
-	}
-	if degen > repeelFactor*b.peelDegen {
-		return NewBitAdjacency(child)
-	}
-	return &BitAdjacency{
-		n:         b.n,
-		m:         child.m,
-		words:     b.words,
-		mode:      modeFor(b.n),
-		order:     b.order,
-		rank:      b.rank,
-		degen:     degen,
-		peelDegen: b.peelDegen,
-		fwdOff:    fwdOff,
-		fwd:       fwd,
+		n:      g.n,
+		m:      g.m,
+		words:  (g.n + 63) / 64,
+		mode:   mode,
+		order:  order,
+		rank:   rank,
+		degen:  degen,
+		fwdOff: fwdOff,
+		fwd:    fwd,
 	}
 }
 
@@ -250,9 +154,7 @@ func (b *BitAdjacency) Words() int { return b.words }
 // Mode reports which storage form was built.
 func (b *BitAdjacency) Mode() BitAdjacencyMode { return b.mode }
 
-// Degeneracy returns the longest forward list. For a scratch build that
-// is the graph's degeneracy; on a Successor it is the maximum forward
-// degree under the inherited order, which can be larger.
+// Degeneracy returns the graph's degeneracy, the longest forward list.
 func (b *BitAdjacency) Degeneracy() int { return b.degen }
 
 // Order returns the rank→vertex map. Callers must not modify it.
@@ -265,8 +167,7 @@ func (b *BitAdjacency) Rank() []int32 { return b.rank }
 // words [r/64, Words()) of the n-bit neighborhood, so element i holds
 // ranks 64·(r/64 + i) onward, with only the bits above r ever set. The
 // neighbors below r are bit r of the rows before it. Callers must not
-// modify it. It panics in hybrid mode — kernels branch on Mode() first —
-// and before FillRows.
+// modify it. It panics in hybrid mode: kernels branch on Mode() first.
 func (b *BitAdjacency) UpperRow(r int32) []uint64 {
 	if b.rows == nil {
 		panic(fmt.Sprintf("graph: UpperRow(%d) on a %s BitAdjacency without rows", r, b.mode))

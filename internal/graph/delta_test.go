@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -293,4 +294,22 @@ func BenchmarkApplyDelta(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// churnStep draws a delta of half deletes and half inserts against g,
+// so a chain of them keeps the density put.
+func churnStep(rng *rand.Rand, g *Graph, changes int) EdgeDelta {
+	var d EdgeDelta
+	edges := g.Edges()
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	d.Delete = edges[:min(changes/2, len(edges))]
+	for tries := 0; len(d.Insert) < changes/2 && tries < 100*changes; tries++ {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		e := [2]int{min(u, v), max(u, v)}
+		if u == v || g.HasEdge(u, v) || slices.Contains(d.Insert, e) {
+			continue
+		}
+		d.Insert = append(d.Insert, e)
+	}
+	return d
 }

@@ -77,3 +77,28 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		k.Close()
 	}
 }
+
+// TestCountDeltaSteadyStateAllocs pins CountDelta's pooled scratch: once
+// a call has sized it, a call of any size up to it allocates nothing.
+// Under the race detector a sync.Pool drops items on purpose, so the
+// guard runs in plain builds only.
+func TestCountDeltaSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items")
+	}
+	rng := rand.New(rand.NewSource(21))
+	g := graph.GNP(150, 0.2, rng)
+	res, err := graph.ApplyDelta(g, churnDelta(rng, g, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := New(1)
+	defer k.Close()
+	k.CountDelta(g, nil, res.Graph, nil, MaxCliqueSize, res.Touched, 0) // size the scratch
+	for s := 3; s <= 6; s++ {
+		pc := g.CountCliques(s)
+		if got := testing.AllocsPerRun(20, func() { k.CountDelta(g, nil, res.Graph, nil, s, res.Touched, pc) }); got != 0 {
+			t.Errorf("K_%d: a steady-state CountDelta allocates %.1f objects, want 0", s, got)
+		}
+	}
+}

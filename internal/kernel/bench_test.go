@@ -107,36 +107,77 @@ func BenchmarkFreshK345(b *testing.B) {
 	_ = sink
 }
 
+// churnDelta draws a delta of changes/2 deletes and changes/2 inserts
+// against g.
+func churnDelta(rng *rand.Rand, g *graph.Graph, changes int) graph.EdgeDelta {
+	var d graph.EdgeDelta
+	edges := g.Edges()
+	for _, i := range rng.Perm(len(edges))[:changes/2] {
+		d.Delete = append(d.Delete, edges[i])
+	}
+	inserted := make(map[[2]int]bool)
+	for len(d.Insert) < changes/2 {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		e := [2]int{min(u, v), max(u, v)}
+		if u != v && !g.HasEdge(u, v) && !inserted[e] {
+			inserted[e] = true
+			d.Insert = append(d.Insert, e)
+		}
+	}
+	return d
+}
+
 // BenchmarkCountDeltaK4 is one K4 CountDelta on the churn shape: a
 // GNP(2000, 40/1999) parent and a child four deletes and four inserts
-// away, both adjacencies built outside the timer. Its cost should follow
-// the delta's footprint, not n.
+// away. It reads the two graphs' rows alone, so its cost follows the
+// delta's footprint, not n.
 func BenchmarkCountDeltaK4(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	parent := graph.GNP(2000, 40.0/1999, rng)
-	var d graph.EdgeDelta
-	edges := parent.Edges()
-	for _, i := range rng.Perm(len(edges))[:4] {
-		d.Delete = append(d.Delete, edges[i])
-	}
-	for len(d.Insert) < 4 {
-		if u, v := rng.Intn(2000), rng.Intn(2000); u != v && !parent.HasEdge(u, v) {
-			d.Insert = append(d.Insert, [2]int{u, v})
-		}
-	}
-	res, err := graph.ApplyDelta(parent, d)
+	res, err := graph.ApplyDelta(parent, churnDelta(rng, parent, 8))
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, cb := graph.NewBitAdjacency(parent), graph.NewBitAdjacency(res.Graph)
 	k := New(0)
 	defer k.Close()
-	pc := k.Count(pb, 4)
+	pc := k.Count(graph.NewBitAdjacency(parent), 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		sink += k.CountDelta(parent, pb, res.Graph, cb, 4, res.Touched, pc)
+		sink += k.CountDelta(parent, nil, res.Graph, nil, 4, res.Touched, pc)
 	}
 	_ = sink
+}
+
+// BenchmarkCountDeltaThreshold sets a K4 CountDelta at the default churn
+// threshold (5% of the churn shape's edges, 2,000 changes) against what
+// the server would otherwise run for the child: a scratch adjacency build
+// and a full count. The delta sub-benchmark must not be the slower.
+func BenchmarkCountDeltaThreshold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	parent := graph.GNP(2000, 40.0/1999, rng)
+	res, err := graph.ApplyDelta(parent, churnDelta(rng, parent, parent.M()/20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := New(0)
+	defer k.Close()
+	pc := k.Count(graph.NewBitAdjacency(parent), 4)
+	b.Run("delta", func(b *testing.B) {
+		b.ReportAllocs()
+		var sink int64
+		for i := 0; i < b.N; i++ {
+			sink += k.CountDelta(parent, nil, res.Graph, nil, 4, res.Touched, pc)
+		}
+		_ = sink
+	})
+	b.Run("scratch", func(b *testing.B) {
+		b.ReportAllocs()
+		var sink int64
+		for i := 0; i < b.N; i++ {
+			sink += k.Count(graph.NewBitAdjacency(res.Graph), 4)
+		}
+		_ = sink
+	})
 }

@@ -10,111 +10,198 @@ import (
 
 // Incremental clique counting over evolving graphs.
 //
-// A batch edge delta only perturbs cliques through its touched vertices:
-// the induced subgraph on the untouched vertices is identical in parent
-// and child, so
+// A K_s of the parent that the delta leaves standing contains no deleted
+// edge, and a K_s of the child that the parent lacks contains an inserted
+// edge, so
 //
-//	count(child) = count(parent) - incident(parent, T) + incident(child, T)
+//	count(child) = count(parent) - lost + gained
 //
-// where incident(g, T) counts the K_s copies of g containing at least
-// one vertex of T. CountIncident computes that restriction directly —
-// each clique is charged to its first T-member under a fixed order, and
-// only the touched vertices' neighborhoods are examined — so the work
-// scales with the delta's footprint, not the graph.
+// where lost counts the parent's K_s through at least one deleted edge and
+// gained the child's K_s through at least one inserted edge. A K_s through
+// the edge {u, v} is {u, v} plus an (s-2)-clique of N(u) ∩ N(v), the
+// edge-local view behind Dolev–Lenzen–Peled's triangle finding, so both
+// terms are counted on the graphs' CSR rows around the changed edges
+// alone: the work follows the delta and the degrees at it, not n, and no
+// bitset adjacency is read or built.
 //
-// The implementation filters forward (degeneracy-ordered) adjacency
-// lists through per-level mark rows — the Chiba–Nishizeki shape the
-// hybrid kernel uses — which works unchanged on both BitAdjacency
-// forms. Its rank-indexed rows come from a sync.Pool and go back
-// all-zero, each call clearing only the bits it set, so a call does no
-// O(n) work, and concurrent delta requests never share scratch or touch
-// the worker pool's serialization.
+// Each clique is charged once, to its first changed edge in ascending
+// (lower, higher) endpoint order. The i-th edge's count skips a common
+// neighbour that an earlier changed edge joins to u or v, and treats an
+// earlier changed edge between two candidates as absent. An earlier-edge
+// probe is a binary search of the sorted edge keys, O(log changes), so a
+// delta at the churn threshold stays near linear in its size.
 
-// CountIncident returns the number of K_s copies of g that contain at
-// least one vertex of touched (original vertex ids; duplicates and
-// out-of-range entries are ignored). b must be the BitAdjacency of g.
-func (k *Kernel) CountIncident(g *graph.Graph, b *graph.BitAdjacency, s int, touched []int32) int64 {
-	if s < 1 || s > MaxCliqueSize {
+// CountDelta returns the K_s count of child, the graph an edge delta
+// derived from parent, given parent's K_s count parentCount. touched must
+// hold both endpoints of every changed edge, as DeltaResult.Touched does;
+// each touched vertex's rows in the two graphs are compared to find the
+// changed edges, so an edge deleted and re-inserted is no change, and a
+// duplicate or out-of-range entry costs nothing. s must be in
+// [1, MaxCliqueSize].
+//
+// pb and cb, the graphs' bitset adjacencies, are not read: callers may
+// pass nil. They stay in the signature for the callers that still hold
+// them. CountDelta allocates nothing in steady state and is safe for
+// concurrent use: its scratch comes from a pool, not the worker pool.
+func (k *Kernel) CountDelta(parent *graph.Graph, pb *graph.BitAdjacency,
+	child *graph.Graph, cb *graph.BitAdjacency, s int, touched []int32, parentCount int64) int64 {
+	switch {
+	case s < 1 || s > MaxCliqueSize:
 		panic(fmt.Sprintf("kernel: clique size %d outside [1, %d]", s, MaxCliqueSize))
+	case s == 1:
+		return int64(child.N())
+	case s == 2:
+		return int64(child.M())
+	case parent.N() != child.N():
+		panic(fmt.Sprintf("kernel: delta from n=%d to n=%d", parent.N(), child.N()))
 	}
-	n := g.N()
-	if n != b.N() {
-		panic(fmt.Sprintf("kernel: graph (n=%d) and adjacency (n=%d) disagree", n, b.N()))
+	sc := deltaPool.Get().(*deltaScratch)
+	sc.diff(parent, child, touched)
+	sc.mark = fitRow(sc.mark, (child.N()+63)/64)
+	for len(sc.lists) < s-2 { // a list per level: N(u) ∩ N(v), then each narrowing
+		sc.lists = append(sc.lists, nil)
 	}
-	// Dedupe and bound the touched set.
-	ts := make([]int32, 0, len(touched))
-	for _, t := range touched {
-		if t >= 0 && int(t) < n {
-			ts = append(ts, t)
-		}
-	}
-	slices.Sort(ts)
-	ts = slices.Compact(ts)
-	if len(ts) == 0 {
-		return 0
-	}
-	if s == 1 {
-		return int64(len(ts))
-	}
-
-	rank := b.Rank()
-	deg := 0
-	for _, t := range ts {
-		deg = max(deg, g.Degree(int(t)))
-	}
-	sc := incPool.Get().(*incScratch)
-	sc.grow(b.Words(), s)
-	sc.earlier = fitRow(sc.earlier, b.Words())
-	if cap(sc.cands) < deg {
-		sc.cands = make([]int32, 0, deg)
-	}
-	// earlier marks the ranks of already-processed touched vertices:
-	// each clique is counted exactly once, by its first touched member
-	// in ts order.
-	var cnt int64
-	for _, t := range ts {
-		cands := sc.cands[:0]
-		for _, w := range g.Neighbors(int(t)) {
-			r := rank[w]
-			if sc.earlier[r>>6]>>(uint(r)&63)&1 == 0 {
-				cands = append(cands, r)
-			}
-		}
-		if len(cands) >= s-1 {
-			cnt += sc.cliquesWithin(b, cands, s-1, 0)
-		}
-		tr := rank[t]
-		sc.earlier[tr>>6] |= 1 << (uint(tr) & 63)
-	}
-	for _, t := range ts {
-		sc.earlier[rank[t]>>6] = 0 // every set bit is a touched rank
-	}
-	incPool.Put(sc)
+	cnt := parentCount - sc.through(parent, sc.del, s) + sc.through(child, sc.ins, s)
+	deltaPool.Put(sc)
 	return cnt
 }
 
-// CountDelta returns the K_s count of the child graph given the
-// parent's count and the delta's touched vertices, recounting only
-// cliques through the touched set on each side.
-func (k *Kernel) CountDelta(parent *graph.Graph, pb *graph.BitAdjacency,
-	child *graph.Graph, cb *graph.BitAdjacency, s int, touched []int32, parentCount int64) int64 {
-	switch s {
-	case 1:
-		return int64(child.N())
-	case 2:
-		return int64(child.M())
+// deltaScratch is one CountDelta call's scratch, reused through deltaPool.
+type deltaScratch struct {
+	// del and ins hold the deleted and inserted edges as edgeKeys,
+	// ascending and distinct.
+	del, ins []uint64
+	// lists holds a candidate list per recursion level.
+	lists [][]int32
+	// mark is an n-bit row, all zero between uses.
+	mark []uint64
+}
+
+var deltaPool = sync.Pool{New: func() any { return new(deltaScratch) }}
+
+// edgeKey packs the edge {u, v}, u < v, so that keys sort by (u, v).
+func edgeKey(u, v int32) uint64 { return uint64(u)<<32 | uint64(v) }
+
+// diff fills del and ins with the changed edges at the touched vertices.
+// A touched vertex's rows in parent and child, both ascending, are merged
+// above it: an entry in one row only is an edge that the delta deleted or
+// inserted, taken from its lower endpoint.
+func (sc *deltaScratch) diff(parent, child *graph.Graph, touched []int32) {
+	sc.del, sc.ins = sc.del[:0], sc.ins[:0]
+	n := int32(parent.N())
+	for _, t := range touched {
+		if t < 0 || t >= n {
+			continue
+		}
+		p, c := above(parent.Neighbors(int(t)), t), above(child.Neighbors(int(t)), t)
+		i, j := 0, 0
+		for i < len(p) && j < len(c) {
+			switch {
+			case p[i] == c[j]:
+				i++
+				j++
+			case p[i] < c[j]:
+				sc.del = append(sc.del, edgeKey(t, p[i]))
+				i++
+			default:
+				sc.ins = append(sc.ins, edgeKey(t, c[j]))
+				j++
+			}
+		}
+		for ; i < len(p); i++ {
+			sc.del = append(sc.del, edgeKey(t, p[i]))
+		}
+		for ; j < len(c); j++ {
+			sc.ins = append(sc.ins, edgeKey(t, c[j]))
+		}
 	}
-	return parentCount -
-		k.CountIncident(parent, pb, s, touched) +
-		k.CountIncident(child, cb, s, touched)
+	sc.del, sc.ins = sortedSet(sc.del), sortedSet(sc.ins)
 }
 
-// incScratch is an incident count's pooled scratch: the earlier row, all
-// zero in incPool like the marks, and the touched vertex's candidates.
-type incScratch struct {
-	cliqueScratch
-	earlier []uint64
-	cands   []int32
+// above returns the part of the ascending row above t.
+func above(row []int32, t int32) []int32 {
+	i, _ := slices.BinarySearch(row, t)
+	return row[i:]
 }
 
-var incPool = sync.Pool{New: func() any { return new(incScratch) }}
+// sortedSet sorts keys, unless an ascending touched set left them sorted
+// already, and drops repeats.
+func sortedSet(keys []uint64) []uint64 {
+	if !slices.IsSorted(keys) {
+		slices.Sort(keys)
+	}
+	return slices.Compact(keys)
+}
+
+// through counts the K_s of g that contain an edge of keys (edges of g,
+// ascending), each charged to the first it contains.
+func (sc *deltaScratch) through(g *graph.Graph, keys []uint64, s int) int64 {
+	var cnt int64
+	for i, key := range keys {
+		u, v := int32(key>>32), int32(key)
+		earlier := keys[:i]
+		// N(u) ∩ N(v) through a mark row rather than a merge of the two
+		// rows, whose every step takes a data-dependent branch.
+		nu := g.Neighbors(int(u))
+		for _, w := range nu {
+			sc.mark[w>>6] |= 1 << (uint(w) & 63)
+		}
+		cands := sc.lists[0][:0]
+		for _, w := range g.Neighbors(int(v)) {
+			if sc.mark[w>>6]>>(uint(w)&63)&1 == 1 {
+				cands = append(cands, w)
+			}
+		}
+		for _, w := range nu {
+			sc.mark[w>>6] = 0 // every set bit is a neighbour of u
+		}
+		cands = dropEarlier(cands, u, earlier)
+		cands = dropEarlier(cands, v, earlier)
+		sc.lists[0] = cands
+		cnt += sc.cliques(g, earlier, cands, s-2, 1)
+	}
+	return cnt
+}
+
+// cliques counts the need-cliques of g inside cands (ascending) that use
+// no edge of earlier, each from its lowest member. level indexes the
+// scratch list the next narrowing writes.
+func (sc *deltaScratch) cliques(g *graph.Graph, earlier []uint64, cands []int32, need, level int) int64 {
+	if need == 1 {
+		return int64(len(cands))
+	}
+	var cnt int64
+	for i, c := range cands {
+		rest := cands[i+1:]
+		if len(rest) < need-1 {
+			break
+		}
+		// The candidates are few, so each is looked up in c's row.
+		next, nc := sc.lists[level][:0], g.Neighbors(int(c))
+		for _, w := range rest {
+			if _, ok := slices.BinarySearch(nc, w); ok {
+				next = append(next, w)
+			}
+		}
+		next = dropEarlier(next, c, earlier)
+		sc.lists[level] = next
+		if need == 2 {
+			cnt += int64(len(next))
+		} else if len(next) >= need-1 {
+			cnt += sc.cliques(g, earlier, next, need-1, level+1)
+		}
+	}
+	return cnt
+}
+
+// dropEarlier removes, in place, each w of ws such that {c, w} is in
+// earlier.
+func dropEarlier(ws []int32, c int32, earlier []uint64) []int32 {
+	if len(earlier) == 0 {
+		return ws
+	}
+	return slices.DeleteFunc(ws, func(w int32) bool {
+		_, found := slices.BinarySearch(earlier, edgeKey(min(c, w), max(c, w)))
+		return found
+	})
+}

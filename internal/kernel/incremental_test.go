@@ -2,48 +2,12 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"subgraph/internal/graph"
 )
-
-// TestCountIncidentMatchesExclusion pins incident(g, T) against the
-// identity incident = count(g) - count(g \ T) on random graphs, touched
-// sets, clique sizes, and both adjacency forms.
-func TestCountIncidentMatchesExclusion(t *testing.T) {
-	k := New(2)
-	defer k.Close()
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
-		n := 10 + rng.Intn(30)
-		g := graph.GNP(n, 0.25, rng)
-		// Random touched set.
-		var touched []int32
-		inT := make(map[int32]bool)
-		for v := 0; v < n; v++ {
-			if rng.Float64() < 0.2 {
-				touched = append(touched, int32(v))
-				inT[int32(v)] = true
-			}
-		}
-		// Duplicates and out-of-range entries must be tolerated.
-		touched = append(touched, touched...)
-		touched = append(touched, -1, int32(n), int32(n+7))
-		without, _ := g.InducedSubgraph(func(v int) bool { return !inT[int32(v)] })
-		for s := 3; s <= 6; s++ {
-			want := k.Count(graph.NewBitAdjacency(g), s) - k.Count(graph.NewBitAdjacency(without), s)
-			for _, build := range []func(*graph.Graph) *graph.BitAdjacency{
-				graph.NewBitAdjacencyDense, graph.NewBitAdjacencyHybrid,
-			} {
-				b := build(g)
-				if got := k.CountIncident(g, b, s, touched); got != want {
-					t.Fatalf("trial %d s=%d mode=%s: CountIncident = %d, want %d",
-						trial, s, b.Mode(), got, want)
-				}
-			}
-		}
-	}
-}
 
 // TestCountDeltaMatchesScratch applies random deltas and checks the
 // incremental count equals a from-scratch count of the child.
@@ -95,32 +59,135 @@ func TestCountDeltaMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestCountIncidentEdgeCases covers the trivial sizes and empty sets.
-func TestCountIncidentEdgeCases(t *testing.T) {
+// TestCountDeltaEdgeCases covers the trivial sizes, an empty touched
+// set, and touched sets that are unsorted, repeat vertices, run out of
+// range or name vertices no changed edge ends at.
+func TestCountDeltaEdgeCases(t *testing.T) {
 	k := New(1)
 	defer k.Close()
-	g := graph.Complete(5)
-	b := graph.NewBitAdjacency(g)
-	if got := k.CountIncident(g, b, 3, nil); got != 0 {
-		t.Fatalf("empty touched: got %d, want 0", got)
+	g := graph.Complete(6)
+	res, err := graph.ApplyDelta(g, graph.EdgeDelta{Delete: [][2]int{{0, 1}, {2, 3}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := k.CountIncident(g, b, 1, []int32{0, 0, 2}); got != 2 {
-		t.Fatalf("s=1: got %d, want 2", got)
+	child := res.Graph
+	if got := k.CountDelta(g, nil, child, nil, 1, res.Touched, 6); got != 6 {
+		t.Fatalf("s=1: got %d, want 6", got)
 	}
-	// Touching every vertex counts everything.
-	all := []int32{0, 1, 2, 3, 4}
-	if got, want := k.CountIncident(g, b, 3, all), k.Count(b, 3); got != want {
-		t.Fatalf("full touch: got %d, want %d", got, want)
+	if got := k.CountDelta(g, nil, child, nil, 2, res.Touched, 15); got != 13 {
+		t.Fatalf("s=2: got %d, want 13", got)
 	}
-	// s=2: edges with at least one touched endpoint.
-	if got := k.CountIncident(g, b, 2, []int32{0}); got != 4 {
-		t.Fatalf("s=2 single vertex on K5: got %d, want 4", got)
+	if got := k.CountDelta(g, nil, g, nil, 3, nil, 20); got != 20 {
+		t.Fatalf("no change: got %d, want the parent count 20", got)
+	}
+	messy := []int32{5, 3, -1, 0, 2, 3, 1, 0, 6, 99, 4}
+	for s := 3; s <= 6; s++ {
+		want := child.CountCliques(s)
+		for _, touched := range [][]int32{res.Touched, messy} {
+			if got := k.CountDelta(g, nil, child, nil, s, touched, g.CountCliques(s)); got != want {
+				t.Fatalf("K_%d with touched %v: CountDelta = %d, want %d", s, touched, got, want)
+			}
+		}
 	}
 }
 
+// TestCountDeltaMatchesEnumeration checks CountDelta against enumeration
+// on 400 random graphs of 6 to 35 vertices, for K_3..K_7. Each delta
+// deletes and inserts, and re-inserts some of the edges it deletes, which
+// is no change: the charge to a clique's first changed edge must then
+// skip the re-inserted edge on both sides.
+func TestCountDeltaMatchesEnumeration(t *testing.T) {
+	k := New(1)
+	defer k.Close()
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		n := 6 + rng.Intn(30)
+		g := graph.GNP(n, 0.2+0.5*rng.Float64(), rng)
+		var d graph.EdgeDelta
+		for _, e := range g.Edges() {
+			switch r := rng.Float64(); {
+			case r < 0.1:
+				d.Delete = append(d.Delete, e)
+			case r < 0.15:
+				d.Delete = append(d.Delete, e)
+				d.Insert = append(d.Insert, [2]int{e[1], e[0]})
+			}
+		}
+		for i := 0; i < 6; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			e := [2]int{min(u, v), max(u, v)}
+			if u != v && !g.HasEdge(u, v) && !slices.Contains(d.Insert, e) {
+				d.Insert = append(d.Insert, e)
+			}
+		}
+		res, err := graph.ApplyDelta(g, d)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for s := 3; s <= 7; s++ {
+			want := res.Graph.CountCliques(s)
+			if got := k.CountDelta(g, nil, res.Graph, nil, s, res.Touched, g.CountCliques(s)); got != want {
+				t.Fatalf("trial %d K_%d on %v with delta %+v: CountDelta = %d, enumeration = %d",
+					trial, s, g, d, got, want)
+			}
+		}
+	}
+}
+
+// TestCountDeltaConcurrent runs CountDelta from several goroutines on one
+// parent, each into its own child, so that under -race the pooled scratch
+// is shown never to be shared between calls.
+func TestCountDeltaConcurrent(t *testing.T) {
+	k := New(1)
+	defer k.Close()
+	rng := rand.New(rand.NewSource(13))
+	parent, _ := graph.PlantClique(graph.GNP(120, 0.15, rng), 6, rng)
+	type step struct {
+		res  *graph.DeltaResult
+		want [MaxCliqueSize + 1]int64
+	}
+	steps := make([]step, 6)
+	var pc [MaxCliqueSize + 1]int64
+	for s := 3; s <= 6; s++ {
+		pc[s] = parent.CountCliques(s)
+	}
+	for i := range steps {
+		var d graph.EdgeDelta
+		edges := parent.Edges()
+		for _, j := range rng.Perm(len(edges))[:10+i] {
+			d.Delete = append(d.Delete, edges[j])
+		}
+		res, err := graph.ApplyDelta(parent, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps[i].res = res
+		for s := 3; s <= 6; s++ {
+			steps[i].want[s] = res.Graph.CountCliques(s)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, st := range steps {
+		wg.Add(1)
+		go func(st step) {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for s := 3; s <= 6; s++ {
+					if got := k.CountDelta(parent, nil, st.res.Graph, nil, s, st.res.Touched, pc[s]); got != st.want[s] {
+						t.Errorf("K_%d: CountDelta = %d, want %d", s, got, st.want[s])
+						return
+					}
+				}
+			}
+		}(st)
+	}
+	wg.Wait()
+}
+
 // TestCountSuccessorHybrid plants a K_6 through a delta on a graph past
-// the dense budget (n = 11586), so the child's Successor takes the hybrid
-// form. Its counts, and CountDelta into it, must equal a scratch build's.
+// the dense budget (n = 11586), where a count job's adjacency of the
+// successor takes the hybrid form. CountDelta into it must equal a
+// scratch hybrid count.
 func TestCountSuccessorHybrid(t *testing.T) {
 	k := New(2)
 	defer k.Close()
@@ -139,19 +206,17 @@ func TestCountSuccessorHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb := graph.NewBitAdjacency(g)
-	sb := pb.Successor(res.Graph, res.Touched)
-	scratch := graph.NewBitAdjacency(res.Graph)
-	if sb.Mode() != graph.BitHybrid || scratch.Mode() != graph.BitHybrid {
-		t.Fatalf("modes %s (successor), %s (scratch), want hybrid", sb.Mode(), scratch.Mode())
+	pb, scratch := graph.NewBitAdjacency(g), graph.NewBitAdjacency(res.Graph)
+	if graph.ModeFor(res.Graph.N()) != graph.BitHybrid || scratch.Mode() != graph.BitHybrid {
+		t.Fatalf("modes %s (ModeFor), %s (scratch), want hybrid", graph.ModeFor(res.Graph.N()), scratch.Mode())
 	}
 	for s := 3; s <= 6; s++ {
 		want := k.Count(scratch, s)
-		if got := k.CountDelta(g, pb, res.Graph, sb, s, res.Touched, k.Count(pb, s)); got != want {
-			t.Fatalf("K_%d: CountDelta into the successor = %d, scratch Count = %d", s, got, want)
+		if s == 6 && want == 0 {
+			t.Fatal("the planted K_6 was not counted")
 		}
-		if got := k.Count(sb, s); got != want {
-			t.Fatalf("K_%d: Count(successor) = %d, scratch Count = %d", s, got, want)
+		if got := k.CountDelta(g, nil, res.Graph, nil, s, res.Touched, k.Count(pb, s)); got != want {
+			t.Fatalf("K_%d: CountDelta into the successor = %d, scratch Count = %d", s, got, want)
 		}
 	}
 }

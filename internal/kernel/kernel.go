@@ -121,10 +121,6 @@ func (k *Kernel) pass(b *graph.BitAdjacency, s int, detect bool) int64 {
 	case b.N() < s:
 		return 0
 	}
-	// A successor's dense rows wait for its first dense pass. Filling
-	// them here, before the lock, keeps that one-time build from holding
-	// up passes over other graphs.
-	b.FillRows()
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.closed {
@@ -209,22 +205,29 @@ type runState struct {
 	counts []int64 // worker w accumulates into counts[w*countStride]
 }
 
-// workerScratch is one worker's reusable buffers: dense candidate rows
-// and the hybrid form's cliqueScratch, one of each per recursion level,
-// plus the start-edge words a recording pass sets.
+// workerScratch is one worker's reusable buffers. Per recursion level it
+// holds a dense candidate row and, for the hybrid form, a rank-indexed
+// mark row (all zero between uses) and a candidate list; rec holds the
+// start-edge words a recording pass sets.
 type workerScratch struct {
-	cliqueScratch
-	rows [][]uint64
-	rec  []uint64
+	rows  [][]uint64
+	marks [][]uint64
+	lists [][]int32
+	rec   []uint64
 }
 
+// ensure sizes the scratch for a pass of clique size s over rows of words
+// words: s levels, at least every level index the pass uses. A mark row
+// wide enough is resliced, being all zero.
 func (ws *workerScratch) ensure(words, degen, s int) {
-	ws.grow(words, s) // s levels: at least every level index a pass uses
 	for len(ws.rows) < s {
 		ws.rows = append(ws.rows, nil)
+		ws.marks = append(ws.marks, nil)
+		ws.lists = append(ws.lists, nil)
 	}
 	for i := range ws.rows[:s] {
 		ws.rows[i] = fitRow(ws.rows[i], words)
+		ws.marks[i] = fitRow(ws.marks[i], words)
 		if cap(ws.lists[i]) < degen {
 			ws.lists[i] = make([]int32, 0, degen)
 		}
@@ -360,25 +363,6 @@ func (r *runState) hybridFrom(ws *workerScratch, u int32, fu []int32) int64 {
 	return cnt
 }
 
-// cliqueScratch is the scratch of cliquesWithin: a rank-indexed mark
-// row, all zero between uses, and a candidate list per recursion level.
-type cliqueScratch struct {
-	marks [][]uint64
-	lists [][]int32
-}
-
-// grow sizes the scratch for levels recursion levels over rows of words
-// words. A mark row wide enough is resliced, being all zero.
-func (sc *cliqueScratch) grow(words, levels int) {
-	for len(sc.marks) < levels {
-		sc.marks = append(sc.marks, nil)
-		sc.lists = append(sc.lists, nil)
-	}
-	for i := range sc.marks[:levels] {
-		sc.marks[i] = fitRow(sc.marks[i], words)
-	}
-}
-
 // fitRow returns row resliced to words words, or a new zero row if short.
 func fitRow(row []uint64, words int) []uint64 {
 	if cap(row) < words {
@@ -392,11 +376,11 @@ func fitRow(row []uint64, words int) []uint64 {
 // marks cands in the level's row, filters forward lists through the
 // marks, and unmarks before returning — each clique is found once, from
 // its lowest-rank member — which works unchanged on both forms.
-func (sc *cliqueScratch) cliquesWithin(b *graph.BitAdjacency, cands []int32, need, level int) int64 {
+func (ws *workerScratch) cliquesWithin(b *graph.BitAdjacency, cands []int32, need, level int) int64 {
 	if need == 1 {
 		return int64(len(cands))
 	}
-	mark := sc.marks[level]
+	mark := ws.marks[level]
 	for _, v := range cands {
 		mark[v>>6] |= 1 << (uint(v) & 63)
 	}
@@ -408,15 +392,15 @@ func (sc *cliqueScratch) cliquesWithin(b *graph.BitAdjacency, cands []int32, nee
 			}
 			continue
 		}
-		next := sc.lists[level][:0]
+		next := ws.lists[level][:0]
 		for _, w := range b.Forward(v) {
 			if mark[w>>6]>>(uint(w)&63)&1 == 1 {
 				next = append(next, w)
 			}
 		}
 		if len(next) >= need-1 {
-			sc.lists[level] = next
-			cnt += sc.cliquesWithin(b, next, need-1, level+1)
+			ws.lists[level] = next
+			cnt += ws.cliquesWithin(b, next, need-1, level+1)
 		}
 	}
 	for _, v := range cands {

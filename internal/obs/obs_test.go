@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -230,3 +232,27 @@ func TestCollectorMultiRunAccumulation(t *testing.T) {
 		t.Fatalf("round-tripped bits_total = %d, want 30", back.Metrics.Counters[MetricBits])
 	}
 }
+
+// TestDiscardLoggerBuildsNoRecord checks DiscardLogger at every level:
+// disabled, and never resolving a value, directly or through a derived
+// logger.
+func TestDiscardLoggerBuildsNoRecord(t *testing.T) {
+	resolved := 0
+	probe := slog.AnyValue(logValuer(func() slog.Value { resolved++; return slog.IntValue(1) }))
+	ctx := context.Background()
+	for _, l := range []*slog.Logger{DiscardLogger, DiscardLogger.With("k", "v").WithGroup("g")} {
+		for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+			if l.Enabled(ctx, level) {
+				t.Errorf("DiscardLogger is enabled at %v", level)
+			}
+			l.Log(ctx, level, "probe", "value", probe)
+		}
+	}
+	if resolved != 0 {
+		t.Fatalf("DiscardLogger resolved %d values", resolved)
+	}
+}
+
+type logValuer func() slog.Value
+
+func (f logValuer) LogValue() slog.Value { return f() }

@@ -106,11 +106,10 @@ func (s *Server) runKernelBatch(leader *job) {
 
 	// One adjacency, shared by every pattern in the batch — resolved
 	// through the store's per-digest cache, so repeat count jobs (and a
-	// delta that already built this graph's adjacency) skip the build.
-	// A delta successor's dense rows are filled here, on its first count,
-	// so the span holds all of the build.
+	// delta watch that already built this graph's adjacency) skip the
+	// build.
 	buildSpan := leader.rootSpan.StartChild("bitset_build")
-	bits, ok := s.store.Bits(leader.digest, nil)
+	bits, ok := s.store.Bits(leader.digest)
 	if !ok {
 		// Every batched job pinned its graph at admission and holds the pin
 		// until it finishes, so a missing graph is an internal disagreement
@@ -123,12 +122,9 @@ func (s *Server) runKernelBatch(leader *job) {
 			"internal error: pinned graph %s missing from the store", leader.digest))
 		return
 	}
-	bits.FillRows()
 	buildSpan.Annotate("mode", string(bits.Mode()))
 	buildSpan.Annotate("n", strconv.Itoa(bits.N()))
 	buildSpan.Annotate("m", strconv.Itoa(bits.M()))
-	// The longest forward list: the degeneracy on a scratch build, the
-	// maximum forward degree under the inherited order on a successor.
 	buildSpan.Annotate("degeneracy", strconv.Itoa(bits.Degeneracy()))
 	buildSpan.Finish()
 	algo := kernel.AlgorithmName(bits.Mode())

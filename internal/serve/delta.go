@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"subgraph"
 	"subgraph/internal/graph"
 	"subgraph/internal/kernel"
 )
@@ -23,7 +22,7 @@ import (
 //
 //   - every parent count cached here or carried with the request is
 //     forwarded to the child: the child's count is derived incrementally
-//     (CountDelta over the touched set), byte-identical to what a
+//     (CountDelta over the changed edges), byte-identical to what a
 //     from-scratch count job on the child would produce, and returned
 //     (cached too when the parent count was this node's own);
 //   - "watch" patterns in the request are answered incrementally —
@@ -248,54 +247,14 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Lazy adjacency builds, shared by forwarding and watch evaluation.
-	// Resolved through the store's per-digest cache: the parent's was
-	// usually built when it was the previous step's child, and the
-	// child's is the parent's Successor, which keeps the parent's order,
-	// rebuilds only the touched vertices' forward lists and leaves dense
-	// rows to the child's first dense count. The parent is resolved before
-	// the child's build starts, so no build waits on another digest's.
-	// The ad-hoc builds only cover entries a tiny store already evicted.
-	var pb, cb *graph.BitAdjacency
-	parentBits := func() *graph.BitAdjacency {
-		if pb == nil {
-			if b, ok := s.store.Bits(parentDigest, nil); ok {
-				pb = b
-			} else {
-				pb = graph.NewBitAdjacency(parent)
-			}
-		}
-		return pb
-	}
-	childBits := func() *graph.BitAdjacency {
-		if cb != nil {
-			return cb
-		}
-		if childDigest == parentDigest {
-			// An empty delta, or one whose changes cancel out.
-			cb = parentBits()
-			return cb
-		}
-		from := parentBits()
-		successor := func(g *graph.Graph) *graph.BitAdjacency {
-			return from.Successor(g, res.Touched)
-		}
-		if b, ok := s.store.Bits(childDigest, successor); ok {
-			cb = b
-		} else {
-			cb = successor(child)
-		}
-		return cb
-	}
-
 	if childDigest != parentDigest {
 		view.Counts = s.forwardCounts(own, req.ParentCounts, parent, child, childDigest,
-			res.Touched, incremental, parentBits, childBits)
+			res.Touched, incremental)
 		view.Forwarded = len(view.Counts)
 	}
 	if len(req.Watch) > 0 {
 		watch, aerr := s.evaluateWatch(req.Watch, parent, child, parentDigest, childDigest,
-			d, res.Touched, incremental, view.Counts, parentBits, childBits)
+			d, res.Touched, incremental, view.Counts)
 		if aerr != nil {
 			writeErr(w, aerr.status, "%s", aerr.msg)
 			return
@@ -316,12 +275,12 @@ func (s *Server) handleGraphDelta(w http.ResponseWriter, r *http.Request) {
 }
 
 // forwardCounts derives the child's count for every parent count, own
-// (cached here, and winning) or carried, by incremental recounting. Only
-// those derived from own counts are cached for the child. Over-threshold
-// deltas derive nothing and count one fallback.
+// (cached here, and winning) or carried, by counting the cliques through
+// the changed edges (kernel.CountDelta), with no adjacency of either
+// graph. Only those derived from own counts are cached for the child.
+// Over-threshold deltas derive nothing and count one fallback.
 func (s *Server) forwardCounts(own, carried CliqueCounts, parent, child *graph.Graph, childDigest string,
-	touched []int32, incremental bool,
-	parentBits, childBits func() *graph.BitAdjacency) map[int]*JobResult {
+	touched []int32, incremental bool) map[int]*JobResult {
 	if len(own) == 0 && len(carried) == 0 {
 		return nil
 	}
@@ -329,9 +288,9 @@ func (s *Server) forwardCounts(own, carried CliqueCounts, parent, child *graph.G
 		s.reg.Counter(MetricDeltaFallback).Inc()
 		return nil
 	}
-	pb, cb := parentBits(), childBits()
+	mode := graph.ModeFor(child.N()) // the form a count job's build would take
 	derive := func(size int, cnt int64) *JobResult {
-		return CountResult(s.kernel.CountDelta(parent, pb, child, cb, size, touched, cnt), cb.Mode())
+		return CountResult(s.kernel.CountDelta(parent, nil, child, nil, size, touched, cnt), mode)
 	}
 	out := make(map[int]*JobResult, len(own)+len(carried))
 	for size, cnt := range own {
@@ -352,28 +311,28 @@ func (s *Server) forwardCounts(own, carried CliqueCounts, parent, child *graph.G
 // served as job results — the "|watch|" segment cannot collide with job
 // cache keys, whose third segment is a canonical options spec or the
 // count sentinel.
-func watchKey(digest string, h *subgraph.Graph) string {
-	return digest + "|watch|" + h.Digest()
+func watchKey(digest, hDigest string) string {
+	return digest + "|watch|" + hDigest
 }
 
 // evaluateWatch answers each watched pattern on the child graph,
 // incrementally when possible.
 func (s *Server) evaluateWatch(patterns []string, parent, child *graph.Graph,
 	parentDigest, childDigest string, d graph.EdgeDelta, touched []int32, incremental bool,
-	forwarded map[int]*JobResult, parentBits, childBits func() *graph.BitAdjacency) ([]WatchResult, *apiError) {
+	forwarded map[int]*JobResult) ([]WatchResult, *apiError) {
 	out := make([]WatchResult, 0, len(patterns))
 	for _, p := range patterns {
-		h, err := subgraph.ParsePattern(p)
+		pat, err := parsePattern(p)
 		if err != nil {
 			return nil, badRequest(fmt.Sprintf("watch pattern %q: %v", p, err))
 		}
-		if size, ok := kernel.CliqueSize(h); ok {
+		if size, ok := kernel.CliqueSize(pat.h); ok {
 			out = append(out, s.watchClique(p, size, parent, child,
-				parentDigest, childDigest, touched, incremental, forwarded, parentBits, childBits))
+				parentDigest, childDigest, touched, incremental, forwarded))
 			continue
 		}
 		if l, ok := cycleLength(p); ok {
-			out = append(out, s.watchCycle(p, h, l, parent, child,
+			out = append(out, s.watchCycle(p, pat.digest, l, parent, child,
 				parentDigest, childDigest, d, incremental))
 			continue
 		}
@@ -399,7 +358,7 @@ func cycleLength(spec string) (int, bool) {
 
 func (s *Server) watchClique(p string, size int, parent, child *graph.Graph,
 	parentDigest, childDigest string, touched []int32, incremental bool,
-	forwarded map[int]*JobResult, parentBits, childBits func() *graph.BitAdjacency) WatchResult {
+	forwarded map[int]*JobResult) WatchResult {
 	// The forwarding pass may have just derived this very count for the
 	// child (from every parent size cached here or carried); reuse it
 	// rather than running CountDelta a second time. The answer is the
@@ -412,7 +371,6 @@ func (s *Server) watchClique(p string, size int, parent, child *graph.Graph,
 		c := *childRes.Count
 		return WatchResult{Pattern: p, Detected: c > 0, Count: &c, Incremental: incremental || parentDigest == childDigest}
 	}
-	cb := childBits()
 	parentRes, pok := s.cache.Get(countKey(parentDigest, size))
 	parentKnown := pok && parentRes.Count != nil
 	var cnt int64
@@ -423,9 +381,16 @@ func (s *Server) watchClique(p string, size int, parent, child *graph.Graph,
 		cnt = *parentRes.Count
 		usedIncremental = true
 	case parentKnown && incremental:
-		cnt = s.kernel.CountDelta(parent, parentBits(), child, cb, size, touched, *parentRes.Count)
+		cnt = s.kernel.CountDelta(parent, nil, child, nil, size, touched, *parentRes.Count)
 		usedIncremental = true
 	default:
+		// A full count on the child's adjacency, built from scratch through
+		// the store like any uploaded graph's. The ad-hoc build only covers
+		// a child that a tiny store already evicted.
+		cb, ok := s.store.Bits(childDigest)
+		if !ok {
+			cb = graph.NewBitAdjacency(child)
+		}
 		cnt = s.kernel.Count(cb, size)
 		if parentKnown {
 			// Incremental maintenance was possible in principle but the
@@ -435,16 +400,17 @@ func (s *Server) watchClique(p string, size int, parent, child *graph.Graph,
 	}
 	// Either way the child's count is now known exactly: cache it under
 	// the count-job key so subsequent count jobs (and future deltas) hit.
-	s.cache.Put(countKey(childDigest, size), CountResult(cnt, cb.Mode()))
+	// The label is the form a count job's build of the child would take.
+	s.cache.Put(countKey(childDigest, size), CountResult(cnt, graph.ModeFor(child.N())))
 	c := cnt
 	return WatchResult{Pattern: p, Detected: cnt > 0, Count: &c, Incremental: usedIncremental}
 }
 
-func (s *Server) watchCycle(p string, h *subgraph.Graph, l int, parent, child *graph.Graph,
+func (s *Server) watchCycle(p, hDigest string, l int, parent, child *graph.Graph,
 	parentDigest, childDigest string, d graph.EdgeDelta, incremental bool) WatchResult {
 	parentKnown := false
 	parentHas := false
-	if res, ok := s.cache.Get(watchKey(parentDigest, h)); ok {
+	if res, ok := s.cache.Get(watchKey(parentDigest, hDigest)); ok {
 		parentHas, parentKnown = res.Detected, true
 	}
 	has := false
@@ -470,6 +436,6 @@ func (s *Server) watchCycle(p string, h *subgraph.Graph, l int, parent, child *g
 			s.reg.Counter(MetricDeltaFallback).Inc()
 		}
 	}
-	s.cache.Put(watchKey(childDigest, h), &JobResult{Detected: has})
+	s.cache.Put(watchKey(childDigest, hDigest), &JobResult{Detected: has})
 	return WatchResult{Pattern: p, Detected: has, Incremental: usedIncremental}
 }

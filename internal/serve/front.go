@@ -268,10 +268,11 @@ func (f *FrontEnd) accept(spec *JobSpec) (accepted, *apiError) {
 	if (spec.Graph == "") == (spec.GraphInline == "") {
 		return a, badRequest("exactly one of \"graph\" (digest) and \"graph_inline\" (edge list) must be set")
 	}
-	var err error
-	if a.h, err = subgraph.ParsePattern(spec.Pattern); err != nil {
+	p, err := parsePattern(spec.Pattern)
+	if err != nil {
 		return a, badRequest(err.Error())
 	}
+	a.h = p.h
 	if a.opts, err = spec.Options.Options(); err != nil {
 		return a, badRequest(err.Error())
 	}
@@ -309,7 +310,7 @@ func (f *FrontEnd) accept(spec *JobSpec) (accepted, *apiError) {
 		spec.GraphInline = ""
 		f.reg.Counter(f.names.Uploads).Inc()
 	}
-	a.key = cacheKey(spec.Graph, a.h.Digest(), subgraph.OptionsSpecOf(a.opts), a.count)
+	a.key = cacheKey(spec.Graph, p.digest, subgraph.OptionsSpecOf(a.opts), a.count)
 	return a, nil
 }
 

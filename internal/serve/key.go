@@ -2,8 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"subgraph"
 	"subgraph/internal/kernel"
@@ -41,25 +42,57 @@ func cacheKey(digest, hDigest string, effective subgraph.OptionsSpec, count bool
 }
 
 // countKey is the cache key of digest's K_size count, the key a count job
-// for clique:size (or an alias) on digest derives. A delta derives about
-// a dozen, so the K_s pattern digests are computed once, by cliqueDigests.
+// for clique:size (or an alias) on digest derives.
 func countKey(digest string, size int) string {
-	return cacheKey(digest, cliqueDigests()[size], subgraph.OptionsSpec{}, true)
+	return cacheKey(digest, tablePattern(kindClique, size).digest, subgraph.OptionsSpec{}, true)
 }
 
-// cliqueDigests holds the pattern digest of K_s at index s, for s in
-// 2..MaxCliqueSize.
-var cliqueDigests = sync.OnceValue(func() []string {
-	digests := make([]string, kernel.MaxCliqueSize+1)
-	for s := 2; s <= kernel.MaxCliqueSize; s++ {
-		h, err := subgraph.ParsePattern("clique:" + strconv.Itoa(s))
-		if err != nil {
-			panic(err) // clique:2..MaxCliqueSize always parses
-		}
-		digests[s] = h.Digest()
+// parsedPattern is a pattern graph and its digest. The graph is shared by
+// every job that names the pattern; like any graph, it is never modified.
+type parsedPattern struct {
+	h      *subgraph.Graph
+	digest string
+}
+
+// patternKinds are the kinds subgraph.SplitPattern returns, in the order
+// patternTable indexes them.
+var patternKinds = [...]string{"cycle", "clique", "path", "star"}
+
+const kindClique = 1 // patternKinds[kindClique] == "clique"
+
+// patternTable holds the parse of each (kind, size) pattern once one is
+// asked for, so that a submit, a router's cache key or a delta watch
+// neither builds the pattern graph again nor hashes it. It is keyed by
+// the parsed kind and size, not by the spec string, so no client spelling
+// ("clique:4", "clique:04", "clique:+4") can grow it. A filled slot never
+// changes.
+var patternTable [len(patternKinds)][subgraph.MaxPatternSize + 1]atomic.Pointer[parsedPattern]
+
+// parsePattern is subgraph.ParsePattern served from patternTable, with
+// ParsePattern's errors.
+func parsePattern(spec string) (*parsedPattern, error) {
+	kind, size, err := subgraph.SplitPattern(spec)
+	if err != nil {
+		return nil, err
 	}
-	return digests
-})
+	return tablePattern(slices.Index(patternKinds[:], kind), size), nil
+}
+
+// tablePattern returns the table's entry for the pattern of kind
+// patternKinds[kind] and size, which SplitPattern must accept, filling
+// it on first use.
+func tablePattern(kind, size int) *parsedPattern {
+	slot := &patternTable[kind][size]
+	if p := slot.Load(); p != nil {
+		return p
+	}
+	h, err := subgraph.ParsePattern(patternKinds[kind] + ":" + strconv.Itoa(size))
+	if err != nil {
+		panic(err) // the caller's pattern was validated
+	}
+	slot.CompareAndSwap(nil, &parsedPattern{h: h, digest: h.Digest()})
+	return slot.Load()
+}
 
 // SpecCacheKey computes the result-cache key for a digest-referencing
 // spec without access to the stored graph — the router-side half of the
@@ -70,7 +103,7 @@ func SpecCacheKey(spec JobSpec) (string, error) {
 	if spec.Graph == "" {
 		return "", fmt.Errorf("serve: cache key needs a graph digest (inline graphs are stored first)")
 	}
-	h, err := subgraph.ParsePattern(spec.Pattern)
+	p, err := parsePattern(spec.Pattern)
 	if err != nil {
 		return "", err
 	}
@@ -82,12 +115,12 @@ func SpecCacheKey(spec JobSpec) (string, error) {
 	switch spec.Mode {
 	case "", ModeDetect:
 	case ModeCount:
-		if _, ok := kernel.CliqueSize(h); !ok {
+		if _, ok := kernel.CliqueSize(p.h); !ok {
 			return "", fmt.Errorf("serve: pattern %q is not kernel-countable", spec.Pattern)
 		}
 		count = true
 	default:
 		return "", fmt.Errorf("serve: unknown mode %q", spec.Mode)
 	}
-	return cacheKey(spec.Graph, h.Digest(), subgraph.OptionsSpecOf(opts), count), nil
+	return cacheKey(spec.Graph, p.digest, subgraph.OptionsSpecOf(opts), count), nil
 }

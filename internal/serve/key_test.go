@@ -215,3 +215,34 @@ func TestCountKeyMatchesSpecCacheKey(t *testing.T) {
 		}
 	}
 }
+
+// FuzzPatternTable pins parsePattern to subgraph.ParsePattern: for any
+// spec, the same error text, or a pattern with the same digest. Every
+// spelling of one pattern must share one table entry, so that the specs
+// clients choose cannot grow the table.
+func FuzzPatternTable(f *testing.F) {
+	for _, spec := range []string{
+		"triangle", "cycle:3", "clique:3", "clique:04", "clique:+4", "path:64", "star:2",
+		"cycle:2", "star:65", "clique:-1", "cycle", "cycle:x", "blob:3", ":3", "clique:4:5",
+		" clique:4", "Clique:4", "clique:4 ", "",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		want, werr := subgraph.ParsePattern(spec)
+		got, err := parsePattern(spec)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("%q: parsePattern error %v, ParsePattern error %v", spec, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if got.digest != want.Digest() || got.h.Digest() != want.Digest() {
+			t.Fatalf("%q: table digest %s (graph %s), ParsePattern digest %s", spec, got.digest, got.h.Digest(), want.Digest())
+		}
+		kind, size, _ := subgraph.SplitPattern(spec)
+		if canonical, _ := parsePattern(kind + ":" + strconv.Itoa(size)); canonical != got {
+			t.Fatalf("%q and %s:%d hold separate table entries", spec, kind, size)
+		}
+	})
+}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -457,5 +459,46 @@ func TestChaosLoadGenTimelines(t *testing.T) {
 	defer cancel()
 	if _, err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// logProbe counts how often a log record resolves it: a handler that
+// formats a record resolves every LogValuer in it.
+type logProbe struct{ resolved *atomic.Int32 }
+
+func (p logProbe) LogValue() slog.Value {
+	p.resolved.Add(1)
+	return slog.StringValue("probe")
+}
+
+// TestNilLoggerFormatsNoRecord checks that a server configured without a
+// logger builds and formats no log record: its logger and its SLO guard's
+// are disabled at every level, and a record sent to either after a
+// served job never resolves its values.
+func TestNilLoggerFormatsNoRecord(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	up, err := c.UploadGraph("n 3\n0 1\n1 2\n0 2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := c.SubmitJob(JobSpec{Graph: up.Digest, Pattern: "triangle", Mode: ModeCount})
+	if err == nil {
+		v, err = c.WaitJob(v.ID, 10*time.Second)
+	}
+	if err != nil || v.State != StateDone {
+		t.Fatalf("count job: %+v, %v", v, err)
+	}
+	var resolved atomic.Int32
+	ctx := context.Background()
+	for _, l := range []*slog.Logger{s.logger, s.slo.logger} {
+		for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+			if l.Enabled(ctx, level) {
+				t.Errorf("the default logger is enabled at %v", level)
+			}
+			l.Log(ctx, level, "probe", "value", logProbe{&resolved})
+		}
+	}
+	if n := resolved.Load(); n != 0 {
+		t.Fatalf("the default logger formatted %d records", n)
 	}
 }

@@ -28,7 +28,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"time"
@@ -219,7 +218,7 @@ func (c Config) withDefaults() Config {
 		c.FlightRecorderSize = 256
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = obs.DiscardLogger
 	}
 	if c.DeltaChurnThreshold == 0 {
 		c.DeltaChurnThreshold = 0.05

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"io"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -128,7 +127,7 @@ func newSLOGuard(cfg SLOConfig, reg *obs.Registry, slots int) *sloGuard {
 		latency: obs.NewWindow(cfg.Window, slots, sloBuckets),
 		qwait:   obs.NewWindow(cfg.Window, slots, sloBuckets),
 		reg:     reg,
-		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+		logger:  obs.DiscardLogger,
 		now:     time.Now,
 	}
 	reg.Gauge(GaugeSLODegraded)

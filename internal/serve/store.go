@@ -290,15 +290,11 @@ func (s *Store) Network(digest string) (*subgraph.Network, bool) {
 
 // Bits returns the shared bitset adjacency for digest, touching its
 // recency. Like Network, the first call builds it outside the store lock
-// (single-flighted, entry pinned during the build), with build when it
-// is not nil and a scratch graph.NewBitAdjacency otherwise; later calls —
-// count jobs, delta recounts on the same graph, and each delta step's
-// reuse of its parent's adjacency — share the one build, whichever
-// builder made it. A delta builds its child as the parent's Successor,
-// so along a delta chain only the base graph is peeled (and any
-// successor whose inherited order drifted too far). build runs outside
-// the store lock and must not call back into the store.
-func (s *Store) Bits(digest string, build func(*graph.Graph) *graph.BitAdjacency) (*graph.BitAdjacency, bool) {
+// (single-flighted, entry pinned during the build); later calls — count
+// jobs and delta watches on the same graph — share the one build. A
+// delta child is built the same way, from scratch, and only if something
+// needs it: forwarded counts and incremental watches read no adjacency.
+func (s *Store) Bits(digest string) (*graph.BitAdjacency, bool) {
 	key := digest + "\x00bits" // distinct single-flight slot from the network build
 	for {
 		s.mu.Lock()
@@ -324,9 +320,7 @@ func (s *Store) Bits(digest string, build func(*graph.Graph) *graph.BitAdjacency
 		sg.pins++ // the build must not race eviction
 		s.mu.Unlock()
 
-		if build == nil {
-			build = s.buildBits
-		}
+		build := s.buildBits
 		if build == nil {
 			build = graph.NewBitAdjacency
 		}

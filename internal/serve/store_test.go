@@ -388,8 +388,9 @@ func chainBase() *graph.Graph {
 }
 
 // applyChain primes count jobs for primed on base, then applies steps
-// chain deltas from it, each forwarding every primed count. It returns
-// the digests from base to the last child and the last child's graph.
+// chain deltas from it, each forwarding every primed count and watching
+// the primed patterns. It returns the digests from base to the last child
+// and the last child's graph.
 func applyChain(t *testing.T, c *Client, base *graph.Graph, primed []string, steps int) ([]string, *graph.Graph) {
 	t.Helper()
 	up, err := c.UploadGraph(edgeListOf(t, base))
@@ -409,12 +410,18 @@ func applyChain(t *testing.T, c *Client, base *graph.Graph, primed []string, ste
 	digests, cur := []string{up.Digest}, base
 	for step := 0; step < steps; step++ {
 		req := chainDelta(rng, cur)
+		req.Watch = primed
 		view, status, err := c.ApplyDelta(digests[step], req)
 		if err != nil || status != http.StatusCreated {
 			t.Fatalf("step %d: status %d, %v", step, status, err)
 		}
 		if view.Forwarded != len(primed) {
 			t.Fatalf("step %d forwarded %d counts, want %d", step, view.Forwarded, len(primed))
+		}
+		for _, w := range view.Watch {
+			if !w.Incremental {
+				t.Fatalf("step %d: watch %+v was not incremental", step, w)
+			}
 		}
 		res, err := graph.ApplyDelta(cur, graph.EdgeDelta{Insert: req.Insert, Delete: req.Delete})
 		if err != nil {
@@ -431,12 +438,22 @@ func scratchCount(s *Server, g *graph.Graph, size int) *JobResult {
 	return CountResult(s.kernel.Count(b, size), b.Mode())
 }
 
-// TestDeltaChainPeelsOnlyTheBase follows a 20-step delta chain whose
-// counts are forwarded, counting scratch builds through the store's seam:
-// only the base graph is peeled, and every child's adjacency is a
-// successor sharing the base's order. A count job for a size nobody
-// primed then runs the kernel on the last child's deferred rows, and its
-// result must be byte-identical to a scratch count's.
+// holdsBits reports whether the store keeps an adjacency for digest,
+// without building one.
+func holdsBits(s *Store, digest string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.byHash[digest]
+	return ok && el.Value.(*storedGraph).bits != nil
+}
+
+// TestDeltaChainPeelsOnlyTheBase follows a 20-step watched delta chain
+// whose counts are forwarded, counting adjacency builds through the
+// store's seam: only the base graph, which the priming count jobs
+// counted, is peeled, and no stored child holds an adjacency. Count jobs
+// on the last child for a forwarded size hit the cache, and for a size
+// nobody primed build the child's adjacency from scratch; both answers
+// must be byte-identical to a scratch count's.
 func TestDeltaChainPeelsOnlyTheBase(t *testing.T) {
 	s := New(Config{Workers: 2})
 	var mu sync.Mutex
@@ -455,52 +472,52 @@ func TestDeltaChainPeelsOnlyTheBase(t *testing.T) {
 		t.Fatalf("peeled %v, want only the base %s", peeled, digests[0])
 	}
 	mu.Unlock()
-	noBuild := func(g *graph.Graph) *graph.BitAdjacency {
-		t.Errorf("adjacency of %s built after the chain", g.Digest())
-		return graph.NewBitAdjacency(g)
-	}
-	base, _ := s.store.Bits(digests[0], noBuild)
 	for i, d := range digests[1:] {
-		b, ok := s.store.Bits(d, noBuild)
-		if !ok || &b.Order()[0] != &base.Order()[0] {
-			t.Fatalf("step %d's adjacency does not inherit the base's order", i)
+		if holdsBits(s.store, d) {
+			t.Fatalf("step %d's child holds an adjacency", i)
 		}
 	}
 
-	v, _, err := c.SubmitJob(JobSpec{Graph: digests[20], Pattern: "clique:5", Mode: ModeCount})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err = c.WaitJob(v.ID, 10*time.Second); err != nil || v.State != StateDone || v.Cached {
-		t.Fatalf("clique:5 count on the last child: %+v, %v; want a fresh kernel run", v, err)
-	}
-	got, _ := json.Marshal(v.Result)
-	want, _ := json.Marshal(scratchCount(s, last, 5))
-	if string(got) != string(want) {
-		t.Fatalf("count on the successor answered %s, a scratch count %s", got, want)
-	}
-	if *v.Result.Count == 0 || v.Result.Algorithm != "kernel-bitset-dense" {
-		t.Fatalf("result %s: want a dense count of the planted K_6's K_5s", got)
+	for _, p := range []struct {
+		pattern string
+		size    int
+		cached  bool
+	}{{"clique:4", 4, true}, {"clique:5", 5, false}} {
+		v, _, err := c.SubmitJob(JobSpec{Graph: digests[20], Pattern: p.pattern, Mode: ModeCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err = c.WaitJob(v.ID, 10*time.Second); err != nil || v.State != StateDone || v.Cached != p.cached {
+			t.Fatalf("%s count on the last child: %+v, %v; want cached %v", p.pattern, v, err, p.cached)
+		}
+		got, _ := json.Marshal(v.Result)
+		want, _ := json.Marshal(scratchCount(s, last, p.size))
+		if string(got) != string(want) {
+			t.Fatalf("%s count on the last child answered %s, a scratch count %s", p.pattern, got, want)
+		}
+		if *v.Result.Count == 0 || v.Result.Algorithm != "kernel-bitset-dense" {
+			t.Fatalf("result %s: want a dense count of the planted K_6's %s", got, p.pattern)
+		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(peeled) != 1 {
-		t.Fatalf("the count job peeled again: %v", peeled)
+	if len(peeled) != 2 || peeled[1] != digests[20] {
+		t.Fatalf("peeled %v, want the base, then the last child once", peeled)
 	}
 }
 
 // TestConcurrentCountsOnRowlessChild submits count jobs for every clique
-// size at once on a delta child whose dense rows are not filled yet. Empty
-// deltas watching the same sizes count on the child's adjacency from the
-// delta handlers, and deltas from the child recount through its forward
-// lists. Under -race this runs the one-time row fill from several
-// goroutines against concurrent kernel passes and CountIncident.
+// size at once on a delta child that holds no adjacency yet. Empty deltas
+// watching the same sizes count on the child's adjacency from the delta
+// handlers, and deltas from the child count through its changed edges.
+// Under -race this runs the child's one adjacency build, single-flighted
+// through the store, from several goroutines against concurrent kernel
+// passes and CountDelta calls.
 func TestConcurrentCountsOnRowlessChild(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 4})
 	digests, child := applyChain(t, c, chainBase(), []string{"triangle"}, 1)
-	base, _ := s.store.Bits(digests[0], nil)
-	if b, ok := s.store.Bits(digests[1], nil); !ok || &b.Order()[0] != &base.Order()[0] {
-		t.Fatal("the child's adjacency is not its parent's successor")
+	if holdsBits(s.store, digests[1]) {
+		t.Fatal("the child holds an adjacency after a delta whose counts forward")
 	}
 	var wg sync.WaitGroup
 	for size := 3; size <= 8; size++ {

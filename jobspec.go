@@ -25,33 +25,11 @@ import (
 // is in canonical vertex labeling, so equal specs — and aliases like
 // triangle vs cycle:3 — produce graphs with equal Digest().
 func ParsePattern(spec string) (*Graph, error) {
-	if spec == "triangle" {
-		return Cycle(3), nil
-	}
-	parts := strings.SplitN(spec, ":", 2)
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("subgraph: pattern must look like cycle:4 (or \"triangle\"), got %q", spec)
-	}
-	size, err := strconv.Atoi(parts[1])
+	kind, size, err := SplitPattern(spec)
 	if err != nil {
-		return nil, fmt.Errorf("subgraph: bad pattern size in %q", spec)
+		return nil, err
 	}
-	var min int
-	switch parts[0] {
-	case "cycle":
-		min = 3
-	case "clique", "path", "star":
-		min = 2
-	default:
-		return nil, fmt.Errorf("subgraph: unknown pattern kind %q", parts[0])
-	}
-	if size < min {
-		return nil, fmt.Errorf("subgraph: pattern %q needs size ≥ %d", spec, min)
-	}
-	if size > 64 {
-		return nil, fmt.Errorf("subgraph: pattern size %d exceeds the supported maximum 64", size)
-	}
-	switch parts[0] {
+	switch kind {
 	case "cycle":
 		return Cycle(size), nil
 	case "clique":
@@ -62,6 +40,43 @@ func ParsePattern(spec string) (*Graph, error) {
 		return Star(size), nil
 	}
 }
+
+// SplitPattern validates spec as ParsePattern does, with the same errors,
+// and returns its kind (cycle, clique, path or star) and size without
+// building the graph; "triangle" is cycle 3. Sizes run up to
+// MaxPatternSize.
+func SplitPattern(spec string) (kind string, size int, err error) {
+	if spec == "triangle" {
+		return "cycle", 3, nil
+	}
+	kind, num, ok := strings.Cut(spec, ":")
+	if !ok {
+		return "", 0, fmt.Errorf("subgraph: pattern must look like cycle:4 (or \"triangle\"), got %q", spec)
+	}
+	size, err = strconv.Atoi(num)
+	if err != nil {
+		return "", 0, fmt.Errorf("subgraph: bad pattern size in %q", spec)
+	}
+	var min int
+	switch kind {
+	case "cycle":
+		min = 3
+	case "clique", "path", "star":
+		min = 2
+	default:
+		return "", 0, fmt.Errorf("subgraph: unknown pattern kind %q", kind)
+	}
+	if size < min {
+		return "", 0, fmt.Errorf("subgraph: pattern %q needs size ≥ %d", spec, min)
+	}
+	if size > MaxPatternSize {
+		return "", 0, fmt.Errorf("subgraph: pattern size %d exceeds the supported maximum %d", size, MaxPatternSize)
+	}
+	return kind, size, nil
+}
+
+// MaxPatternSize is the largest pattern size ParsePattern accepts.
+const MaxPatternSize = 64
 
 // CrashSpec is the wire form of a crash-stop failure.
 type CrashSpec struct {

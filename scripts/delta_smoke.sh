@@ -14,9 +14,9 @@
 #   5. a count job on the final child must hit the forwarded cache
 #      (cached: true, no kernel run) and agree with the watch count;
 #   6. a third delta inserts [1,3], closing the K4 {0,1,2,3}: a clique:4
-#      count job on that child must run the kernel (not cached) over the
-#      adjacency the delta built, whose dense rows wait for this first
-#      dense count, and answer 1 with kernel-bitset-dense;
+#      count job on that child must run the kernel (not cached) over an
+#      adjacency built for it from scratch, as the delta built none, and
+#      answer 1 with kernel-bitset-dense;
 #   7. a delta body with data after its JSON value must answer 400;
 #   8. a delta deleting a non-edge must bounce with 409 and the typed
 #      reason delete_missing_edge, leaving the stored graphs untouched;
@@ -115,7 +115,7 @@ done
 [ "$(jget "$workdir/job1.json" "d.get('cached', False)")" = True ] || fail "forwarded entry missed"
 [ "$(jget "$workdir/job1.json" "d['result']['count']")" = 3 ] || fail "cached count disagrees with watch"
 
-echo "== delta 3 closes a K4; a clique:4 count runs the kernel on its deferred rows"
+echo "== delta 3 closes a K4; a clique:4 count builds the child's adjacency and runs the kernel"
 status=$(curl -sS -o "$workdir/d3.json" -w '%{http_code}' \
   -H 'Content-Type: application/json' \
   -d '{"insert":[[1,3]]}' "$base/v1/graphs/$child2/delta")
